@@ -231,7 +231,8 @@ def criterion_6(out_dir=None) -> CriterionResult:
             ok &= good
             details.append(
                 f"p={p} N={N}: probe vs exact relative {rel:.2e} "
-                f"(ladder spread {probe.rel_spread:.2e})"
+                f"(ladder spread {probe.rel_spread:.2e}, time-error "
+                f"estimate {probe.meta['dt_err_est']:.2e})"
                 f"{'' if good else ' MISS'}")
     return CriterionResult(6, "kernel-and-probe", ok, done(), details)
 

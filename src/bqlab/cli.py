@@ -6,8 +6,9 @@ from --config, then built-in defaults. Every run that writes files also
 writes a manifest (command, resolved params, sha256 of file inputs, package
 version, wall time, output paths) next to them.
 
-Exit codes: 0 success, 1 validation failure or failed checks, 2 resource
-budget exceeded (argparse also exits 2 on malformed flags).
+Exit codes: 0 success, 1 validation failure, unreadable input or output
+file, or failed checks, 2 resource budget exceeded (argparse also exits 2
+on malformed flags).
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import time
 
 import numpy as np
 
+from . import __version__ as VERSION
 from .errors import ResourceBudgetError, SimulationBlowup
 from .spectral import Domain, sobolev_norm
 from .witness import WitnessConfig, WitnessPair, build_witness, data_norm
@@ -29,8 +31,6 @@ from .flow_derivative import growth_table
 from .simulator import (SimConfig, Stepper, full_norm, inflation_experiment,
                         linear_energy, windowed_norm, witness_state)
 from .acceptance import run_criteria
-
-VERSION = "0.1.0"
 
 
 def _sha256(path: str) -> str:
@@ -60,10 +60,6 @@ def _n_list(text) -> list:
     if isinstance(text, (list, tuple)):
         return [int(x) for x in text]
     return [int(x) for x in str(text).split(",") if x.strip()]
-
-
-def _int_list(text) -> list:
-    return _n_list(text)
 
 
 def _float_list(text) -> list:
@@ -130,7 +126,7 @@ _PARAMS = {
         ("out", str, None, "output JSON path"),
     ],
     "reproduce-all": [
-        ("criteria", _int_list, list(range(1, 9)),
+        ("criteria", _n_list, list(range(1, 9)),
          "comma-separated criterion numbers"),
         ("out_dir", str, None, "directory for tables and reports"),
     ],
@@ -355,7 +351,7 @@ def main(argv=None) -> int:
     try:
         params = _resolve_params(args)
         result = _COMMANDS[args.command](params)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SimulationBlowup as exc:

@@ -386,11 +386,15 @@ def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
     """Sweep N, recording data norm, window derivative mass, and their
     ratio ap_norm / data_norm^p, plus running and final log-log slopes.
 
-    sigma=None defaults to s + 1; sigma <= s is refused.
+    sigma=None defaults to s + 1; sigma <= s is refused, and so is an N
+    list with fewer than two distinct values, which has no slope.
     """
     if sigma is not None and sigma <= s:
         raise ValueError(f"sigma={sigma} must exceed s={s}")
     N_list = sorted(int(N) for N in N_list)
+    if len(set(N_list)) < 2:
+        raise ValueError(f"need at least two distinct N values for a "
+                         f"slope, got {N_list}")
     records = []
     logN, logR = [], []
     for N in N_list:
@@ -411,7 +415,6 @@ def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
         else:
             slope_run = float("nan")
         records.append(GrowthRecord(N, dn, an, ratio, slope_run))
-    slope = records[-1].slope_running if len(records) >= 2 else float("nan")
     return GrowthTable(p, domain, s,
                        sigma if sigma is not None else s + 1.0, t, records,
-                       slope, predicted_growth_slope(p, s))
+                       records[-1].slope_running, predicted_growth_slope(p, s))

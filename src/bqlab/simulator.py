@@ -248,8 +248,23 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
     Solves the equation from the witness scaled by a ladder of amplitudes,
     applies a central p-th-derivative stencil in the amplitude at each eps,
     and reads off the output-mode coefficient. Solves are cached by
-    amplitude, so ladder overlaps (eps, eps/2) are shared. A relative
-    spread above 5% between the eps estimates flags non-convergence.
+    amplitude, so ladder overlaps (eps, eps/2) are shared. The stencil error
+    is O(eps^2) and is Richardson-extrapolated over the last two rungs.
+
+    Step rule: dt = 2 / lambda(max support frequency) unless given. The
+    integrating factor rotates every linear phase exactly, so dt only has
+    to resolve the phases of the witness modes, not lambda(K). The whole
+    ladder is solved once more at 2 dt. IF-RK4 is fourth order, so with
+    v(h) the Richardson value in eps at step h, |v(dt) - v(2dt)| / 15
+    estimates the time error of v(dt), and the reported value is the
+    Richardson value in time, v(dt) + (v(dt) - v(2dt)) / 15, whose error
+    is smaller still.
+
+    meta["dt_err_est"] is that time-error estimate relative to the value.
+    The result is converged when it and the relative spread between the
+    eps estimates (at dt) are both at most 5%. meta["n_solves"] counts the
+    non-zero amplitudes of the dt ladder, meta["n_steps"] the steps taken
+    over both ladders.
 
     The default cutoff K = 2 * (max support frequency) is enough: products
     are dealiased by padding, so modes beyond K influence the output-mode
@@ -265,44 +280,58 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
     mode = int(pair.output_window)
     max_freq = pair.u0.support.max_frequency()
     K = int(K) if K is not None else 2 * int(round(max_freq))
-    config = SimConfig(p=p, K=K, dt=dt, sign=sign)
-    stepper = Stepper(config)
+    dt = float(dt) if dt is not None else 2.0 / dispersion(float(max_freq))
     base = witness_state(pair, K)
-
-    cache = {}
-
-    def window_coeff(amp: float) -> complex:
-        key = round(amp, 14)
-        if key not in cache:
-            if amp == 0.0:
-                cache[key] = 0.0 + 0.0j
-            else:
-                state = SimState(0.0, amp * base.u, amp * base.v)
-                final = stepper.integrate(state, t)
-                cache[key] = complex(final.u[mode])
-        return cache[key]
-
     offsets, weights = _stencil_weights(p)
-    estimates = []
-    for eps in eps_list:
-        acc = 0.0 + 0.0j
-        for off, w in zip(offsets, weights):
-            if w != 0.0:
-                acc += w * window_coeff(off * eps)
-        estimates.append(acc / eps ** p)
-    if len(estimates) > 1:
-        # stencil error is O(eps^2); Richardson over the last ladder rung
-        r = eps_list[-2] / eps_list[-1]
-        value = estimates[-1] + (estimates[-1] - estimates[-2]) / (r * r - 1.0)
-    else:
-        value = estimates[-1]
+    steps = [0]
+
+    def count_step(_state):
+        steps[0] += 1
+
+    def ladder(step: float):
+        """Stencil estimates per eps, their Richardson value, and the
+        number of non-zero amplitudes solved, all at one time step."""
+        stepper = Stepper(SimConfig(p=p, K=K, dt=step, sign=sign))
+        cache = {}
+
+        def window_coeff(amp: float) -> complex:
+            key = round(amp, 14)
+            if key not in cache:
+                if amp == 0.0:
+                    cache[key] = 0.0 + 0.0j
+                else:
+                    state = SimState(0.0, amp * base.u, amp * base.v)
+                    final = stepper.integrate(state, t, observer=count_step)
+                    steps[0] -= 1      # the observer also sees the start
+                    cache[key] = complex(final.u[mode])
+            return cache[key]
+
+        estimates = []
+        for eps in eps_list:
+            acc = 0.0 + 0.0j
+            for off, w in zip(offsets, weights):
+                if w != 0.0:
+                    acc += w * window_coeff(off * eps)
+            estimates.append(acc / eps ** p)
+        if len(estimates) > 1:
+            r = eps_list[-2] / eps_list[-1]
+            value = (estimates[-1]
+                     + (estimates[-1] - estimates[-2]) / (r * r - 1.0))
+        else:
+            value = estimates[-1]
+        return estimates, value, sum(1 for a in cache if a != 0.0)
+
+    estimates, fine, n_solves = ladder(dt)
+    _, coarse, _ = ladder(2.0 * dt)
+    value = fine + (fine - coarse) / 15.0
     scale = max(abs(value), 1e-300)
     rel_spread = (abs(estimates[0] - estimates[-1]) / scale
                   if len(estimates) > 1 else 0.0)
+    dt_err_est = abs(fine - coarse) / 15.0 / scale
     return ProbeResult(p, t, mode, value, estimates, tuple(eps_list),
-                       rel_spread, rel_spread <= 0.05,
-                       meta={"K": K, "dt": stepper.dt,
-                             "n_solves": sum(1 for a in cache if a != 0.0)})
+                       rel_spread, rel_spread <= 0.05 and dt_err_est <= 0.05,
+                       meta={"K": K, "dt": dt, "n_solves": n_solves,
+                             "dt_err_est": dt_err_est, "n_steps": steps[0]})
 
 
 # -- norm inflation -----------------------------------------------------------

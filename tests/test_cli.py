@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import bqlab
 from bqlab.cli import main
 
 
@@ -148,3 +149,24 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+    assert capsys.readouterr().out.strip() == bqlab.__version__
+
+
+def test_growth_refuses_single_n(capsys):
+    assert main(["growth", "--n-list", "16"]) == 1
+    assert main(["growth", "--n-list", "16,16"]) == 1
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 2 and all(e.startswith("error: ") for e in err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--init", "missing.json"],
+    ["diophantine", "--config", "missing.cfg"],
+], ids=["init", "config"])
+def test_missing_input_file(tmp_path, capsys, argv):
+    argv = [str(tmp_path / a) if a.startswith("missing") else a
+            for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

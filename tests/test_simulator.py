@@ -227,13 +227,49 @@ def test_probe_zero_when_nonlinearity_off():
     pair = _witness(p=2, N=8)
     res = fd_derivative_probe(pair, 2, 0.7, sign=0)
     assert res.value == 0.0
+    assert res.meta["dt_err_est"] == 0.0
+    assert res.converged
 
 
 def test_probe_sign_flip():
     pair = _witness(p=2, N=6)
-    plus = fd_derivative_probe(pair, 2, 0.5, sign=1).value
-    minus = fd_derivative_probe(pair, 2, 0.5, sign=-1).value
-    assert minus == pytest.approx(-plus, rel=1e-9)
+    plus = fd_derivative_probe(pair, 2, 0.5, sign=1)
+    minus = fd_derivative_probe(pair, 2, 0.5, sign=-1)
+    assert minus.value == pytest.approx(-plus.value, rel=1e-9)
+    assert minus.meta["dt_err_est"] == pytest.approx(
+        plus.meta["dt_err_est"], rel=1e-6)
+
+
+def test_probe_step_rule_and_work_count():
+    # dt resolves the witness phases; the 2 dt ladder repeats every solve
+    pair = _witness(p=2, N=8)
+    t = 0.7
+    res = fd_derivative_probe(pair, 2, t)
+    max_freq = pair.u0.support.max_frequency()
+    dt = 2.0 / dispersion(max_freq)
+    assert res.meta["dt"] == dt
+    # t is no multiple of either step: full steps plus one remainder step
+    per_solve = math.ceil(t / dt) + math.ceil(t / (2.0 * dt))
+    assert res.meta["n_steps"] == res.meta["n_solves"] * per_solve
+    explicit = fd_derivative_probe(pair, 2, t, dt=1e-3)
+    assert explicit.meta["dt"] == 1e-3
+    assert abs(explicit.value - res.value) < 1e-6 * abs(res.value)
+
+
+def test_probe_time_error_estimate():
+    # the step-doubling estimate tracks the time error of the dt ladder's
+    # value and bounds the error of the extrapolated value
+    pair = _witness(p=3, N=16)
+    t = 0.35
+    exact = flow_derivative_torus(pair, 3, t).values[0]
+    res = fd_derivative_probe(pair, 3, t)
+    coarse_eps, fine_eps = res.estimates
+    at_dt = fine_eps + (fine_eps - coarse_eps) / 3.0
+    err_dt = abs(at_dt - exact) / abs(exact)
+    est = res.meta["dt_err_est"]
+    assert err_dt / 3.0 <= est <= 3.0 * err_dt
+    assert abs(res.value - exact) <= est * abs(exact)
+    assert res.converged
 
 
 def test_probe_shares_ladder_solves():
