@@ -11,6 +11,7 @@ import json
 import math
 import os
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,30 +197,64 @@ def criterion_5(out_dir=None) -> CriterionResult:
     return CriterionResult(5, "diophantine-equivalence", ok, done(), details)
 
 
+def _mp_time_integral(alpha: float, beta: float, t: float):
+    """K(alpha, beta, t) = int_0^t sin(alpha (t - u)) e^{i beta u} du by
+    mpmath quadrature at 30 digits, split at the multiples of pi/|beta| so
+    that no piece holds more than half an oscillation of the beta factor.
+    Returns the value and the larger error estimate of its two parts."""
+    import mpmath as mp
+    with mp.workdps(30):
+        a, b, T = mp.mpf(alpha), mp.mpf(beta), mp.mpf(t)
+        half = mp.pi / abs(b) if b else T
+        pts = [k * half for k in range(int(T / half) + 1)] + [T]
+        if pts[-2] == T:
+            pts.pop()
+        re, err_re = mp.quad(lambda u: mp.sin(a * (T - u)) * mp.cos(b * u),
+                             pts, error=True)
+        im, err_im = mp.quad(lambda u: mp.sin(a * (T - u)) * mp.sin(b * u),
+                             pts, error=True)
+        return complex(float(re), float(im)), float(max(err_re, err_im))
+
+
 def criterion_6(out_dir=None) -> CriterionResult:
     """Analytic/numeric equivalence: closed-form kernel vs adaptive
     quadrature on 1000 random triples (< 1e-9 relative); exact torus
-    derivative vs the finite-difference flow probe (< 1% relative)."""
-    from scipy.integrate import quad
+    derivative vs the finite-difference flow probe (< 1% relative).
+
+    A triple whose scipy quadrature raises IntegrationWarning is checked
+    against a 30-digit mpmath reference instead; one whose mpmath error
+    estimate is not below 1e-15 relative still counts as a warning, and
+    any warning left is a miss."""
+    from scipy.integrate import IntegrationWarning, quad
     done = _timer()
     details, ok = [], True
     rng = np.random.default_rng(20260819)
     worst = 0.0
+    n_warned = n_left = 0
     for _ in range(1000):
         alpha = dispersion(rng.uniform(0.1, 6.0))
         beta = rng.uniform(-80.0, 80.0)
         t = rng.uniform(0.05, 2.0)
         closed = time_integral(alpha, beta, t)
-        re = quad(lambda u: math.sin(alpha * (t - u)) * math.cos(beta * u),
-                  0.0, t, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
-        im = quad(lambda u: math.sin(alpha * (t - u)) * math.sin(beta * u),
-                  0.0, t, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", IntegrationWarning)
+            re = quad(lambda u: math.sin(alpha * (t - u))
+                      * math.cos(beta * u),
+                      0.0, t, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
+            im = quad(lambda u: math.sin(alpha * (t - u))
+                      * math.sin(beta * u),
+                      0.0, t, epsabs=1e-14, epsrel=1e-13, limit=400)[0]
         ref = re + 1j * im
+        if any(issubclass(w.category, IntegrationWarning) for w in caught):
+            n_warned += 1
+            ref, err = _mp_time_integral(alpha, beta, t)
+            n_left += err > 1e-15 * max(abs(ref), 1e-9)
         worst = max(worst, abs(closed - ref) / max(abs(ref), 1e-9))
-    good = worst < 1e-9
+    good = worst < 1e-9 and n_left == 0
     ok &= good
-    details.append(f"kernel vs quadrature: worst relative {worst:.3e}"
-                   f"{'' if good else ' MISS'}")
+    details.append(f"kernel vs quadrature: worst relative {worst:.3e} "
+                   f"({n_warned} quad warnings re-checked against mpmath, "
+                   f"{n_left} left){'' if good else ' MISS'}")
     for p in (2, 3):
         for N in (16, 32, 64):
             cfg = WitnessConfig(Domain.TORUS, p, N, s=-1.0, sigma=0.0)

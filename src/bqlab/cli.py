@@ -183,7 +183,7 @@ def _witness_config(params, domain=Domain.TORUS) -> WitnessConfig:
                          params["sigma"])
 
 
-# -- subcommand bodies: return (output paths, exit code) ---------------------
+# -- subcommand bodies: return (output paths, exit code, input paths) -------
 
 def cmd_witness(params):
     cfg = _witness_config(params, _domain(params))
@@ -193,8 +193,8 @@ def cmd_witness(params):
           f"data norm (s={cfg.s:g}) = {data_norm(pair, cfg.s):.6e}")
     if params["out"]:
         pair.to_json(params["out"])
-        return [params["out"]], 0
-    return [], 0
+        return [params["out"]], 0, []
+    return [], 0, []
 
 
 def cmd_resonance(params):
@@ -211,8 +211,8 @@ def cmd_resonance(params):
               f"{len(e['violations'])} violations")
     if params["out"]:
         _write_json(params["out"], report.to_dict())
-        return [params["out"]], 0
-    return [], 0
+        return [params["out"]], 0, []
+    return [], 0, []
 
 
 def cmd_diophantine(params):
@@ -227,8 +227,8 @@ def cmd_diophantine(params):
     if params["out"]:
         _write_json(params["out"], {"p": p, "profiles": [list(x) for x in brute],
                                     "closed_form_match": match})
-        return [params["out"]], 0 if match else 1
-    return [], 0 if match else 1
+        return [params["out"]], 0 if match else 1, []
+    return [], 0 if match else 1, []
 
 
 def cmd_growth(params):
@@ -243,8 +243,8 @@ def cmd_growth(params):
               f"{r.slope_running:+.4f}")
     if params["out"]:
         table.to_csv(params["out"])
-        return [params["out"]], 0
-    return [], 0
+        return [params["out"]], 0, []
+    return [], 0, []
 
 
 def cmd_simulate(params):
@@ -313,8 +313,8 @@ def cmd_inflate(params):
                    "window_modes": list(result.window_modes),
                    "rows": [vars(r) for r in result.rows]}
         _write_json(params["out"], payload)
-        return [params["out"]], 0
-    return [], 0
+        return [params["out"]], 0, []
+    return [], 0, []
 
 
 def cmd_reproduce_all(params):
@@ -328,7 +328,7 @@ def cmd_reproduce_all(params):
         outputs.append(summary)
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
-    return outputs, 0 if n_fail == 0 else 1
+    return outputs, 0 if n_fail == 0 else 1, []
 
 
 _COMMANDS = {"witness": cmd_witness, "resonance": cmd_resonance,
@@ -350,7 +350,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         params = _resolve_params(args)
-        result = _COMMANDS[args.command](params)
+        outputs, code, inputs = _COMMANDS[args.command](params)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -360,11 +360,6 @@ def main(argv=None) -> int:
     except ResourceBudgetError as exc:
         print(f"error: resource budget exceeded: {exc}", file=sys.stderr)
         return 2
-    if len(result) == 3:
-        outputs, code, inputs = result
-    else:
-        outputs, code = result
-        inputs = []
     if args.config:
         inputs.append(args.config)
     mpath = _manifest_path(params, outputs)

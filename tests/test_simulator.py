@@ -198,6 +198,48 @@ def test_integrate_observer_and_remainder():
         stepper.integrate(SimState(1.0, st.u, st.v), 0.5)
 
 
+def test_batched_rows_match_single_solves():
+    # a batched state is advanced row by row: bit-identical to solving
+    # each row alone, remainder step included
+    pair = _witness(p=3, N=6)
+    K = 24
+    base = witness_state(pair, K)
+    amps = np.array([2e-2, -1e-2, 3e-2])[:, None]
+    for p in (2, 3):
+        for sign in (1, -1):
+            stepper = Stepper(SimConfig(p=p, K=K, dt=2e-3, sign=sign))
+            batch = stepper.integrate(
+                SimState(0.0, amps * base.u, amps * base.v), 0.0517)
+            assert batch.u.shape == (3, K + 1)
+            for i, a in enumerate(amps[:, 0]):
+                row = stepper.integrate(
+                    SimState(0.0, a * base.u, a * base.v), 0.0517)
+                assert np.array_equal(batch.u[i], row.u)
+                assert np.array_equal(batch.v[i], row.v)
+
+
+def _nonlinear_by_pow(stepper, u_hat):
+    """The nonlinear term with u^p through pow, as a reference."""
+    spec = np.zeros(stepper.M // 2 + 1, dtype=complex)
+    spec[: stepper.K + 1] = u_hat
+    phys = np.fft.irfft(spec * stepper.M, n=stepper.M)
+    w = np.fft.rfft(phys ** stepper.p) / stepper.M
+    return stepper.sign * stepper.k2 * w[: stepper.K + 1]
+
+
+def test_nonlinear_products_match_pow():
+    rng = np.random.default_rng(7)
+    K = 20
+    u_hat = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
+    for p in range(2, 10):
+        stepper = Stepper(SimConfig(p=p, K=K, dt=1e-3, sign=1))
+        got = stepper.nonlinear(u_hat)
+        ref = _nonlinear_by_pow(stepper, u_hat)
+        if p == 2:
+            assert np.array_equal(got, ref)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 # -- derivative probe ------------------------------------------------------------------
 
 def test_stencil_weights_frozen():
