@@ -38,6 +38,9 @@ class CriterionResult:
     elapsed: float
     details: list = field(default_factory=list)
 
+    def __post_init__(self):    # criteria accumulate numpy booleans
+        self.passed = bool(self.passed)
+
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"[{tag}] criterion-{self.number} {self.name} ({self.elapsed:.1f}s)"
@@ -385,6 +388,10 @@ def run_criteria(numbers=None, out_dir=None, verbose=True):
     """Run the selected criteria (all by default), print one status line
     each, and return the CriterionResult list."""
     numbers = sorted(numbers) if numbers else sorted(CRITERIA)
+    unknown = [n for n in numbers if n not in CRITERIA]
+    if unknown:
+        raise ValueError(f"unknown criteria {unknown}; choose from "
+                         f"{min(CRITERIA)}..{max(CRITERIA)}")
     results = []
     for n in numbers:
         res = CRITERIA[n](out_dir=out_dir)

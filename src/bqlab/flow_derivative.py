@@ -136,8 +136,8 @@ def _prefactor(pair: WitnessPair, p: int, xi, sign: int):
 
 
 def flow_derivative_torus(pair: WitnessPair, p: int, t: float, *,
-                          sign: int = 1, T: float = DEFAULT_HORIZON,
-                          budget: float = ENUMERATION_BUDGET) -> DerivativeProfile:
+                          sign: int = 1,
+                          T: float = DEFAULT_HORIZON) -> DerivativeProfile:
     """Exact evaluation at the single torus output mode.
 
     Enumerates every representation of the output mode and sums
@@ -148,7 +148,7 @@ def flow_derivative_torus(pair: WitnessPair, p: int, t: float, *,
     cfg = pair.config
     xi = int(pair.output_window)
     A = frequency_set(cfg)
-    reps = enumerate_representations(xi, p, A, budget=budget)
+    reps = enumerate_representations(xi, p, A)
     alpha = dispersion(xi)
     if reps:
         betas = np.array([r.beta() for r in reps])
@@ -187,85 +187,54 @@ def _representative_slots(rep):
     return ivs
 
 
-def _tensor_pattern_integral(slots, xi: float, alpha: float, t: float,
-                             n_nodes: int) -> complex:
-    """Midpoint tensor integral over one pattern's slot box.
+def _pattern_integrand(slots, xi: float, alpha: float, t: float, outer,
+                       offsets, weight: float):
+    """Clipped-innermost integrand of one pattern over its slot box.
 
     Integration variables are slots[0:-1]; the last slot is determined as
-    xi minus the rest. The innermost variable is clipped exactly to the
-    interval where the determined slot stays inside its component, so the
-    constraint introduces no indicator discontinuity into the quadrature.
+    xi minus the rest. outer holds one array of points per outer slot
+    (slots[0:-2]), one entry per row; the innermost variable is clipped
+    exactly to the interval where the determined slot stays inside its
+    component, so the constraint introduces no indicator discontinuity.
+    Each row places its inner points at lo + offsets * h, h = clipped
+    length / m, where offsets has shape (rows or 1, m).
+
+    Returns (mask of the non-empty rows, weight * h * K at their inner
+    points); empty rows contribute nothing.
     """
     det_lo, det_hi = slots[-1]
-    ivars = slots[:-1]
-    outer, (in_lo, in_hi) = ivars[:-1], ivars[-1]
-    if outer:
-        mids = [np.linspace(lo, hi, n_nodes, endpoint=False)
-                + (hi - lo) / (2 * n_nodes) for lo, hi in outer]
-        mesh = np.meshgrid(*mids, indexing="ij")
-        flat = [m.ravel() for m in mesh]
-        S_out = sum(flat)
-        P_out = sum(_phase_coeff(f) for f in flat)
-        w_out = float(np.prod([(hi - lo) / n_nodes for lo, hi in outer]))
-    else:
-        S_out = np.zeros(1)
-        P_out = np.zeros(1)
-        w_out = 1.0
+    in_lo, in_hi = slots[-2]
+    S_out = np.zeros(len(offsets))     # one row grows to the outer mesh
+    P_out = np.zeros(len(offsets))
+    for pts in outer:
+        S_out = S_out + pts
+        P_out = P_out + _phase_coeff(pts)
     lo_f = np.maximum(in_lo, xi - S_out - det_hi)
     hi_f = np.minimum(in_hi, xi - S_out - det_lo)
     rows = hi_f > lo_f
-    if not np.any(rows):
-        return 0.0 + 0.0j
-    h = (hi_f[rows] - lo_f[rows]) / n_nodes
-    y = lo_f[rows, None] + (np.arange(n_nodes)[None, :] + 0.5) * h[:, None]
+    m = offsets.shape[1]
+    h = (hi_f[rows] - lo_f[rows]) / m
+    offsets = np.broadcast_to(offsets, (rows.size, m))[rows]
+    y = lo_f[rows, None] + offsets * h[:, None]
     d = xi - (S_out[rows, None] + y)
     beta = P_out[rows, None] + _phase_coeff(y) + _phase_coeff(d)
-    kernel = time_integral(alpha, beta, t)
-    return complex(np.sum(w_out * h[:, None] * kernel))
-
-
-def _mc_pattern_integral(slots, xi: float, alpha: float, t: float,
-                         n_samples: int, rng) -> tuple:
-    """Stratified Monte Carlo over one pattern: uniform on the outer slots,
-    exact clipped interval (length-weighted) on the innermost variable.
-
-    Returns (estimate, variance of the estimate).
-    """
-    det_lo, det_hi = slots[-1]
-    ivars = slots[:-1]
-    outer, (in_lo, in_hi) = ivars[:-1], ivars[-1]
-    S_out = np.zeros(n_samples)
-    P_out = np.zeros(n_samples)
-    vol_out = 1.0
-    for lo, hi in outer:
-        u = rng.uniform(lo, hi, size=n_samples)
-        S_out += u
-        P_out += _phase_coeff(u)
-        vol_out *= hi - lo
-    lo_f = np.maximum(in_lo, xi - S_out - det_hi)
-    hi_f = np.minimum(in_hi, xi - S_out - det_lo)
-    length = np.clip(hi_f - lo_f, 0.0, None)
-    y = lo_f + rng.uniform(size=n_samples) * length
-    d = xi - (S_out + y)
-    beta = P_out + _phase_coeff(y) + _phase_coeff(d)
-    vals = length * time_integral(alpha, beta, t)
-    est = vol_out * complex(vals.mean())
-    var = (vol_out ** 2 / n_samples) * float(np.var(vals.real)
-                                             + np.var(vals.imag))
-    return est, var
+    return rows, weight * h[:, None] * time_integral(alpha, beta, t)
 
 
 def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
                          sign: int = 1, T: float = DEFAULT_HORIZON,
                          n_xi: int = 33, nodes_per_dim=None,
                          method: str = "auto", mc_samples: int = 8192,
-                         seed: int = 0, budget: float = ENUMERATION_BUDGET,
+                         seed: int = 0,
                          doubling_check: bool = False) -> DerivativeProfile:
     """Quadrature evaluation of the profile on the line output window.
 
     Tensor-product clipped midpoint quadrature (p <= 3: 64 nodes/dim,
     p in {4, 5}: 16 nodes/dim by default) or stratified Monte Carlo with a
-    reported 95% half-width (the default for p >= 6). The budget guard
+    reported 95% half-width (the default for p >= 6). Both evaluate the
+    same clipped-innermost integrand: the tensor rule on a midpoint mesh of
+    the outer slots with n inner midpoints per row, Monte Carlo on uniform
+    outer draws with one uniform inner point per row. The budget guard
     counts the ordered tensor volume sum(multiplicity * nodes^(p-1)).
     """
     _validate_eval(pair, p, t, T, Domain.LINE)
@@ -278,13 +247,14 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
     nodes = int(nodes_per_dim) if nodes_per_dim else (64 if p <= 3 else 16)
 
     A = frequency_set(cfg)
-    patterns = enumerate_representations((wlo, whi), p, A, budget=budget)
+    patterns = enumerate_representations((wlo, whi), p, A)
     if method == "tensor":
         volume = sum(r.multiplicity * nodes ** (p - 1) for r in patterns)
-        if volume > budget:
+        if volume > ENUMERATION_BUDGET:
             raise ResourceBudgetError(
                 f"tensor quadrature volume {volume:.3g} exceeds budget "
-                f"{budget:g}; use method='mc'", volume, budget)
+                f"{ENUMERATION_BUDGET:g}; use method='mc'", volume,
+                ENUMERATION_BUDGET)
 
     h_xi = (whi - wlo) / n_xi
     xis = wlo + (np.arange(n_xi) + 0.5) * h_xi
@@ -296,20 +266,37 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
     def evaluate(nn):
         vals = np.zeros(n_xi, dtype=complex)
         variances = np.zeros(n_xi)
-        for i, xi in enumerate(xis):
-            alpha = dispersion(float(xi))
+        for i, xi in enumerate(xis.tolist()):
+            alpha = dispersion(xi)
             total = 0.0 + 0.0j
             for slots, mult in zip(slot_lists, mults):
+                outer = slots[:-2]
                 if method == "tensor":
-                    contrib = _tensor_pattern_integral(slots, float(xi),
-                                                       alpha, t, nn)
-                else:
-                    contrib, var = _mc_pattern_integral(slots, float(xi),
-                                                        alpha, t,
-                                                        mc_samples, rng)
-                    variances[i] += (mult ** 2) * var
+                    mids = [np.linspace(lo, hi, nn, endpoint=False)
+                            + (hi - lo) / (2 * nn) for lo, hi in outer]
+                    pts = [m.ravel()
+                           for m in np.meshgrid(*mids, indexing="ij")]
+                    offsets = (np.arange(nn) + 0.5)[None, :]
+                    weight = math.prod((hi - lo) / nn for lo, hi in outer)
+                else:   # draw order: outer slots in turn, then the inner
+                    pts = [rng.uniform(lo, hi, size=mc_samples)
+                           for lo, hi in outer]
+                    offsets = rng.uniform(size=(mc_samples, 1))
+                    weight = 1.0
+                rows, f = _pattern_integrand(slots, xi, alpha, t, pts,
+                                             offsets, weight)
+                if method == "tensor":
+                    contrib = complex(np.sum(f))
+                else:   # the mean runs over every draw, empty rows as 0
+                    f_all = np.zeros(mc_samples, dtype=complex)
+                    f_all[rows] = f[:, 0]
+                    vol = math.prod(hi - lo for lo, hi in outer)
+                    contrib = vol * complex(f_all.mean())
+                    variances[i] += mult ** 2 * (
+                        vol ** 2 / mc_samples
+                        * float(np.var(f_all.real) + np.var(f_all.imag)))
                 total += mult * contrib
-            vals[i] = _prefactor(pair, p, float(xi), sign) * total
+            vals[i] = _prefactor(pair, p, xi, sign) * total
         return vals, variances
 
     values, variances = evaluate(nodes)

@@ -108,14 +108,6 @@ def _multiset_counts(n_sym: int, p: int):
     return np.array(rows, dtype=np.int64)
 
 
-def _check_budget(n_sym: int, p: int, budget: float):
-    n_multisets = math.comb(p + n_sym - 1, n_sym - 1)
-    if n_multisets > budget:
-        raise ResourceBudgetError(
-            f"{n_multisets} multisets over {n_sym} symbols exceeds the "
-            f"enumeration budget {budget:g}", n_multisets, budget)
-
-
 def _symbols(components):
     """Symbol order: all plus copies of the components, then all minus."""
     out = [(+1, i) for i in range(len(components))]
@@ -160,8 +152,38 @@ def _build_representation(domain, cell_counts, symbols, components,
                           mult)
 
 
-def enumerate_representations(target, p: int, A: FrequencySet, *,
-                              budget: float = ENUMERATION_BUDGET):
+def _signed_sum_bounds(p: int, A: FrequencySet):
+    """Symbols, count vectors and signed-sum bounds of every multiset of p
+    signed components of A.
+
+    Returns (symbols, counts, lo, hi): the sums of the multiset in row i
+    range over [lo[i], hi[i]] (exact integers, lo == hi, on the torus).
+    Raises ResourceBudgetError when the multiset count would exceed
+    ENUMERATION_BUDGET.
+    """
+    comps = A.components
+    symbols = _symbols(comps)
+    n_sym = len(symbols)
+    n_multisets = math.comb(p + n_sym - 1, n_sym - 1)
+    if n_multisets > ENUMERATION_BUDGET:
+        raise ResourceBudgetError(
+            f"{n_multisets} multisets over {n_sym} symbols exceeds the "
+            f"enumeration budget {ENUMERATION_BUDGET:g}", n_multisets,
+            ENUMERATION_BUDGET)
+    counts = _multiset_counts(n_sym, p)
+    if A.domain == Domain.TORUS:
+        vals = np.array([sgn * comps[ci] for sgn, ci in symbols],
+                        dtype=np.int64)
+        sums = counts @ vals
+        return symbols, counts, sums, sums
+    lo_c = np.array([comps[ci][0] if sgn > 0 else -comps[ci][1]
+                     for sgn, ci in symbols])
+    hi_c = np.array([comps[ci][1] if sgn > 0 else -comps[ci][0]
+                     for sgn, ci in symbols])
+    return symbols, counts, counts @ lo_c, counts @ hi_c
+
+
+def enumerate_representations(target, p: int, A: FrequencySet):
     """All representations of the target reaching from +-A.
 
     Torus: target is an integer mode; enumeration is exhaustive over
@@ -170,31 +192,16 @@ def enumerate_representations(target, p: int, A: FrequencySet, *,
     the sign/class pattern level and keeps a pattern iff the interval range
     of its signed sums intersects the window.
 
-    Raises ResourceBudgetError when the multiset count would exceed budget.
+    Raises ResourceBudgetError when the multiset count would exceed
+    ENUMERATION_BUDGET.
     """
     if p < 2 or int(p) != p:
         raise ValueError("p must be an integer >= 2")
-    comps = A.components
-    symbols = _symbols(comps)
-    n_sym = len(symbols)
-    _check_budget(n_sym, p, budget)
-    far_start = _far_class_start(A.domain, len(comps))
-    counts = _multiset_counts(n_sym, p)
-    if A.domain == Domain.TORUS:
-        vals = np.array([sgn * comps[ci] for sgn, ci in symbols],
-                        dtype=np.int64)
-        sums = counts @ vals
-        hits = np.nonzero(sums == int(target))[0]
-    else:
-        lo_c = np.array([comps[ci][0] if sgn > 0 else -comps[ci][1]
-                         for sgn, ci in symbols])
-        hi_c = np.array([comps[ci][1] if sgn > 0 else -comps[ci][0]
-                         for sgn, ci in symbols])
-        lo_sum = counts @ lo_c
-        hi_sum = counts @ hi_c
-        wlo, whi = target
-        hits = np.nonzero((hi_sum >= wlo) & (lo_sum <= whi))[0]
-    return [_build_representation(A.domain, counts[i], symbols, comps,
+    symbols, counts, lo_sum, hi_sum = _signed_sum_bounds(p, A)
+    wlo, whi = (int(target),) * 2 if A.domain == Domain.TORUS else target
+    hits = np.nonzero((hi_sum >= wlo) & (lo_sum <= whi))[0]
+    far_start = _far_class_start(A.domain, len(A.components))
+    return [_build_representation(A.domain, counts[i], symbols, A.components,
                                   far_start, p) for i in hits]
 
 
@@ -242,32 +249,31 @@ def _sum_lambda_max(S, m, lo, hi):
     return k * dispersion(hi) + dispersion(r) + (m - 1 - k) * dispersion(lo)
 
 
-def _constrained_beta_range(rep: Representation, window, cells=None):
-    """Enclose beta over slot tuples whose signed sum lies in the window.
-
-    Slots are grouped by (class, sign); for each group only the group sum
-    S matters: sum-of-lambda over the group is bounded by Jensen from below
-    and by the majorization vertex from above, both monotone increasing in
-    S. Scanning a grid of group-sum cells and keeping those that can meet
-    the window yields a rigorous outer enclosure that tightens as the grid
-    refines. Returns None when no cell is feasible.
-    """
+def _slot_groups(rep: Representation):
+    """(sign, slot count, lo, hi) per (class, sign) group of slots, in
+    (class, sign) order."""
     groups = {}
     for sgn, ci, payload in zip(rep.signs, rep.class_indices, rep.payloads):
         key = (ci, sgn)
         if key not in groups:
             groups[key] = [0, payload]
         groups[key][0] += 1
-    items = [(sgn, m, payload[0], payload[1])
-             for (ci, sgn), (m, payload) in sorted(groups.items())]
-    g = len(items)
-    if cells is None:
-        n_cells = _CELLS_BY_GROUPS.get(g, 12)
-    elif isinstance(cells, dict):
-        n_cells = cells.get(g, 12)
-    else:
-        n_cells = int(cells)
+    return [(sgn, m, payload[0], payload[1])
+            for (ci, sgn), (m, payload) in sorted(groups.items())]
 
+
+def _constrained_beta_range(items, window, n_cells: int):
+    """Enclose beta over slot tuples whose signed sum lies in the window.
+
+    items are the slot groups of one representation (_slot_groups); for
+    each group only the group sum S matters: sum-of-lambda over the group
+    is bounded by Jensen from below and by the majorization vertex from
+    above, both monotone increasing in S. Scanning a grid of n_cells
+    group-sum cells per group and keeping those that can meet the window
+    yields a rigorous outer enclosure that tightens as the grid refines.
+    Returns None when no cell is feasible.
+    """
+    g = len(items)
     edges = [np.linspace(m * lo, m * hi, n_cells + 1)
              for (_, m, lo, hi) in items]
     grids_lo = np.meshgrid(*[e[:-1] for e in edges], indexing="ij")
@@ -297,7 +303,7 @@ def _constrained_beta_range(rep: Representation, window, cells=None):
     return BetaRange(float(beta_lo.min()), float(beta_hi.max()))
 
 
-def beta_range(rep: Representation, *, window=None, cells=None):
+def beta_range(rep: Representation, *, window=None):
     """Enclose beta for one representation.
 
     Torus: exact point enclosure. Line: interval arithmetic over the slot
@@ -306,6 +312,12 @@ def beta_range(rep: Representation, *, window=None, cells=None):
     May return None in the windowed case when the refinement proves the
     pattern cannot reach the window at all.
     """
+    return _beta_range(rep, window, _CELLS_BY_GROUPS)
+
+
+def _beta_range(rep: Representation, window, cells_by_groups: dict):
+    # beta_range, with the group-sum grid resolution looked up by the
+    # number of slot groups in cells_by_groups
     if rep.domain == Domain.TORUS:
         b = rep.beta()
         return BetaRange(b, b)
@@ -314,7 +326,9 @@ def beta_range(rep: Representation, *, window=None, cells=None):
         # unconstrained IA is tight for the sign-definite patterns (the
         # class widths are tiny against |beta|), so skip the refinement
         return plain
-    refined = _constrained_beta_range(rep, window, cells)
+    items = _slot_groups(rep)
+    refined = _constrained_beta_range(items, window,
+                                      cells_by_groups.get(len(items), 12))
     if refined is None:
         return None
     # the refinement can only shrink the plain enclosure
@@ -349,8 +363,9 @@ def _abs_range(br: BetaRange):
     return 0.0, max(-br.lo, br.hi)
 
 
-def _audit_one_N(p, domain, N, fset_fn, window_fn, budget, cells):
-    """Representations reaching the window at this N, with beta verdicts.
+def _audit_one_N(p, N, fset_fn, window_fn, cells_by_groups):
+    """Representations reaching the window at this N, with beta verdicts
+    (line enclosures refined on the cells_by_groups grid).
 
     Returns (entry dict, had_violation). Skips N where the witness set is
     degenerate (e.g. torus odd p with 2N == N+1).
@@ -362,15 +377,10 @@ def _audit_one_N(p, domain, N, fset_fn, window_fn, budget, cells):
     window = window_fn(N)
     expected = _expected_beta_sign(p)
     scale = float(N) ** (1 if p % 2 == 0 else 2)
-    if domain == Domain.TORUS:
-        reps = enumerate_representations(int(window), p, A, budget=budget)
-    else:
-        reps = enumerate_representations(tuple(window), p, A, budget=budget)
     ratios_lo, ratios_hi, violations = [], [], []
     n_reaching = 0
-    for rep in reps:
-        br = beta_range(rep, window=None if domain == Domain.TORUS
-                        else tuple(window), cells=cells)
+    for rep in enumerate_representations(window, p, A):
+        br = _beta_range(rep, window, cells_by_groups)
         if br is None:
             continue
         n_reaching += 1
@@ -387,27 +397,14 @@ def _audit_one_N(p, domain, N, fset_fn, window_fn, budget, cells):
              "beta_over_scale_max": max(ratios_hi) if ratios_hi else None,
              "violations": violations}
     if n_reaching == 0:
-        entry["nearest_gap"] = _nearest_gap(p, A, window, budget)
+        entry["nearest_gap"] = _nearest_gap(p, A, window)
     return entry, bool(violations)
 
 
-def _nearest_gap(p, A, window, budget):
+def _nearest_gap(p, A, window):
     """Distance from the closest attainable signed sum to the window."""
-    comps = A.components
-    symbols = _symbols(comps)
-    _check_budget(len(symbols), p, budget)
-    counts = _multiset_counts(len(symbols), p)
-    if A.domain == Domain.TORUS:
-        vals = np.array([sgn * comps[ci] for sgn, ci in symbols],
-                        dtype=np.int64)
-        sums = counts @ vals
-        return float(np.abs(sums - int(window)).min())
-    lo_c = np.array([comps[ci][0] if sgn > 0 else -comps[ci][1]
-                     for sgn, ci in symbols])
-    hi_c = np.array([comps[ci][1] if sgn > 0 else -comps[ci][0]
-                     for sgn, ci in symbols])
-    lo_sum, hi_sum = counts @ lo_c, counts @ hi_c
-    wlo, whi = window
+    _, _, lo_sum, hi_sum = _signed_sum_bounds(p, A)
+    wlo, whi = (int(window),) * 2 if A.domain == Domain.TORUS else window
     below = np.maximum(wlo - hi_sum, 0.0)
     above = np.maximum(lo_sum - whi, 0.0)
     return float(np.maximum(below, above).min())
@@ -415,8 +412,6 @@ def _nearest_gap(p, A, window, budget):
 
 def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
                             fset_fn=None, window_fn=None,
-                            budget: float = ENUMERATION_BUDGET,
-                            cells=None, scan_cells=None,
                             scan_max=None) -> ResonanceReport:
     """Audit sign-definiteness of beta for every representation reaching
     the output window, across N.
@@ -425,7 +420,7 @@ def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
     N_list, every violation found, and N0: one past the largest N in a
     dense scan 1..max(N_list) that still shows a violation (1 if none do).
     fset_fn/window_fn override the witness defaults (used by negative
-    controls); both take N.
+    controls); both take N. An empty N_list is refused.
     """
     if fset_fn is None:
         fset_fn = lambda N: _witness.frequency_set(
@@ -434,16 +429,18 @@ def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
         window_fn = lambda N: _witness.output_window(
             _witness.WitnessConfig(domain, p, N, s=0.0))
     wanted = set(int(N) for N in N_list)
+    if not wanted:
+        raise ValueError("need at least one N to audit, got an empty list")
     scan_hi = int(scan_max if scan_max is not None else max(wanted))
-    scan_cells = scan_cells if scan_cells is not None else _CELLS_BY_GROUPS_SCAN
 
     last_bad = 0
     per_N = []
     # requested N beyond the dense-scan ceiling are still audited
     for N in sorted(set(range(1, scan_hi + 1)) | wanted):
         in_list = N in wanted
-        entry, bad = _audit_one_N(p, domain, N, fset_fn, window_fn, budget,
-                                  cells if in_list else scan_cells)
+        entry, bad = _audit_one_N(p, N, fset_fn, window_fn,
+                                  _CELLS_BY_GROUPS if in_list
+                                  else _CELLS_BY_GROUPS_SCAN)
         if bad and N <= scan_hi:
             last_bad = N
         if in_list and entry is not None:
@@ -453,6 +450,12 @@ def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
 
 
 # -- diophantine bookkeeping -------------------------------------------------
+
+def _admissible(counts):
+    """n1 > n2, n3 < n4 and n2 + n3 <= 2, per row of an (n, 4) count array."""
+    n1, n2, n3, n4 = counts.T
+    return (n1 > n2) & (n3 < n4) & (n2 + n3 <= 2)
+
 
 def solve_diophantine(p: int):
     """All (n1, n2, n3, n4) with n1+n2+n3+n4 = p, n1-n2+2(n3-n4) = 0,
@@ -464,17 +467,11 @@ def solve_diophantine(p: int):
     """
     if p % 2 == 0 or p < 3:
         raise ValueError("the count system applies to odd p >= 3")
-    out = []
-    for n1 in range(p + 1):
-        for n2 in range(p + 1 - n1):
-            for n3 in range(p + 1 - n1 - n2):
-                n4 = p - n1 - n2 - n3
-                if n1 - n2 + 2 * (n3 - n4) != 0:
-                    continue
-                if not (n1 > n2 and n3 < n4 and n2 + n3 <= 2):
-                    continue
-                out.append((n1, n2, n3, n4))
-    return sorted(out)
+    counts = _multiset_counts(4, p)
+    n1, n2, n3, n4 = counts.T
+    keep = (n1 - n2 + 2 * (n3 - n4) == 0) & _admissible(counts)
+    return sorted(tuple(row) for row in counts[keep].tolist())
+
 
 
 def closed_form_profiles(p: int):
@@ -503,10 +500,14 @@ def closed_form_profiles(p: int):
 
 
 def pattern_sum_range(p: int, counts, N: int):
-    """IA range of the signed sum for an odd-p line pattern (n1..n4)."""
+    """IA range of the signed sum for an odd-p line pattern (n1..n4).
+
+    counts may also be an (n, 4) array of patterns; the bounds are then
+    arrays, computed column by column.
+    """
     cfg = _witness.WitnessConfig(Domain.LINE, p, N, s=0.0)
     (lo1, hi1), (lo2, hi2) = _witness.frequency_set(cfg).components
-    n1, n2, n3, n4 = counts
+    n1, n2, n3, n4 = np.asarray(counts).T
     return (n1 * lo1 - n2 * hi1 + n3 * lo2 - n4 * hi2,
             n1 * hi1 - n2 * lo1 + n3 * hi2 - n4 * lo2)
 
@@ -532,24 +533,18 @@ def verify_pattern_constraints(p: int, N_list, *, scan_max=None) -> PatternRepor
     if p % 2 == 0:
         raise ValueError("pattern constraints apply to odd p")
     N_list = sorted(int(N) for N in N_list)
+    if not N_list:
+        raise ValueError("need at least one N to audit, got an empty list")
     scan_hi = int(scan_max if scan_max is not None else max(N_list))
+    counts = _multiset_counts(4, p)
+    admissible = _admissible(counts)
 
     def audit(N):
-        window = _witness.output_window(
+        wlo, whi = _witness.output_window(
             _witness.WitnessConfig(Domain.LINE, p, N, s=0.0))
-        inter, bad = 0, []
-        for n1 in range(p + 1):
-            for n2 in range(p + 1 - n1):
-                for n3 in range(p + 1 - n1 - n2):
-                    n4 = p - n1 - n2 - n3
-                    counts = (n1, n2, n3, n4)
-                    lo, hi = pattern_sum_range(p, counts, N)
-                    if hi < window[0] or lo > window[1]:
-                        continue
-                    inter += 1
-                    if not (n1 > n2 and n3 < n4 and n2 + n3 <= 2):
-                        bad.append(counts)
-        return inter, bad
+        lo, hi = pattern_sum_range(p, counts, N)
+        meets = (hi >= wlo) & (lo <= whi)
+        return int(meets.sum()), counts[meets & ~admissible].tolist()
 
     last_bad = 0
     for N in range(1, scan_hi + 1):
@@ -559,8 +554,7 @@ def verify_pattern_constraints(p: int, N_list, *, scan_max=None) -> PatternRepor
     per_N = []
     for N in N_list:
         inter, bad = audit(N)
-        per_N.append({"N": N, "n_intersecting": inter,
-                      "violations": [list(c) for c in bad]})
+        per_N.append({"N": N, "n_intersecting": inter, "violations": bad})
     return PatternReport(p, last_bad + 1, per_N)
 
 

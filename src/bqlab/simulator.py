@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SimulationBlowup
-from .spectral import Domain, dispersion, sin_over_lambda
+from .spectral import Domain, dispersion, free_flow_rotation
 from .witness import WitnessConfig, WitnessPair, build_witness, data_norm
 
 NAN_CHECK_EVERY = 16
@@ -128,13 +128,8 @@ class Stepper:
         self._rot_dt = self._rotations(self.dt)
 
     def _rotations(self, tau: float):
-        """cos, sin/lambda, lambda*sin at tau and tau/2."""
-        lam = self.lam
-        out = []
-        for h in (tau, tau / 2.0):
-            out.append((np.cos(lam * h), sin_over_lambda(lam, h),
-                        lam * np.sin(lam * h)))
-        return out
+        """The free-flow rotation entries at tau and tau/2."""
+        return [free_flow_rotation(self.lam, h) for h in (tau, tau / 2.0)]
 
     def nonlinear(self, u_hat: np.ndarray) -> np.ndarray:
         """g(u) = sign * k^2 * (u^p)_k on the retained modes (last axis).
@@ -382,11 +377,15 @@ def inflation_experiment(s: float, N_list, *, p: int = 2,
     The step dt = dt_factor / (2N + 2) resolves the slow beat phase that
     transfers mass to the window (the fast factors are rotated exactly by
     the integrating factor, so dt does not need to resolve lambda(K)).
+    An empty N_list is refused.
     """
     if delta <= 0 or t_end <= 0:
         raise ValueError("need delta > 0 and t_end > 0")
+    N_list = sorted(int(N) for N in N_list)
+    if not N_list:
+        raise ValueError("need at least one N, got an empty list")
     rows = []
-    for N in sorted(int(N) for N in N_list):
+    for N in N_list:
         cfg = WitnessConfig(Domain.TORUS, p, N, s)
         pair = build_witness(cfg)
         scale = delta / data_norm(pair, s)

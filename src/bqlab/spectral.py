@@ -217,16 +217,18 @@ class SpectralData:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpectralData":
-        domain = Domain(d["domain"])
-        freqs = np.array([row[0] for row in d["values"]], dtype=float)
-        vals = np.array([complex(row[1], row[2]) for row in d["values"]])
-        support = _support_from_json(domain, d["supports"])
+        domain = json_field(d, "domain", Domain)
+        freqs, vals = json_field(d, "values", lambda rows: (
+            np.array([row[0] for row in rows], dtype=float),
+            np.array([complex(row[1], row[2]) for row in rows])))
+        support = json_field(d, "supports",
+                             lambda s: _support_from_json(domain, s))
         if domain == Domain.TORUS:
             weights = np.ones_like(freqs)
         else:
             weights = _midpoint_weights(freqs, support)
-        return cls(domain, freqs, vals, weights, support, int(d["N"]),
-                   float(d["sigma"]))
+        return cls(domain, freqs, vals, weights, support,
+                   json_field(d, "N", int), json_field(d, "sigma", float))
 
     def to_json(self, path: str):
         with open(path, "w") as fh:
@@ -238,28 +240,39 @@ class SpectralData:
             return cls.from_dict(json.load(fh))
 
 
+def json_field(d, key: str, parse):
+    """parse(d[key]); a missing or ill-typed entry raises a ValueError that
+    names the key, prefixed by the outer keys of nested calls."""
+    if not isinstance(d, dict):
+        raise ValueError(f"expected a JSON object holding {key!r}, got "
+                         f"{type(d).__name__}")
+    if key not in d:
+        raise ValueError(f"missing key {key!r}")
+    try:
+        return parse(d[key])
+    except KeyError as exc:
+        raise ValueError(f"{key}: missing key {exc.args[0]!r}") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
 def _support_from_json(domain: Domain, supports: list) -> FrequencySet:
     if domain == Domain.TORUS:
         modes = sorted(supports[0]["modes"])
         pos = tuple(m for m in modes if m > 0)
         neg = tuple(sorted(-m for m in modes if m < 0))
-        if pos and neg == pos:
-            return FrequencySet(domain, pos, SetSign.BOTH)
-        if pos and not neg:
-            return FrequencySet(domain, pos, SetSign.PLUS)
-        if neg and not pos:
-            return FrequencySet(domain, neg, SetSign.MINUS)
-        raise ValueError("torus support is neither one-sided nor symmetric")
-    ivs = sorted((s["lo"], s["hi"]) for s in supports)
-    pos = tuple(iv for iv in ivs if iv[0] > 0)
-    neg = tuple(sorted((-hi, -lo) for lo, hi in ivs if hi < 0))
+    else:
+        ivs = sorted((s["lo"], s["hi"]) for s in supports)
+        pos = tuple(iv for iv in ivs if iv[0] > 0)
+        neg = tuple(sorted((-hi, -lo) for lo, hi in ivs if hi < 0))
     if pos and neg == pos:
         return FrequencySet(domain, pos, SetSign.BOTH)
     if pos and not neg:
         return FrequencySet(domain, pos, SetSign.PLUS)
     if neg and not pos:
         return FrequencySet(domain, neg, SetSign.MINUS)
-    raise ValueError("line support is neither one-sided nor symmetric")
+    raise ValueError(f"{domain.value} support is neither one-sided nor "
+                     "symmetric")
 
 
 def _midpoint_weights(freqs: np.ndarray, support: FrequencySet) -> np.ndarray:
@@ -291,37 +304,20 @@ def _require_same_grid(a: SpectralData, b: SpectralData):
         raise ValueError("operands live on different grids")
 
 
-def propagate_linear(u0: SpectralData, u1: SpectralData, t: float) -> SpectralData:
-    """Position component of the free evolution.
-
-    Pointwise cos(t lam) u0_hat + (sin(t lam)/lam) u1_hat, the lam -> 0
-    limit handled by sin_over_lambda.
-    """
-    _require_same_grid(u0, u1)
-    lam = dispersion(u0.freqs)
-    vals = np.cos(t * lam) * u0.values + sin_over_lambda(lam, t) * u1.values
-    return SpectralData(u0.domain, u0.freqs.copy(), vals, u0.weights.copy(),
-                        u0.support, u0.N, u0.sigma)
+def free_flow_rotation(lam, t: float):
+    """cos(t lam), sin(t lam)/lam and lam sin(t lam): the entries of the
+    free flow's rotation (u, v) -> (c u + s v, -ls u + c v) over time t,
+    the lam -> 0 limit handled by sin_over_lambda."""
+    return np.cos(t * lam), sin_over_lambda(lam, t), lam * np.sin(t * lam)
 
 
 def propagate_linear_pair(u0: SpectralData, u1: SpectralData, t: float):
-    """(position, velocity) of the free evolution at time t."""
+    """(position, velocity) of the free evolution at time t. Each node's
+    energy lam^2 |u_hat|^2 + |ut_hat|^2 is conserved exactly."""
     _require_same_grid(u0, u1)
-    lam = dispersion(u0.freqs)
-    c, s = np.cos(t * lam), np.sin(t * lam)
-    pos = c * u0.values + sin_over_lambda(lam, t) * u1.values
-    vel = -lam * s * u0.values + c * u1.values
+    c, s, ls = free_flow_rotation(dispersion(u0.freqs), t)
+    pos = c * u0.values + s * u1.values
+    vel = -ls * u0.values + c * u1.values
     mk = lambda v: SpectralData(u0.domain, u0.freqs.copy(), v,
                                 u0.weights.copy(), u0.support, u0.N, u0.sigma)
     return mk(pos), mk(vel)
-
-
-def linear_mode_energy(u: SpectralData, ut: SpectralData) -> np.ndarray:
-    """Per-node energy lam^2 |u_hat|^2 + |ut_hat|^2 of the free flow.
-
-    Exactly conserved by propagate_linear_pair; the workhorse invariant for
-    the stepper tests.
-    """
-    _require_same_grid(u, ut)
-    lam = dispersion(u.freqs)
-    return lam ** 2 * np.abs(u.values) ** 2 + np.abs(ut.values) ** 2

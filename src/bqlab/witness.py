@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (Domain, FrequencySet, SetSign, SpectralData,
-                       NODES_PER_UNIT, dispersion, sobolev_norm)
+                       NODES_PER_UNIT, dispersion, json_field, sobolev_norm)
 
 
 @dataclass(frozen=True)
@@ -80,14 +80,19 @@ class WitnessPair:
 
     @classmethod
     def from_json(cls, path: str) -> "WitnessPair":
-        with open(path) as fh:
-            d = json.load(fh)
-        u0 = SpectralData.from_dict(d["u0"])
-        u1 = SpectralData.from_dict(d["u1"])
-        cfg = WitnessConfig(u0.domain, int(d["p"]), u0.N, float(d["s"]),
-                            u0.sigma)
-        win = d["output_window"]
-        win = tuple(win) if isinstance(win, list) else int(win)
+        """Read a witness file; a malformed file raises ValueError naming
+        the file and the offending key."""
+        try:
+            with open(path) as fh:
+                d = json.load(fh)
+            u0 = json_field(d, "u0", SpectralData.from_dict)
+            u1 = json_field(d, "u1", SpectralData.from_dict)
+            cfg = WitnessConfig(u0.domain, json_field(d, "p", int), u0.N,
+                                json_field(d, "s", float), u0.sigma)
+            win = json_field(d, "output_window", lambda w: (
+                tuple(w) if isinstance(w, list) else int(w)))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         return cls(cfg, u0, u1, win)
 
 

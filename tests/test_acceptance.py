@@ -18,6 +18,7 @@ def _run(criterion):
     for detail in result.details:
         print(f"    {detail}")
     assert result.passed, "\n".join([result.line()] + result.details)
+    assert type(result.passed) is bool      # the CLI writes it to JSON
     return result
 
 

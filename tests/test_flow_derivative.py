@@ -1,6 +1,7 @@
 """Oscillatory kernel, derivative profiles, and growth tables."""
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,7 +296,7 @@ def test_growth_table_csv(tmp_path):
     table = growth_table(2, Domain.TORUS, -1.0, None, 1.0, [16, 32, 64])
     path = str(tmp_path / "g.csv")
     table.to_csv(path)
-    lines = open(path).read().strip().split("\n")
+    lines = Path(path).read_text().strip().split("\n")
     assert lines[0] == "N,data_norm,ap_norm,ratio,slope_running"
     assert len(lines) == 4
     first = lines[1].split(",")

@@ -235,6 +235,46 @@ def test_pattern_constraint_audit():
         assert entry["n_intersecting"] == 1
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 9])
+def test_count_vector_audits_match_triple_loop(p):
+    # independent enumeration of (n1, n2, n3, n4) with its own interval sums
+    def admissible(n1, n2, n3, n4):
+        return n1 > n2 and n3 < n4 and n2 + n3 <= 2
+
+    tallies = [(n1, n2, n3, p - n1 - n2 - n3)
+               for n1 in range(p + 1) for n2 in range(p + 1 - n1)
+               for n3 in range(p + 1 - n1 - n2)]
+    assert solve_diophantine(p) == sorted(
+        c for c in tallies
+        if c[0] - c[1] + 2 * (c[2] - c[3]) == 0 and admissible(*c))
+
+    N_max = 60
+    report = verify_pattern_constraints(p, range(1, N_max + 1),
+                                        scan_max=N_max)
+    last_bad = 0
+    for entry in report.per_N:
+        N = entry["N"]
+        (lo1, hi1), (lo2, hi2) = _line_set(p, N).components
+        wlo, whi = output_window(WitnessConfig(Domain.LINE, p, N, s=0.0))
+        meeting = [(n1, n2, n3, n4) for n1, n2, n3, n4 in tallies
+                   if n1 * hi1 - n2 * lo1 + n3 * hi2 - n4 * lo2 >= wlo
+                   and n1 * lo1 - n2 * hi1 + n3 * lo2 - n4 * hi2 <= whi]
+        bad = [list(c) for c in meeting if not admissible(*c)]
+        assert entry["n_intersecting"] == len(meeting)
+        assert entry["violations"] == bad
+        if bad:
+            last_bad = N
+    assert [e["N"] for e in report.per_N] == list(range(1, N_max + 1))
+    assert report.N0 == last_bad + 1
+
+
+def test_audits_refuse_empty_n_list():
+    with pytest.raises(ValueError, match="empty"):
+        verify_resonance_bounds(2, Domain.TORUS, [])
+    with pytest.raises(ValueError, match="empty"):
+        verify_pattern_constraints(3, [], scan_max=5)
+
+
 def test_pattern_sum_range_matches_triplet_range():
     # the (2,0,0,1) tally is exactly one triplet a + b - c
     for p in (3, 9):
