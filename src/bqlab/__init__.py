@@ -17,10 +17,9 @@ from .resonance import (BetaRange, Representation, ResonanceReport,
                         solve_diophantine, verify_pattern_constraints,
                         verify_resonance_bounds)
 from .flow_derivative import (DerivativeProfile, GrowthTable,
-                              flow_derivative, flow_derivative_line,
-                              flow_derivative_torus, growth_table,
-                              predicted_growth_slope, time_integral,
-                              window_sobolev_mass)
+                              flow_derivative_line, flow_derivative_torus,
+                              growth_table, predicted_growth_slope,
+                              time_integral, window_sobolev_mass)
 from .simulator import (InflationResult, ProbeResult, SimConfig, SimState,
                         Stepper, fd_derivative_probe, full_norm,
                         inflation_experiment, linear_energy, windowed_norm,
@@ -41,8 +40,8 @@ __all__ = [
     "count_ordered_tuples", "enumerate_representations",
     "pattern_sum_range", "solve_diophantine", "verify_pattern_constraints",
     "verify_resonance_bounds",
-    "DerivativeProfile", "GrowthTable", "flow_derivative",
-    "flow_derivative_line", "flow_derivative_torus", "growth_table",
+    "DerivativeProfile", "GrowthTable", "flow_derivative_line",
+    "flow_derivative_torus", "growth_table",
     "predicted_growth_slope", "time_integral", "window_sobolev_mass",
     "InflationResult", "ProbeResult", "SimConfig", "SimState", "Stepper",
     "fd_derivative_probe", "full_norm", "inflation_experiment",

@@ -219,15 +219,34 @@ def _mp_time_integral(alpha: float, beta: float, t: float):
         return complex(float(re), float(im)), float(max(err_re, err_im))
 
 
+def _mp_kernel(alpha: float, beta: float, t: float):
+    """K with an error estimate: the closed form at 40 digits (estimate 0),
+    or _mp_time_integral at |beta| = alpha, where the closed form is 0/0."""
+    if abs(beta) == alpha:
+        return _mp_time_integral(alpha, beta, t)
+    import mpmath as mp
+    with mp.workdps(40):
+        a, b, T = mp.mpf(alpha), mp.mpf(beta), mp.mpf(t)
+        d = b * b - a * a
+        return complex(-a * (mp.cos(b * T) - mp.cos(a * T)) / d,
+                       (b * mp.sin(a * T) - a * mp.sin(b * T)) / d), 0.0
+
+
+# beta/alpha at and near resonance: +-1 and +-(1 +- 10^-k), k = 1..14
+_TENS = 10.0 ** -np.arange(1.0, 15.0)
+NEAR_RESONANCE = np.outer((1, -1), np.r_[1, 1 + _TENS, 1 - _TENS]).ravel()
+
+
 def criterion_6(out_dir=None) -> CriterionResult:
-    """Analytic/numeric equivalence: closed-form kernel vs adaptive
-    quadrature on 1000 random triples (< 1e-9 relative); exact torus
-    derivative vs the finite-difference flow probe (< 1% relative).
+    """Analytic/numeric equivalence: the time kernel vs adaptive quadrature
+    on 1000 random triples and vs mpmath at beta = alpha * NEAR_RESONANCE
+    for four (alpha, t) (< 1e-9 relative); exact torus derivative vs the
+    finite-difference flow probe (< 1% relative).
 
     A triple whose scipy quadrature raises IntegrationWarning is checked
-    against a 30-digit mpmath reference instead; one whose mpmath error
-    estimate is not below 1e-15 relative still counts as a warning, and
-    any warning left is a miss."""
+    against a 30-digit mpmath reference instead, as is every exact
+    resonance; one whose mpmath error estimate is not below 1e-15 relative
+    still counts as a warning, and any warning left is a miss."""
     from scipy.integrate import IntegrationWarning, quad
     done = _timer()
     details, ok = [], True
@@ -238,7 +257,7 @@ def criterion_6(out_dir=None) -> CriterionResult:
         alpha = dispersion(rng.uniform(0.1, 6.0))
         beta = rng.uniform(-80.0, 80.0)
         t = rng.uniform(0.05, 2.0)
-        closed = time_integral(alpha, beta, t)
+        kernel = time_integral(alpha, beta, t)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", IntegrationWarning)
             re = quad(lambda u: math.sin(alpha * (t - u))
@@ -252,12 +271,26 @@ def criterion_6(out_dir=None) -> CriterionResult:
             n_warned += 1
             ref, err = _mp_time_integral(alpha, beta, t)
             n_left += err > 1e-15 * max(abs(ref), 1e-9)
-        worst = max(worst, abs(closed - ref) / max(abs(ref), 1e-9))
+        worst = max(worst, abs(kernel - ref) / max(abs(ref), 1e-9))
     good = worst < 1e-9 and n_left == 0
     ok &= good
     details.append(f"kernel vs quadrature: worst relative {worst:.3e} "
                    f"({n_warned} quad warnings re-checked against mpmath, "
                    f"{n_left} left){'' if good else ' MISS'}")
+    worst, n_left = 0.0, 0
+    for _ in range(4):
+        alpha = dispersion(rng.uniform(0.1, 6.0))
+        t = rng.uniform(0.05, 2.0)
+        betas = alpha * NEAR_RESONANCE
+        for beta, kernel in zip(betas, time_integral(alpha, betas, t)):
+            ref, err = _mp_kernel(alpha, float(beta), t)
+            n_left += err > 1e-15 * max(abs(ref), 1e-9)
+            worst = max(worst, abs(kernel - ref) / max(abs(ref), 1e-9))
+    good = worst < 1e-9 and n_left == 0
+    ok &= good
+    details.append(f"kernel near resonance: worst relative {worst:.3e} "
+                   f"over {4 * NEAR_RESONANCE.size} betas vs mpmath "
+                   f"({n_left} left){'' if good else ' MISS'}")
     for p in (2, 3):
         for N in (16, 32, 64):
             cfg = WitnessConfig(Domain.TORUS, p, N, s=-1.0, sigma=0.0)
@@ -384,7 +417,7 @@ CRITERIA = {1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
             5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8}
 
 
-def run_criteria(numbers=None, out_dir=None, verbose=True):
+def run_criteria(numbers=None, out_dir=None):
     """Run the selected criteria (all by default), print one status line
     each, and return the CriterionResult list."""
     numbers = sorted(numbers) if numbers else sorted(CRITERIA)
@@ -396,8 +429,7 @@ def run_criteria(numbers=None, out_dir=None, verbose=True):
     for n in numbers:
         res = CRITERIA[n](out_dir=out_dir)
         results.append(res)
-        if verbose:
-            print(res.line())
-            for d in res.details:
-                print(f"    {d}")
+        print(res.line())
+        for d in res.details:
+            print(f"    {d}")
     return results

@@ -56,16 +56,12 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _n_list(text) -> list:
-    if isinstance(text, (list, tuple)):
-        return [int(x) for x in text]
-    return [int(x) for x in str(text).split(",") if x.strip()]
+def _n_list(text: str) -> list:
+    return [int(x) for x in text.split(",") if x.strip()]
 
 
-def _float_list(text) -> list:
-    if isinstance(text, (list, tuple)):
-        return [float(x) for x in text]
-    return [float(x) for x in str(text).split(",") if x.strip()]
+def _float_list(text: str) -> list:
+    return [float(x) for x in text.split(",") if x.strip()]
 
 
 # (name, cast, default, help); cast applies to config-file strings too
@@ -251,6 +247,9 @@ def cmd_simulate(params):
     inputs = []
     if params["init"]:
         pair = WitnessPair.from_json(params["init"])
+        if pair.config.p != params["p"]:
+            raise ValueError(f"{params['init']}: witness p={pair.config.p} "
+                             f"but p={params['p']}; pass --p {pair.config.p}")
         inputs.append(params["init"])
     else:
         pair = build_witness(_witness_config(params))

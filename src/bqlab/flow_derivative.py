@@ -15,11 +15,12 @@ over the slot variables on the line), beta = -sum eps_j lambda(a_j), and
 
 The one-sided-wave structure of the witness is what collapses each slot to
 the pure phase e^{-i eps lambda(a) tau}, making K the only time dependence.
-This module evaluates K in closed form (with a stable resonant branch),
-assembles the profile exactly on the torus and by clipped tensor-product
-midpoint quadrature or stratified Monte Carlo on the line, measures its
-Sobolev mass on the output window, and builds the N-sweep growth tables
-whose log-log slopes are the measured blow-up exponents.
+This module evaluates K by one half-angle formula that holds through the
+resonance |beta| = lambda(xi), assembles the profile exactly on the torus
+and by clipped tensor-product midpoint quadrature or stratified Monte Carlo
+on the line, measures its Sobolev mass on the output window, and builds the
+N-sweep growth tables whose log-log slopes are the measured blow-up
+exponents.
 """
 from __future__ import annotations
 
@@ -33,54 +34,42 @@ from .spectral import Domain, dispersion
 from .witness import WitnessPair, build_witness, data_norm, frequency_set, WitnessConfig
 from .resonance import enumerate_representations, ENUMERATION_BUDGET
 
-DEFAULT_HORIZON = 2.0   # default upper limit for measurement times
-RESONANCE_TOL = 1e-8
+DEFAULT_HORIZON = 2.0   # upper limit for measurement times
+KERNEL_BLOCK = 8192     # betas per block: the kernel's temporaries stay cached
 
 
 # -- the oscillatory time kernel --------------------------------------------
 
-def _phi1(z):
-    """(e^z - 1)/z, series-stabilized near 0. Complex, vectorized."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-4
-    zs = np.where(small, 1.0, z)
-    direct = (np.exp(zs) - 1.0) / zs
-    series = 1.0 + z / 2.0 + z * z / 6.0 + z * z * z / 24.0
-    return np.where(small, series, direct)
-
-
-def _resonant_kernel(alpha: float, beta, t: float):
-    # exact decomposition of the kernel into two exponential averages;
-    # stable uniformly in |beta - alpha| (and at alpha = beta = 0)
-    b = np.asarray(beta, dtype=float)
-    ea = np.exp(1j * alpha * t)
-    term1 = ea * t * _phi1(1j * (b - alpha) * t)
-    term2 = np.conj(ea) * t * _phi1(1j * (b + alpha) * t)
-    return (term1 - term2) / 2j
-
-
-def time_integral(alpha: float, beta, t: float, *,
-                  resonance_tol: float = RESONANCE_TOL):
+def time_integral(alpha: float, beta, t: float):
     """K(alpha, beta, t) = int_0^t sin(alpha(t - tau)) e^{i beta tau} dtau.
 
-    Closed form: real part -alpha (cos(beta t) - cos(alpha t))/(beta^2 -
-    alpha^2), imaginary part (-alpha sin(beta t) + beta sin(alpha t)) /
-    (beta^2 - alpha^2). When |beta^2 - alpha^2| < resonance_tol *
-    max(1, alpha^2) the formula is replaced by its analytic limit.
-    Vectorized over beta.
+    One half-angle formula for every beta: with X = (|beta| + alpha) t/2,
+    Y = (|beta| - alpha) t/2, u = sin X/(|beta| + alpha) = (t/2) sinc X and
+    w = sin Y/(|beta| - alpha) = (t/2) sinc Y (t/2 at resonance, Y = 0),
+        K = 2 alpha u w + i sign(beta) (u cos Y - w cos X).
+    sin X and cos X follow from sin Y, cos Y and alpha t by angle addition.
+    Vectorized over beta in blocks of KERNEL_BLOCK; scalars in, scalar out.
     """
     a = float(alpha)
     if a < 0.0 or t < 0.0:
         raise ValueError("need alpha >= 0 and t >= 0")
     b = np.asarray(beta, dtype=float)
-    d = b * b - a * a
-    resonant = np.abs(d) < resonance_tol * max(1.0, a * a)
-    dd = np.where(resonant, 1.0, d)
-    re = -a * (np.cos(b * t) - np.cos(a * t)) / dd
-    im = (-a * np.sin(b * t) + b * np.sin(a * t)) / dd
-    out = re + 1j * im
-    if np.any(resonant):
-        out = np.where(resonant, _resonant_kernel(a, b, t), out)
+    out = np.zeros(b.shape, dtype=complex)
+    if a * t > 0.0:
+        sin_at, cos_at = math.sin(a * t), math.cos(a * t)
+        flat_b, flat_k = b.reshape(-1), out.reshape(-1)
+        for i in range(0, flat_b.size, KERNEL_BLOCK):
+            blk = slice(i, i + KERNEL_BLOCK)
+            abs_b = np.abs(flat_b[blk])
+            plus, minus = abs_b + a, abs_b - a
+            y = minus * (0.5 * t)
+            sin_y, cos_y = np.sin(y), np.cos(y)
+            u = (sin_y * cos_at + cos_y * sin_at) / plus
+            cos_x = cos_y * cos_at - sin_y * sin_at
+            w = np.divide(sin_y, minus, out=np.full_like(y, 0.5 * t),
+                          where=minus != 0.0)
+            flat_k.real[blk] = 2.0 * a * u * w
+            flat_k.imag[blk] = np.sign(flat_b[blk]) * (u * cos_y - w * cos_x)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -98,12 +87,6 @@ class DerivativeProfile:
     weights: np.ndarray
     meta: dict
 
-    @property
-    def hs_lower(self) -> float:
-        """L^2 mass on the window; a lower bound for every H^s norm ratio
-        the sweeps track (the window sits at |xi| ~ 1)."""
-        return window_sobolev_mass(self, 0.0)
-
 
 def window_sobolev_mass(profile: DerivativeProfile, s: float) -> float:
     """H^s mass of the profile on its window: sqrt(sum w (1+xi^2)^s |v|^2).
@@ -118,14 +101,13 @@ def window_sobolev_mass(profile: DerivativeProfile, s: float) -> float:
     return float(np.sqrt(mass.sum()))
 
 
-def _validate_eval(pair: WitnessPair, p: int, t: float, T: float,
-                   domain: Domain):
+def _validate_eval(pair: WitnessPair, p: int, t: float, domain: Domain):
     if pair.config.domain != domain:
         raise ValueError(f"witness is not a {domain.value} witness")
     if p != pair.config.p:
         raise ValueError(f"p={p} does not match witness p={pair.config.p}")
-    if not (0.0 <= t <= T):
-        raise ValueError(f"t={t} outside [0, {T}]")
+    if not (0.0 <= t <= DEFAULT_HORIZON):
+        raise ValueError(f"t={t} outside [0, {DEFAULT_HORIZON}]")
 
 
 def _prefactor(pair: WitnessPair, p: int, xi, sign: int):
@@ -136,26 +118,22 @@ def _prefactor(pair: WitnessPair, p: int, xi, sign: int):
 
 
 def flow_derivative_torus(pair: WitnessPair, p: int, t: float, *,
-                          sign: int = 1,
-                          T: float = DEFAULT_HORIZON) -> DerivativeProfile:
+                          sign: int = 1) -> DerivativeProfile:
     """Exact evaluation at the single torus output mode.
 
     Enumerates every representation of the output mode and sums
     multiplicity * K(alpha, beta, t) in the (deterministic) lexicographic
     multiset order.
     """
-    _validate_eval(pair, p, t, T, Domain.TORUS)
+    _validate_eval(pair, p, t, Domain.TORUS)
     cfg = pair.config
     xi = int(pair.output_window)
     A = frequency_set(cfg)
     reps = enumerate_representations(xi, p, A)
     alpha = dispersion(xi)
-    if reps:
-        betas = np.array([r.beta() for r in reps])
-        mults = np.array([r.multiplicity for r in reps], dtype=float)
-        total = complex(np.sum(mults * time_integral(alpha, betas, t)))
-    else:
-        total = 0.0 + 0.0j
+    betas = np.array([r.beta() for r in reps], dtype=float)
+    mults = np.array([r.multiplicity for r in reps], dtype=float)
+    total = complex(np.sum(mults * time_integral(alpha, betas, t)))
     value = complex(_prefactor(pair, p, float(xi), sign) * total)
     meta = {"n_representations": len(reps), "alpha": alpha,
             "method": "exact-sum", "warnings": []}
@@ -166,9 +144,10 @@ def flow_derivative_torus(pair: WitnessPair, p: int, t: float, *,
 # -- line quadrature ---------------------------------------------------------
 
 def _phase_coeff(v):
-    """Contribution of one slot value to beta: -sign(v) lambda(|v|)."""
+    """Contribution of one slot value to beta: -sign(v) lambda(v), formed
+    as -v sqrt(1 + v^2) (the same floats, in fewer passes)."""
     v = np.asarray(v, dtype=float)
-    return -np.sign(v) * dispersion(v)
+    return -v * np.sqrt(1.0 + v * v)
 
 
 def _representative_slots(rep):
@@ -222,8 +201,7 @@ def _pattern_integrand(slots, xi: float, alpha: float, t: float, outer,
 
 
 def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
-                         sign: int = 1, T: float = DEFAULT_HORIZON,
-                         n_xi: int = 33, nodes_per_dim=None,
+                         sign: int = 1, n_xi: int = 33, nodes_per_dim=None,
                          method: str = "auto", mc_samples: int = 8192,
                          seed: int = 0,
                          doubling_check: bool = False) -> DerivativeProfile:
@@ -237,7 +215,7 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
     outer draws with one uniform inner point per row. The budget guard
     counts the ordered tensor volume sum(multiplicity * nodes^(p-1)).
     """
-    _validate_eval(pair, p, t, T, Domain.LINE)
+    _validate_eval(pair, p, t, Domain.LINE)
     cfg = pair.config
     wlo, whi = pair.output_window
     if method == "auto":
@@ -324,14 +302,6 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
     return DerivativeProfile(Domain.LINE, p, t, xis, values, weights, meta)
 
 
-def flow_derivative(pair: WitnessPair, p: int, t: float, **kwargs):
-    """Dispatch on the witness domain."""
-    if pair.config.domain == Domain.TORUS:
-        kwargs.pop("doubling_check", None)
-        return flow_derivative_torus(pair, p, t, **kwargs)
-    return flow_derivative_line(pair, p, t, **kwargs)
-
-
 # -- growth tables -----------------------------------------------------------
 
 @dataclass
@@ -368,8 +338,7 @@ def predicted_growth_slope(p: int, s: float) -> float:
 
 
 def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
-                 N_list, *, sign: int = 1, T: float = DEFAULT_HORIZON,
-                 **line_kwargs) -> GrowthTable:
+                 N_list, *, sign: int = 1, **line_kwargs) -> GrowthTable:
     """Sweep N, recording data norm, window derivative mass, and their
     ratio ap_norm / data_norm^p, plus running and final log-log slopes.
 
@@ -389,10 +358,9 @@ def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
         pair = build_witness(cfg)
         dn = data_norm(pair, s)
         if domain == Domain.TORUS:
-            prof = flow_derivative_torus(pair, p, t, sign=sign, T=T)
+            prof = flow_derivative_torus(pair, p, t, sign=sign)
         else:
-            prof = flow_derivative_line(pair, p, t, sign=sign, T=T,
-                                        **line_kwargs)
+            prof = flow_derivative_line(pair, p, t, sign=sign, **line_kwargs)
         an = window_sobolev_mass(prof, s)
         ratio = an / dn ** p
         logN.append(math.log(N))

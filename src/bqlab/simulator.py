@@ -30,6 +30,7 @@ from .spectral import Domain, dispersion, free_flow_rotation
 from .witness import WitnessConfig, WitnessPair, build_witness, data_norm
 
 NAN_CHECK_EVERY = 16
+INFLATION_DT_FACTOR = 0.05      # inflation_experiment's dt times (2N + 2)
 
 
 def _fft_good_size(n: int) -> int:
@@ -368,15 +369,16 @@ class InflationResult:
 
 def inflation_experiment(s: float, N_list, *, p: int = 2,
                          delta: float = 1e-2, t_end: float = 1.0,
-                         sign: int = 1, window_modes=(1, 2),
-                         dt_factor: float = 0.05) -> InflationResult:
+                         sign: int = 1,
+                         window_modes=(1, 2)) -> InflationResult:
     """Feed size-delta witness data to the full solver and track the H^s
     mass that the low window accumulates.
 
     The witness for each N is rescaled so the data norm is exactly delta.
-    The step dt = dt_factor / (2N + 2) resolves the slow beat phase that
-    transfers mass to the window (the fast factors are rotated exactly by
-    the integrating factor, so dt does not need to resolve lambda(K)).
+    The step dt = INFLATION_DT_FACTOR / (2N + 2) resolves the slow beat
+    phase that transfers mass to the window (the fast factors are rotated
+    exactly by the integrating factor, so dt does not need to resolve
+    lambda(K)).
     An empty N_list is refused.
     """
     if delta <= 0 or t_end <= 0:
@@ -393,8 +395,8 @@ def inflation_experiment(s: float, N_list, *, p: int = 2,
         state = witness_state(pair, K)
         state.u *= scale
         state.v *= scale
-        stepper = Stepper(SimConfig(p=p, K=K, dt=dt_factor / (2 * N + 2),
-                                    sign=sign))
+        dt = INFLATION_DT_FACTOR / (2 * N + 2)
+        stepper = Stepper(SimConfig(p=p, K=K, dt=dt, sign=sign))
         peak = {"norm": -1.0, "t": 0.0}
         initial = windowed_norm(state, window_modes, s)
 

@@ -23,7 +23,7 @@ import numpy as np
 # below this, sin(t*lam)/lam falls back to its limit t
 LAMBDA_ZERO_TOL = 1e-12
 
-# default composite-midpoint density on line intervals, nodes per unit length
+# composite-midpoint density on line intervals, nodes per unit length
 NODES_PER_UNIT = 64
 
 # short intervals still deserve a grid; floor per component
@@ -163,8 +163,8 @@ class SpectralData:
         return cls(Domain.TORUS, ks, vals, np.ones_like(ks), support, N, sigma)
 
     @classmethod
-    def sampled(cls, support: FrequencySet, value_fn, N: int, sigma: float,
-                nodes_per_unit: int = NODES_PER_UNIT) -> "SpectralData":
+    def sampled(cls, support: FrequencySet, value_fn, N: int,
+                sigma: float) -> "SpectralData":
         """Line constructor: midpoint grids per signed component.
 
         value_fn maps a node array to complex amplitudes.
@@ -174,7 +174,7 @@ class SpectralData:
         freqs, weights = [], []
         for lo, hi in support.signed_components():
             width = hi - lo
-            n = max(MIN_NODES_PER_COMPONENT, int(np.ceil(width * nodes_per_unit)))
+            n = max(MIN_NODES_PER_COMPONENT, int(np.ceil(width * NODES_PER_UNIT)))
             h = width / n
             freqs.append(lo + (np.arange(n) + 0.5) * h)
             weights.append(np.full(n, h))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (Domain, FrequencySet, SetSign, SpectralData,
-                       NODES_PER_UNIT, dispersion, json_field, sobolev_norm)
+                       dispersion, json_field, sobolev_norm)
 
 
 @dataclass(frozen=True)
@@ -128,8 +128,7 @@ def output_window(cfg: WitnessConfig):
     return (1.0 - 4.0 / p + 4.0 / p ** 2, 1.0 - 4.0 / p ** 2)
 
 
-def build_witness(cfg: WitnessConfig,
-                  nodes_per_unit: int = NODES_PER_UNIT) -> WitnessPair:
+def build_witness(cfg: WitnessConfig) -> WitnessPair:
     """Construct the pair (u0, u1) on the symmetric support.
 
     u0_hat = N^-sigma on A and on -A; u1_hat = -i N^-sigma lambda on A and
@@ -148,11 +147,11 @@ def build_witness(cfg: WitnessConfig,
     else:
         u0 = SpectralData.sampled(support, lambda x: np.full(x.shape, amp,
                                                              dtype=complex),
-                                  cfg.N, cfg.sigma, nodes_per_unit)
+                                  cfg.N, cfg.sigma)
         u1 = SpectralData.sampled(
             support,
             lambda x: -1j * amp * dispersion(x) * np.sign(x),
-            cfg.N, cfg.sigma, nodes_per_unit)
+            cfg.N, cfg.sigma)
     return WitnessPair(cfg, u0, u1, output_window(cfg))
 
 

@@ -206,3 +206,19 @@ def test_empty_n_list_refused(tmp_path, capsys, command):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "empty" in err
     assert not os.path.exists(out)
+
+
+def test_simulate_init_refuses_other_p(tmp_path, capsys):
+    wpath = str(tmp_path / "w3.json")
+    assert main(["witness", "--p", "3", "--n", "8", "--out", wpath]) == 0
+    capsys.readouterr()
+    out = str(tmp_path / "traj.csv")
+    assert main(["simulate", "--init", wpath, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "p=3" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not os.path.exists(out)
+    assert main(["simulate", "--init", wpath, "--p", "3", "--t-end", "0.05",
+                 "--out", out]) == 0
+    assert capsys.readouterr().out.startswith("simulate p=3 ")

@@ -97,7 +97,7 @@ def test_with_sign_minus_only():
 def test_sampled_line_grid_structure():
     fs = FrequencySet(Domain.LINE, ((3.0, 4.0),), SetSign.BOTH)
     data = SpectralData.sampled(fs, lambda x: np.ones_like(x, dtype=complex),
-                                N=3, sigma=0.0, nodes_per_unit=64)
+                                N=3, sigma=0.0)
     # 64 nodes per unit interval on each signed component
     assert data.freqs.size == 128
     assert data.weights.sum() == pytest.approx(2.0)
