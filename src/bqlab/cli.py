@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -263,8 +264,14 @@ def cmd_simulate(params):
                                 sign=params["sign"]))
     norm_s = params["norm_s"] or [pair.config.s]
     window = (int(round(pair.output_window)),)
-    n_steps = max(1, int(round(params["t_end"] / stepper.dt)))
-    every = params["observe_every"] or max(1, n_steps // 512)
+    if not math.isfinite(params["t_end"]):
+        raise ValueError(f"need a finite t_end, got {params['t_end']}")
+    every = params["observe_every"]
+    if every is None:
+        n_steps = max(1, int(round(params["t_end"] / stepper.dt)))
+        every = max(1, n_steps // 512)
+    elif every < 1:
+        raise ValueError(f"need observe_every >= 1, got {every}")
     rows = []
     counter = {"i": 0}
 

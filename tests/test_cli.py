@@ -222,3 +222,28 @@ def test_simulate_init_refuses_other_p(tmp_path, capsys):
     assert main(["simulate", "--init", wpath, "--p", "3", "--t-end", "0.05",
                  "--out", out]) == 0
     assert capsys.readouterr().out.startswith("simulate p=3 ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--t-end", "inf"],
+    ["simulate", "--t-end", "nan"],
+    ["simulate", "--dt", "inf"],
+    ["simulate", "--dt", "nan"],
+    ["inflate", "--t-end", "inf"],
+    ["inflate", "--t-end", "nan"],
+])
+def test_non_finite_times_refused(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("every", ["0", "-3"])
+def test_simulate_refuses_observe_every_below_one(tmp_path, capsys, every):
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--observe-every", every, "--out",
+                 str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "observe_every" in err and not out.exists()

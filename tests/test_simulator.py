@@ -11,7 +11,7 @@ from bqlab.simulator import (SimConfig, SimState, Stepper, _fft_good_size,
                              _stencil_weights, fd_derivative_probe, full_norm,
                              inflation_experiment, linear_energy,
                              windowed_norm, witness_state)
-from bqlab.spectral import Domain, dispersion
+from bqlab.spectral import Domain, dispersion, free_flow_rotation
 from bqlab.witness import WitnessConfig, build_witness
 
 
@@ -43,6 +43,19 @@ def test_config_validation():
         SimConfig(p=2, K=8, sign=2)
     with pytest.raises(ValueError):
         SimConfig(p=2, K=8, dt=-0.1)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_times_refused(bad):
+    with pytest.raises(ValueError, match="finite dt"):
+        SimConfig(p=2, K=8, dt=bad)
+    stepper = Stepper(SimConfig(p=2, K=8))
+    state = SimState(0.0, np.zeros(9, dtype=complex),
+                     np.zeros(9, dtype=complex))
+    with pytest.raises(ValueError, match="finite t_end"):
+        stepper.integrate(state, bad)
+    with pytest.raises(ValueError, match="finite t_end"):
+        inflation_experiment(-0.6, [8], t_end=bad)
 
 
 def test_default_dt_resolves_top_mode():
@@ -216,6 +229,55 @@ def test_batched_rows_match_single_solves():
                     SimState(0.0, a * base.u, a * base.v), 0.0517)
                 assert np.array_equal(batch.u[i], row.u)
                 assert np.array_equal(batch.v[i], row.v)
+
+
+def _integrate_sequential(stepper, state, t_end):
+    """Stepper.integrate's step sequence with the IF-RK4 stages evaluated
+    one nonlinear call at a time, in dependency order, as a reference."""
+
+    def step(u, v, dt):
+        (c1, s1, ls1), (c2, s2, ls2) = [free_flow_rotation(stepper.lam, h)
+                                        for h in (dt, dt / 2.0)]
+        g1 = stepper.nonlinear(u)
+        g2 = stepper.nonlinear(c2 * u + s2 * (v + 0.5 * dt * g1))
+        u_half = c2 * u + s2 * v
+        g3 = stepper.nonlinear(u_half)
+        u_full = c1 * u + s1 * v
+        v_full = -ls1 * u + c1 * v
+        g4 = stepper.nonlinear(u_full + dt * s2 * g3)
+        u_new = u_full + dt / 6.0 * (s1 * g1 + 2.0 * s2 * (g2 + g3))
+        v_new = v_full + dt / 6.0 * (c1 * g1 + 2.0 * c2 * (g2 + g3) + g4)
+        return u_new, v_new
+
+    t, u, v = state.t, state.u, state.v
+    for _ in range(int(math.floor((t_end - t) / stepper.dt + 1e-12))):
+        u, v = step(u, v, stepper.dt)
+        t += stepper.dt
+    rem = t_end - t
+    if rem > 1e-12 * max(1.0, stepper.dt):
+        u, v = step(u, v, rem)
+    return u, v
+
+
+@pytest.mark.parametrize("K", [24, 68, 132, 260, 516])
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_paired_stages_match_sequential_step(p, K):
+    # two stacked nonlinear calls per step give the same bits as four
+    # sequential ones, for one-row and 3-row states, remainder included
+    rng = np.random.default_rng(1000 * p + K)
+    decay = 1.0 / (1.0 + np.arange(K + 1))
+    for shape in ((K + 1,), (3, K + 1)):
+        u = decay * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        v = decay * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        for sign in (1, -1, 0):
+            stepper = Stepper(SimConfig(p=p, K=K, sign=sign))
+            t_end = 3.4 * stepper.dt
+            got = stepper.integrate(SimState(0.0, u, v), t_end)
+            ref_u, ref_v = _integrate_sequential(
+                stepper, SimState(0.0, u, v), t_end)
+            assert got.u.shape == shape
+            assert np.array_equal(got.u, ref_u)
+            assert np.array_equal(got.v, ref_v)
 
 
 def _nonlinear_by_pow(stepper, u_hat):
