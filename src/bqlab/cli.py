@@ -245,6 +245,8 @@ def cmd_growth(params):
 
 
 def cmd_simulate(params):
+    if not math.isfinite(params["scale"]):
+        raise ValueError(f"need a finite scale, got {params['scale']}")
     inputs = []
     if params["init"]:
         pair = WitnessPair.from_json(params["init"])

@@ -60,16 +60,30 @@ def time_integral(alpha: float, beta, t: float):
         flat_b, flat_k = b.reshape(-1), out.reshape(-1)
         for i in range(0, flat_b.size, KERNEL_BLOCK):
             blk = slice(i, i + KERNEL_BLOCK)
-            abs_b = np.abs(flat_b[blk])
-            plus, minus = abs_b + a, abs_b - a
+            # in place, each sum and product in the order of the formula
+            minus = np.abs(flat_b[blk])
+            plus = minus + a
+            minus -= a
             y = minus * (0.5 * t)
-            sin_y, cos_y = np.sin(y), np.cos(y)
-            u = (sin_y * cos_at + cos_y * sin_at) / plus
-            cos_x = cos_y * cos_at - sin_y * sin_at
-            w = np.divide(sin_y, minus, out=np.full_like(y, 0.5 * t),
-                          where=minus != 0.0)
-            flat_k.real[blk] = 2.0 * a * u * w
-            flat_k.imag[blk] = np.sign(flat_b[blk]) * (u * cos_y - w * cos_x)
+            sin_y = np.sin(y)
+            cos_y = np.cos(y, out=y)
+            u = sin_y * cos_at
+            tmp = cos_y * sin_at
+            u += tmp
+            u /= plus
+            cos_x = np.multiply(cos_y, cos_at, out=plus)
+            np.multiply(sin_y, sin_at, out=tmp)
+            cos_x -= tmp
+            w = tmp
+            w.fill(0.5 * t)
+            np.divide(sin_y, minus, out=w, where=minus != 0.0)
+            np.multiply(u, 2.0 * a, out=sin_y)
+            np.multiply(sin_y, w, out=flat_k.real[blk])
+            u *= cos_y
+            w *= cos_x
+            u -= w
+            np.multiply(np.sign(flat_b[blk], out=sin_y), u,
+                        out=flat_k.imag[blk])
     return complex(out) if out.ndim == 0 else out
 
 
@@ -143,11 +157,16 @@ def flow_derivative_torus(pair: WitnessPair, p: int, t: float, *,
 
 # -- line quadrature ---------------------------------------------------------
 
-def _phase_coeff(v):
-    """Contribution of one slot value to beta: -sign(v) lambda(v), formed
-    as -v sqrt(1 + v^2) (the same floats, in fewer passes)."""
-    v = np.asarray(v, dtype=float)
-    return -v * np.sqrt(1.0 + v * v)
+def _signed_dispersion(v):
+    """sign(v) lambda(v), formed as v sqrt(1 + v^2) with one temporary.
+
+    A slot value v contributes minus this to beta.
+    """
+    out = v * v
+    out += 1.0
+    np.sqrt(out, out=out)
+    out *= v
+    return out
 
 
 def _representative_slots(rep):
@@ -166,38 +185,67 @@ def _representative_slots(rep):
     return ivs
 
 
-def _pattern_integrand(slots, xi: float, alpha: float, t: float, outer,
-                       offsets, weight: float):
+def _outer_sums(pts, n: int):
+    """Per row, the sum of the outer slot values v and of their phase
+    coefficients -sign(v) lambda(v).
+
+    Both sums start from n zeros (n = 1 broadcasts over a tensor mesh), so
+    with no outer slot they are n rows of zeros.
+    """
+    S_out = np.zeros(n)
+    P_out = np.zeros(n)
+    for v in pts:
+        S_out = S_out + v
+        P_out = P_out - _signed_dispersion(v)
+    return S_out, P_out
+
+
+def _tensor_mesh(outer, nn: int):
+    """Midpoint mesh of the outer slots with nn nodes each, as (S_out,
+    P_out, cell volume); one row when there is no outer slot."""
+    mids = [np.linspace(lo, hi, nn, endpoint=False) + (hi - lo) / (2 * nn)
+            for lo, hi in outer]
+    pts = [m.ravel() for m in np.meshgrid(*mids, indexing="ij")]
+    return _outer_sums(pts, 1) + (math.prod((hi - lo) / nn
+                                            for lo, hi in outer),)
+
+
+def _pattern_integrand(slots, xi: float, alpha: float, t: float, S_out,
+                       P_out, offsets, weight: float):
     """Clipped-innermost integrand of one pattern over its slot box.
 
     Integration variables are slots[0:-1]; the last slot is determined as
-    xi minus the rest. outer holds one array of points per outer slot
-    (slots[0:-2]), one entry per row; the innermost variable is clipped
-    exactly to the interval where the determined slot stays inside its
-    component, so the constraint introduces no indicator discontinuity.
-    Each row places its inner points at lo + offsets * h, h = clipped
-    length / m, where offsets has shape (rows or 1, m).
+    xi minus the rest. S_out and P_out hold, per row, the sum of the outer
+    slot values (slots[0:-2]) and of their phase coefficients (see
+    _outer_sums); the innermost variable is clipped exactly to the
+    interval where the determined slot stays inside its component, so the
+    constraint introduces no indicator discontinuity. Each row places its
+    inner points at lo + offsets * h, h = clipped length / m, where
+    offsets has shape (rows or 1, m).
 
-    Returns (mask of the non-empty rows, weight * h * K at their inner
+    Returns (indices of the non-empty rows, weight * h * K at their inner
     points); empty rows contribute nothing.
     """
     det_lo, det_hi = slots[-1]
     in_lo, in_hi = slots[-2]
-    S_out = np.zeros(len(offsets))     # one row grows to the outer mesh
-    P_out = np.zeros(len(offsets))
-    for pts in outer:
-        S_out = S_out + pts
-        P_out = P_out + _phase_coeff(pts)
-    lo_f = np.maximum(in_lo, xi - S_out - det_hi)
-    hi_f = np.minimum(in_hi, xi - S_out - det_lo)
-    rows = hi_f > lo_f
+    rest = xi - S_out
+    lo_f = np.maximum(in_lo, rest - det_hi)
+    hi_f = np.minimum(in_hi, rest - det_lo)
+    idx = np.flatnonzero(hi_f > lo_f)
+    lo_f = lo_f[idx]
     m = offsets.shape[1]
-    h = (hi_f[rows] - lo_f[rows]) / m
-    offsets = np.broadcast_to(offsets, (rows.size, m))[rows]
-    y = lo_f[rows, None] + offsets * h[:, None]
-    d = xi - (S_out[rows, None] + y)
-    beta = P_out[rows, None] + _phase_coeff(y) + _phase_coeff(d)
-    return rows, weight * h[:, None] * time_integral(alpha, beta, t)
+    h = (hi_f[idx] - lo_f) / m
+    if len(offsets) > 1:         # per-row offsets; a (1, m) row broadcasts
+        offsets = offsets[idx]
+    y = offsets * h[:, None]
+    y += lo_f[:, None]
+    d = S_out[idx, None] + y
+    np.subtract(xi, d, out=d)
+    beta = np.subtract(P_out[idx, None], _signed_dispersion(y), out=y)
+    beta -= _signed_dispersion(d)
+    f = time_integral(alpha, beta, t)
+    f *= (weight * h)[:, None]
+    return idx, f
 
 
 def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
@@ -212,8 +260,13 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
     reported 95% half-width (the default for p >= 6). Both evaluate the
     same clipped-innermost integrand: the tensor rule on a midpoint mesh of
     the outer slots with n inner midpoints per row, Monte Carlo on uniform
-    outer draws with one uniform inner point per row. The budget guard
-    counts the ordered tensor volume sum(multiplicity * nodes^(p-1)).
+    outer draws with one uniform inner point per row. The tensor rule builds
+    each pattern's outer mesh once per node count and reuses it at every xi
+    node. Monte Carlo takes one block of uniforms per (xi, pattern), xi
+    nodes in order and patterns in turn within each: mc_samples draws for
+    each outer slot in order, then mc_samples for the inner point. The
+    budget guard counts the ordered tensor volume
+    sum(multiplicity * nodes^(p-1)). nodes_per_dim=None picks the default.
     """
     _validate_eval(pair, p, t, Domain.LINE)
     cfg = pair.config
@@ -222,7 +275,12 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
         method = "tensor" if p <= 5 else "mc"
     if method not in ("tensor", "mc"):
         raise ValueError(f"unknown method {method!r}")
-    nodes = int(nodes_per_dim) if nodes_per_dim else (64 if p <= 3 else 16)
+    nodes = (64 if p <= 3 else 16) if nodes_per_dim is None \
+        else int(nodes_per_dim)
+    if n_xi < 1 or nodes < 1 or mc_samples < 2:
+        raise ValueError(f"need n_xi >= 1, nodes_per_dim >= 1 and "
+                         f"mc_samples >= 2, got {n_xi}, {nodes_per_dim} "
+                         f"and {mc_samples}")
 
     A = frequency_set(cfg)
     patterns = enumerate_representations((wlo, whi), p, A)
@@ -244,36 +302,35 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
     def evaluate(nn):
         vals = np.zeros(n_xi, dtype=complex)
         variances = np.zeros(n_xi)
+        if method == "tensor":   # the outer mesh does not depend on xi
+            offsets = (np.arange(nn) + 0.5)[None, :]
+            meshes = [_tensor_mesh(slots[:-2], nn) for slots in slot_lists]
         for i, xi in enumerate(xis.tolist()):
             alpha = dispersion(xi)
             total = 0.0 + 0.0j
-            for slots, mult in zip(slot_lists, mults):
+            for k, (slots, mult) in enumerate(zip(slot_lists, mults)):
+                if method == "tensor":
+                    S_out, P_out, weight = meshes[k]
+                    _, f = _pattern_integrand(slots, xi, alpha, t, S_out,
+                                              P_out, offsets, weight)
+                    total += mult * complex(np.sum(f))
+                    continue
                 outer = slots[:-2]
-                if method == "tensor":
-                    mids = [np.linspace(lo, hi, nn, endpoint=False)
-                            + (hi - lo) / (2 * nn) for lo, hi in outer]
-                    pts = [m.ravel()
-                           for m in np.meshgrid(*mids, indexing="ij")]
-                    offsets = (np.arange(nn) + 0.5)[None, :]
-                    weight = math.prod((hi - lo) / nn for lo, hi in outer)
-                else:   # draw order: outer slots in turn, then the inner
-                    pts = [rng.uniform(lo, hi, size=mc_samples)
-                           for lo, hi in outer]
-                    offsets = rng.uniform(size=(mc_samples, 1))
-                    weight = 1.0
-                rows, f = _pattern_integrand(slots, xi, alpha, t, pts,
-                                             offsets, weight)
-                if method == "tensor":
-                    contrib = complex(np.sum(f))
-                else:   # the mean runs over every draw, empty rows as 0
-                    f_all = np.zeros(mc_samples, dtype=complex)
-                    f_all[rows] = f[:, 0]
-                    vol = math.prod(hi - lo for lo, hi in outer)
-                    contrib = vol * complex(f_all.mean())
-                    variances[i] += mult ** 2 * (
-                        vol ** 2 / mc_samples
-                        * float(np.var(f_all.real) + np.var(f_all.imag)))
-                total += mult * contrib
+                draws = rng.random((len(outer) + 1, mc_samples))
+                for (lo, hi), r in zip(outer, draws):
+                    r *= hi - lo        # lo + (hi - lo) u, as rng.uniform
+                    r += lo
+                S_out, P_out = _outer_sums(draws[:-1], mc_samples)
+                idx, f = _pattern_integrand(slots, xi, alpha, t, S_out, P_out,
+                                            draws[-1][:, None], 1.0)
+                # the mean runs over every draw, empty rows as 0
+                f_all = np.zeros(mc_samples, dtype=complex)
+                f_all[idx] = f[:, 0]
+                vol = math.prod(hi - lo for lo, hi in outer)
+                variances[i] += mult ** 2 * (
+                    vol ** 2 / mc_samples
+                    * float(np.var(f_all.real) + np.var(f_all.imag)))
+                total += mult * (vol * complex(f_all.mean()))
             vals[i] = _prefactor(pair, p, xi, sign) * total
         return vals, variances
 

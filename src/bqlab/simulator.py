@@ -398,8 +398,9 @@ def inflation_experiment(s: float, N_list, *, p: int = 2,
     lambda(K)).
     An empty N_list is refused.
     """
-    if delta <= 0 or not 0 < t_end < math.inf:
-        raise ValueError("need delta > 0 and a finite t_end > 0")
+    if not (0 < delta < math.inf and 0 < t_end < math.inf):
+        raise ValueError(f"need a finite delta > 0 and a finite t_end > 0, "
+                         f"got delta={delta}, t_end={t_end}")
     N_list = sorted(int(N) for N in N_list)
     if not N_list:
         raise ValueError("need at least one N, got an empty list")

@@ -239,6 +239,20 @@ def test_non_finite_times_refused(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["inflate", "--delta", "inf"],
+    ["inflate", "--delta", "nan"],
+    ["simulate", "--scale", "inf"],
+    ["simulate", "--scale", "nan"],
+])
+def test_non_finite_data_sizes_refused(capsys, argv):
+    assert main(argv) == 1       # warnings are errors in this suite
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "finite" in captured.err and "blew up" not in captured.err
+
+
 @pytest.mark.parametrize("every", ["0", "-3"])
 def test_simulate_refuses_observe_every_below_one(tmp_path, capsys, every):
     out = tmp_path / "traj.csv"

@@ -1,6 +1,7 @@
 """Oscillatory kernel, derivative profiles, and growth tables."""
 import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,10 +10,13 @@ from scipy.integrate import quad
 
 from bqlab.acceptance import NEAR_RESONANCE
 from bqlab.errors import ResourceBudgetError
-from bqlab.flow_derivative import (DerivativeProfile, flow_derivative_line,
+from bqlab.flow_derivative import (KERNEL_BLOCK, DerivativeProfile,
+                                   _prefactor, _representative_slots,
+                                   flow_derivative_line,
                                    flow_derivative_torus, growth_table,
                                    predicted_growth_slope, time_integral,
                                    window_sobolev_mass)
+from bqlab.resonance import enumerate_representations
 from bqlab.spectral import Domain, dispersion
 from bqlab.witness import WitnessConfig, build_witness, frequency_set
 
@@ -118,6 +122,23 @@ def test_kernel_scalar_and_shape():
     for row, vals in zip(betas, out):
         assert np.allclose(vals, time_integral(2.0, row, 0.8),
                            rtol=1e-14, atol=0.0)
+
+
+def test_kernel_exact_resonance_across_blocks():
+    # |beta| = alpha exactly, where the half-angle Y and its divisor vanish,
+    # at both ends of the first block, the start of the second and the end
+    alpha, t = dispersion(1.7), 0.9
+    betas = np.random.default_rng(4).uniform(-40.0, 40.0, 3 * KERNEL_BLOCK)
+    spots = (0, KERNEL_BLOCK - 1, KERNEL_BLOCK, betas.size - 1)
+    for k, pos in enumerate(spots):
+        betas[pos] = alpha if k % 2 == 0 else -alpha
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = time_integral(alpha, betas, t)
+        scalars = [time_integral(alpha, float(betas[pos]), t)
+                   for pos in spots]
+    assert np.isfinite(out).all()
+    assert [out[pos] for pos in spots] == scalars
 
 
 def test_kernel_validation():
@@ -262,6 +283,161 @@ def test_line_mc_agrees_with_tensor():
     scale = np.abs(ref.values).max()
     worst = np.abs(mc.values - ref.values).max()
     assert worst < max(4.0 * mc.meta["mc_halfwidth_max"], 1e-3 * scale)
+
+
+def test_line_validates_sizes():
+    pair = build_witness(WitnessConfig(Domain.LINE, 2, 16, s=-1.0))
+    for kwargs in ({"n_xi": 0}, {"n_xi": -2}, {"nodes_per_dim": 0},
+                   {"nodes_per_dim": -1}, {"mc_samples": 1},
+                   {"mc_samples": 0}, {"method": "mc", "mc_samples": 1}):
+        with pytest.raises(ValueError, match="need n_xi >= 1"):
+            flow_derivative_line(pair, 2, 1.0, **kwargs)
+    for kwargs in ({"nodes_per_dim": 1}, {"method": "mc", "mc_samples": 2}):
+        prof = flow_derivative_line(pair, 2, 1.0, n_xi=1, **kwargs)
+        assert prof.values.shape == (1,) and np.isfinite(prof.values).all()
+
+
+def _reference_kernel(alpha, beta, t):
+    """The kernel as one pass per operation over each block, with the
+    masked divide at resonance."""
+    a, b = float(alpha), np.asarray(beta, dtype=float)
+    out = np.zeros(b.shape, dtype=complex)
+    if a * t > 0.0:
+        sin_at, cos_at = math.sin(a * t), math.cos(a * t)
+        flat_b, flat_k = b.reshape(-1), out.reshape(-1)
+        for i in range(0, flat_b.size, KERNEL_BLOCK):
+            blk = slice(i, i + KERNEL_BLOCK)
+            abs_b = np.abs(flat_b[blk])
+            plus, minus = abs_b + a, abs_b - a
+            y = minus * (0.5 * t)
+            sin_y, cos_y = np.sin(y), np.cos(y)
+            u = (sin_y * cos_at + cos_y * sin_at) / plus
+            cos_x = cos_y * cos_at - sin_y * sin_at
+            w = np.divide(sin_y, minus, out=np.full_like(y, 0.5 * t),
+                          where=minus != 0.0)
+            flat_k.real[blk] = 2.0 * a * u * w
+            flat_k.imag[blk] = np.sign(flat_b[blk]) * (u * cos_y - w * cos_x)
+    return out
+
+
+def _reference_phase(v):
+    return -v * np.sqrt(1.0 + v * v)
+
+
+def _reference_integrand(slots, xi, alpha, t, outer, offsets, weight):
+    """The clipped-innermost integrand with a boolean row mask, the outer
+    sums formed from scratch on every call."""
+    det_lo, det_hi = slots[-1]
+    in_lo, in_hi = slots[-2]
+    S_out = np.zeros(len(offsets))
+    P_out = np.zeros(len(offsets))
+    for pts in outer:
+        S_out = S_out + pts
+        P_out = P_out + _reference_phase(pts)
+    lo_f = np.maximum(in_lo, xi - S_out - det_hi)
+    hi_f = np.minimum(in_hi, xi - S_out - det_lo)
+    rows = hi_f > lo_f
+    m = offsets.shape[1]
+    h = (hi_f[rows] - lo_f[rows]) / m
+    offsets = np.broadcast_to(offsets, (rows.size, m))[rows]
+    y = lo_f[rows, None] + offsets * h[:, None]
+    d = xi - (S_out[rows, None] + y)
+    beta = P_out[rows, None] + _reference_phase(y) + _reference_phase(d)
+    return rows, weight * h[:, None] * _reference_kernel(alpha, beta, t)
+
+
+def _reference_line(pair, p, t, method, nodes, n_xi, mc_samples, seed,
+                    doubling_check):
+    """flow_derivative_line as a direct loop: the tensor mesh rebuilt at
+    every xi node, and one rng.uniform call per outer slot, then one for
+    the inner points."""
+    wlo, whi = pair.output_window
+    patterns = enumerate_representations((wlo, whi), p,
+                                         frequency_set(pair.config))
+    h_xi = (whi - wlo) / n_xi
+    xis = wlo + (np.arange(n_xi) + 0.5) * h_xi
+    rng = np.random.default_rng(seed)
+
+    def evaluate(nn):
+        vals = np.zeros(n_xi, dtype=complex)
+        variances = np.zeros(n_xi)
+        for i, xi in enumerate(xis.tolist()):
+            alpha = dispersion(xi)
+            total = 0.0 + 0.0j
+            for rep in patterns:
+                slots = _representative_slots(rep)
+                outer = slots[:-2]
+                if method == "tensor":
+                    mids = [np.linspace(lo, hi, nn, endpoint=False)
+                            + (hi - lo) / (2 * nn) for lo, hi in outer]
+                    pts = [m.ravel()
+                           for m in np.meshgrid(*mids, indexing="ij")]
+                    offsets = (np.arange(nn) + 0.5)[None, :]
+                    weight = math.prod((hi - lo) / nn for lo, hi in outer)
+                else:
+                    pts = [rng.uniform(lo, hi, size=mc_samples)
+                           for lo, hi in outer]
+                    offsets = rng.uniform(size=(mc_samples, 1))
+                    weight = 1.0
+                rows, f = _reference_integrand(slots, xi, alpha, t, pts,
+                                               offsets, weight)
+                if method == "tensor":
+                    contrib = complex(np.sum(f))
+                else:
+                    f_all = np.zeros(mc_samples, dtype=complex)
+                    f_all[rows] = f[:, 0]
+                    vol = math.prod(hi - lo for lo, hi in outer)
+                    contrib = vol * complex(f_all.mean())
+                    variances[i] += rep.multiplicity ** 2 * (
+                        vol ** 2 / mc_samples
+                        * float(np.var(f_all.real) + np.var(f_all.imag)))
+                total += rep.multiplicity * contrib
+            vals[i] = _prefactor(pair, p, xi, 1) * total
+        return vals, variances
+
+    values, variances = evaluate(nodes)
+    meta = {"method": method, "n_patterns": len(patterns),
+            "nodes_per_dim": nodes if method == "tensor" else None,
+            "mc_samples": mc_samples if method == "mc" else None,
+            "warnings": []}
+    if method == "mc":
+        half = 1.96 * np.abs(_prefactor(pair, p, xis, 1)) * np.sqrt(variances)
+        meta["mc_halfwidth_max"] = float(half.max())
+        scale = float(np.abs(values).max())
+        if scale > 0 and half.max() > 0.05 * scale:
+            meta["warnings"].append(
+                f"monte-carlo 95% half-width {half.max():.3g} exceeds 5% of "
+                f"the profile peak {scale:.3g}")
+    if doubling_check and method == "tensor":
+        fine, _ = evaluate(2 * nodes)
+        scale = float(np.abs(fine).max())
+        rel = float(np.abs(values - fine).max() / scale)
+        meta["doubling_rel_diff"] = rel
+        if rel > 1e-3:
+            meta["warnings"].append(
+                f"quadrature doubling moved the profile by {rel:.3g} relative")
+    return xis, values, meta
+
+
+@pytest.mark.parametrize("p", range(2, 10))
+@pytest.mark.parametrize("N", [16, 64])
+def test_line_bitwise_against_reference(p, N):
+    # every float operation and every draw in the reference's order: the
+    # tensor rule at each p (4 nodes/dim from p = 6 on, within budget) and
+    # Monte Carlo at two seeds
+    pair = build_witness(WitnessConfig(Domain.LINE, p, N, s=-1.0))
+    nodes = 64 if p <= 3 else (16 if p <= 5 else 4)
+    runs = [dict(method="tensor", seed=0, doubling_check=(p <= 3 and N == 16)),
+            dict(method="mc", seed=0, doubling_check=False),
+            dict(method="mc", seed=5, doubling_check=False)]
+    for run in runs:
+        prof = flow_derivative_line(pair, p, 0.9, n_xi=9, nodes_per_dim=nodes,
+                                    **run)
+        xis, values, meta = _reference_line(pair, p, 0.9, nodes=nodes,
+                                            n_xi=9, mc_samples=8192, **run)
+        assert np.array_equal(prof.xi, xis)
+        assert np.array_equal(prof.values, values), run
+        assert prof.meta == meta, run
 
 
 def test_line_mc_deterministic_per_seed():

@@ -402,3 +402,6 @@ def test_inflation_validation():
         inflation_experiment(-0.6, [8], delta=-1.0)
     with pytest.raises(ValueError):
         inflation_experiment(-0.6, [8], t_end=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite delta"):
+            inflation_experiment(-0.6, [8], delta=bad)
