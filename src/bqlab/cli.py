@@ -247,6 +247,8 @@ def cmd_growth(params):
 def cmd_simulate(params):
     if not math.isfinite(params["scale"]):
         raise ValueError(f"need a finite scale, got {params['scale']}")
+    if not all(map(math.isfinite, params["norm_s"] or [])):
+        raise ValueError(f"need finite norm_s values, got {params['norm_s']}")
     inputs = []
     if params["init"]:
         pair = WitnessPair.from_json(params["init"])

@@ -16,11 +16,12 @@ over the slot variables on the line), beta = -sum eps_j lambda(a_j), and
 The one-sided-wave structure of the witness is what collapses each slot to
 the pure phase e^{-i eps lambda(a) tau}, making K the only time dependence.
 This module evaluates K by one half-angle formula that holds through the
-resonance |beta| = lambda(xi), assembles the profile exactly on the torus
-and by clipped tensor-product midpoint quadrature or stratified Monte Carlo
-on the line, measures its Sobolev mass on the output window, and builds the
-N-sweep growth tables whose log-log slopes are the measured blow-up
-exponents.
+resonance |beta| = lambda(xi), with the sine and cosine of the half angle
+taken from a single tangent of its half. It assembles the profile exactly
+on the torus and by clipped tensor-product midpoint quadrature or
+stratified Monte Carlo on the line, measures its Sobolev mass on the
+output window, and builds the N-sweep growth tables whose log-log slopes
+are the measured blow-up exponents.
 """
 from __future__ import annotations
 
@@ -47,12 +48,16 @@ def time_integral(alpha: float, beta, t: float):
     Y = (|beta| - alpha) t/2, u = sin X/(|beta| + alpha) = (t/2) sinc X and
     w = sin Y/(|beta| - alpha) = (t/2) sinc Y (t/2 at resonance, Y = 0),
         K = 2 alpha u w + i sign(beta) (u cos Y - w cos X).
-    sin X and cos X follow from sin Y, cos Y and alpha t by angle addition.
-    Vectorized over beta in blocks of KERNEL_BLOCK; scalars in, scalar out.
+    sin Y and cos Y come from one tangent h = tan(Y/2) as 2h/(1 + h^2) and
+    (1 - h^2)/(1 + h^2); no double lies within 4e-19 of a pole of tan, so
+    |h| < 3e18 and h^2 stays finite. sin X and cos X follow from them and
+    alpha t by angle addition. Vectorized over beta in blocks of
+    KERNEL_BLOCK; scalars in, scalar out.
     """
     a = float(alpha)
-    if a < 0.0 or t < 0.0:
-        raise ValueError("need alpha >= 0 and t >= 0")
+    if not (0.0 <= a < math.inf and 0.0 <= t < math.inf):   # nan fails too
+        raise ValueError(f"need finite alpha >= 0 and t >= 0, got "
+                         f"alpha={alpha} and t={t}")
     b = np.asarray(beta, dtype=float)
     out = np.zeros(b.shape, dtype=complex)
     if a * t > 0.0:
@@ -65,10 +70,16 @@ def time_integral(alpha: float, beta, t: float):
             plus = minus + a
             minus -= a
             y = minus * (0.5 * t)
-            sin_y = np.sin(y)
-            cos_y = np.cos(y, out=y)
+            y *= 0.5
+            h = np.tan(y, out=y)     # tan(Y/2)
+            h2 = h * h
+            tmp = h2 + 1.0
+            cos_y = np.subtract(1.0, h2, out=h2)
+            cos_y /= tmp
+            sin_y = np.add(h, h, out=h)
+            sin_y /= tmp
             u = sin_y * cos_at
-            tmp = cos_y * sin_at
+            np.multiply(cos_y, sin_at, out=tmp)
             u += tmp
             u /= plus
             cos_x = np.multiply(cos_y, cos_at, out=plus)
@@ -400,7 +411,9 @@ def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
     ratio ap_norm / data_norm^p, plus running and final log-log slopes.
 
     sigma=None defaults to s + 1; sigma <= s is refused, and so is an N
-    list with fewer than two distinct values, which has no slope.
+    list with fewer than two distinct values, which has no slope, or a
+    ratio that is not finite and positive (t = 0, or t so small that the
+    profile underflows), which has no logarithm.
     """
     if sigma is not None and sigma <= s:
         raise ValueError(f"sigma={sigma} must exceed s={s}")
@@ -420,8 +433,11 @@ def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
             prof = flow_derivative_line(pair, p, t, sign=sign, **line_kwargs)
         an = window_sobolev_mass(prof, s)
         ratio = an / dn ** p
+        if not 0.0 < ratio < math.inf:   # no log, so no slope
+            raise ValueError(f"growth ratio {ratio} at N={N}, t={t} is not "
+                             f"finite and positive")
         logN.append(math.log(N))
-        logR.append(math.log(ratio) if ratio > 0 else float("-inf"))
+        logR.append(math.log(ratio))
         if len(logN) >= 2:
             slope_run = float(np.polyfit(logN, logR, 1)[0])
         else:

@@ -420,7 +420,7 @@ def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
     N_list, every violation found, and N0: one past the largest N in a
     dense scan 1..max(N_list) that still shows a violation (1 if none do).
     fset_fn/window_fn override the witness defaults (used by negative
-    controls); both take N. An empty N_list is refused.
+    controls); both take N. An empty N_list and scan_max < 1 are refused.
     """
     if fset_fn is None:
         fset_fn = lambda N: _witness.frequency_set(
@@ -431,6 +431,8 @@ def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
     wanted = set(int(N) for N in N_list)
     if not wanted:
         raise ValueError("need at least one N to audit, got an empty list")
+    if scan_max is not None and scan_max < 1:   # N0 = 1 would read as clean
+        raise ValueError(f"need scan_max >= 1, got {scan_max}")
     scan_hi = int(scan_max if scan_max is not None else max(wanted))
 
     last_bad = 0
@@ -535,6 +537,8 @@ def verify_pattern_constraints(p: int, N_list, *, scan_max=None) -> PatternRepor
     N_list = sorted(int(N) for N in N_list)
     if not N_list:
         raise ValueError("need at least one N to audit, got an empty list")
+    if scan_max is not None and scan_max < 1:
+        raise ValueError(f"need scan_max >= 1, got {scan_max}")
     scan_hi = int(scan_max if scan_max is not None else max(N_list))
     counts = _multiset_counts(4, p)
     admissible = _admissible(counts)

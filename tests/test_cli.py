@@ -164,6 +164,28 @@ def test_growth_refuses_single_n(capsys):
     assert len(err) == 2 and all(e.startswith("error: ") for e in err)
 
 
+@pytest.mark.parametrize("t", ["0", "1e-200"])
+def test_growth_refuses_vanishing_ratio(capsys, t):
+    # at t = 0, or t so small that the profile underflows, every ratio is 0
+    assert main(["growth", "--t", t]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"N=16, t={float(t)}" in captured.err
+
+
+@pytest.mark.parametrize("scan_max", ["0", "-5"])
+def test_resonance_refuses_scan_max_below_one(tmp_path, capsys, scan_max):
+    # a scan of nothing would report N0 = 1, as if clean from N = 1
+    out = str(tmp_path / "r.json")
+    assert main(["resonance", "--scan-max", scan_max, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"scan_max >= 1, got {scan_max}" in captured.err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--init", "missing.json"],
     ["diophantine", "--config", "missing.cfg"],
@@ -244,6 +266,9 @@ def test_non_finite_times_refused(capsys, argv):
     ["inflate", "--delta", "nan"],
     ["simulate", "--scale", "inf"],
     ["simulate", "--scale", "nan"],
+    ["simulate", "--norm-s", "nan"],
+    ["simulate", "--norm-s", "inf"],
+    ["simulate", "--norm-s=-1,-inf"],
 ])
 def test_non_finite_data_sizes_refused(capsys, argv):
     assert main(argv) == 1       # warnings are errors in this suite

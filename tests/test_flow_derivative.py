@@ -47,6 +47,40 @@ def _mp_kernel(alpha, beta, t):
 
 # -- the time integral ---------------------------------------------------------
 
+def _tangent_sin_cos(y):
+    """sin y and cos y from h = tan(y/2), one pass per operation."""
+    h = np.tan(y * 0.5)
+    return 2.0 * h / (1.0 + h * h), (1.0 - h * h) / (1.0 + h * h)
+
+
+def _libm_sin_cos(y):
+    return np.sin(y), np.cos(y)
+
+
+def _reference_kernel(alpha, beta, t, sin_cos=_tangent_sin_cos):
+    """The kernel as one pass per operation over each block, with the
+    masked divide at resonance; sin_cos=_libm_sin_cos gives the earlier
+    kernel, which took sin Y and cos Y from libm."""
+    a, b = float(alpha), np.asarray(beta, dtype=float)
+    out = np.zeros(b.shape, dtype=complex)
+    if a * t > 0.0:
+        sin_at, cos_at = math.sin(a * t), math.cos(a * t)
+        flat_b, flat_k = b.reshape(-1), out.reshape(-1)
+        for i in range(0, flat_b.size, KERNEL_BLOCK):
+            blk = slice(i, i + KERNEL_BLOCK)
+            abs_b = np.abs(flat_b[blk])
+            plus, minus = abs_b + a, abs_b - a
+            y = minus * (0.5 * t)
+            sin_y, cos_y = sin_cos(y)
+            u = (sin_y * cos_at + cos_y * sin_at) / plus
+            cos_x = cos_y * cos_at - sin_y * sin_at
+            w = np.divide(sin_y, minus, out=np.full_like(y, 0.5 * t),
+                          where=minus != 0.0)
+            flat_k.real[blk] = 2.0 * a * u * w
+            flat_k.imag[blk] = np.sign(flat_b[blk]) * (u * cos_y - w * cos_x)
+    return out
+
+
 def test_kernel_frozen_value():
     # K(1, 0, pi) = int_0^pi sin(pi - u) du = 2
     assert time_integral(1.0, 0.0, math.pi) == pytest.approx(2.0 + 0.0j,
@@ -146,6 +180,77 @@ def test_kernel_validation():
         time_integral(-1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         time_integral(1.0, 0.0, -0.5)
+    for alpha, t, bad in ((math.nan, 1.0, "alpha=nan"),
+                          (math.inf, 1.0, "alpha=inf"),
+                          (1.0, math.nan, "t=nan"), (1.0, math.inf, "t=inf"),
+                          (math.nan, 0.0, "alpha=nan"),
+                          (0.0, -math.inf, "t=-inf")):
+        with pytest.raises(ValueError, match=bad):
+            time_integral(alpha, np.array([1.0, 2.0]), t)
+
+
+def test_kernel_matches_libm_kernel():
+    # sin Y and cos Y from tan(Y/2) against sin and cos from libm, on 10^5
+    # betas: |beta| log-uniform up to 1e7, a band around alpha, and
+    # |beta| = alpha exactly
+    rng = np.random.default_rng(21)
+    for _ in range(20):
+        alpha = dispersion(rng.uniform(0.1, 6.0))
+        t = rng.uniform(0.05, 2.0)
+        betas = np.concatenate([
+            rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-3, 7, 4000),
+            rng.uniform(-4.0 * alpha, 4.0 * alpha, 996),
+            [alpha, -alpha, alpha, -alpha]])
+        ref = _reference_kernel(alpha, betas, t, sin_cos=_libm_sin_cos)
+        val = time_integral(alpha, betas, t)
+        assert np.all(np.abs(val - ref)
+                      <= 1e-15 * np.maximum(1.0, np.abs(ref))), (alpha, t)
+
+
+def test_kernel_vs_mpmath_wide_beta():
+    # |beta| log-uniform over [1e-3, 1e7], where the rounding of the
+    # arguments limits both kernels: at most twice the libm kernel's error
+    rng = np.random.default_rng(8)
+    n = 2000
+    alphas = dispersion(rng.uniform(0.1, 6.0, n))
+    ts = rng.uniform(0.05, 2.0, n)
+    betas = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3, 7, n)
+    worst = worst_libm = 0.0
+    for alpha, beta, t in zip(alphas.tolist(), betas.tolist(), ts.tolist()):
+        ref = _mp_kernel(alpha, beta, t)
+        libm = complex(_reference_kernel(alpha, beta, t,
+                                         sin_cos=_libm_sin_cos))
+        worst = max(worst, abs(time_integral(alpha, beta, t) - ref) / abs(ref))
+        worst_libm = max(worst_libm, abs(libm - ref) / abs(ref))
+    assert worst <= 2.0 * worst_libm, (worst, worst_libm)
+
+
+def test_kernel_at_tangent_poles():
+    # Y/2 at the doubles either side of pi/2 + k pi, where |tan(Y/2)| runs
+    # from 1e16 down to 1e9. With alpha = 2^-10 and t = 2, Y/2 = (|beta| -
+    # alpha)/2 is exact, and so is Y/2 = -c at alpha = 2c + 2^-10,
+    # beta = 2^-10.
+    import mpmath as mp
+    t, eps = 2.0, 2.0 ** -10
+    cases = []
+    for k in (0, 1, 2, 7, 100, 10 ** 4, 10 ** 6):
+        with mp.workdps(40):
+            pole = mp.pi / 2 + k * mp.pi
+            near = float(pole)
+            other = math.nextafter(near, math.inf if near < pole
+                                   else -math.inf)
+        for c in (near, other):
+            assert abs(math.tan(c)) > 1e9
+            for alpha, beta in ((eps, 2.0 * c + eps), (eps, -2.0 * c - eps),
+                                (2.0 * c + eps, eps)):
+                assert abs((abs(beta) - alpha) * (0.5 * t) * 0.5) == c
+                cases.append((alpha, beta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha, beta in cases:
+            val = time_integral(alpha, beta, t)
+            ref = _mp_kernel(alpha, beta, t)
+            assert abs(val - ref) <= 1e-15 * abs(ref), (alpha, beta)
 
 
 # -- torus evaluation ------------------------------------------------------------
@@ -295,29 +400,6 @@ def test_line_validates_sizes():
     for kwargs in ({"nodes_per_dim": 1}, {"method": "mc", "mc_samples": 2}):
         prof = flow_derivative_line(pair, 2, 1.0, n_xi=1, **kwargs)
         assert prof.values.shape == (1,) and np.isfinite(prof.values).all()
-
-
-def _reference_kernel(alpha, beta, t):
-    """The kernel as one pass per operation over each block, with the
-    masked divide at resonance."""
-    a, b = float(alpha), np.asarray(beta, dtype=float)
-    out = np.zeros(b.shape, dtype=complex)
-    if a * t > 0.0:
-        sin_at, cos_at = math.sin(a * t), math.cos(a * t)
-        flat_b, flat_k = b.reshape(-1), out.reshape(-1)
-        for i in range(0, flat_b.size, KERNEL_BLOCK):
-            blk = slice(i, i + KERNEL_BLOCK)
-            abs_b = np.abs(flat_b[blk])
-            plus, minus = abs_b + a, abs_b - a
-            y = minus * (0.5 * t)
-            sin_y, cos_y = np.sin(y), np.cos(y)
-            u = (sin_y * cos_at + cos_y * sin_at) / plus
-            cos_x = cos_y * cos_at - sin_y * sin_at
-            w = np.divide(sin_y, minus, out=np.full_like(y, 0.5 * t),
-                          where=minus != 0.0)
-            flat_k.real[blk] = 2.0 * a * u * w
-            flat_k.imag[blk] = np.sign(flat_b[blk]) * (u * cos_y - w * cos_x)
-    return out
 
 
 def _reference_phase(v):
@@ -501,6 +583,15 @@ def test_growth_table_torus_slope():
 def test_growth_table_rejects_bad_sigma():
     with pytest.raises(ValueError):
         growth_table(2, Domain.TORUS, -1.0, -1.5, 1.0, [16, 32])
+
+
+def test_growth_table_rejects_vanishing_ratio():
+    # K vanishes at t = 0, and the profile underflows at t = 1e-200
+    for t in (0.0, 1e-200):
+        with pytest.raises(ValueError, match=f"N=16, t={t} is not finite"):
+            growth_table(2, Domain.TORUS, -1.0, None, t, [16, 32])
+        with pytest.raises(ValueError, match=f"N=16, t={t} is not finite"):
+            growth_table(2, Domain.LINE, -1.0, None, t, [16, 32], n_xi=3)
 
 
 def test_growth_table_csv(tmp_path):

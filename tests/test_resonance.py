@@ -275,6 +275,15 @@ def test_audits_refuse_empty_n_list():
         verify_pattern_constraints(3, [], scan_max=5)
 
 
+@pytest.mark.parametrize("scan_max", [0, -5])
+def test_audits_refuse_scan_max_below_one(scan_max):
+    # a dense scan of nothing would report N0 = 1, clean from N = 1 on
+    with pytest.raises(ValueError, match="scan_max >= 1"):
+        verify_resonance_bounds(2, Domain.TORUS, [16], scan_max=scan_max)
+    with pytest.raises(ValueError, match="scan_max >= 1"):
+        verify_pattern_constraints(3, [16], scan_max=scan_max)
+
+
 def test_pattern_sum_range_matches_triplet_range():
     # the (2,0,0,1) tally is exactly one triplet a + b - c
     for p in (3, 9):
