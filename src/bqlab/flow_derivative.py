@@ -126,7 +126,10 @@ def window_sobolev_mass(profile: DerivativeProfile, s: float) -> float:
     return float(np.sqrt(mass.sum()))
 
 
-def _validate_eval(pair: WitnessPair, p: int, t: float, domain: Domain):
+def _validate_eval(pair: WitnessPair, p: int, t: float, domain: Domain,
+                   sign: int):
+    if sign not in (-1, 1):
+        raise ValueError(f"sign must be -1 or +1, got {sign}")
     if pair.config.domain != domain:
         raise ValueError(f"witness is not a {domain.value} witness")
     if p != pair.config.p:
@@ -150,7 +153,7 @@ def flow_derivative_torus(pair: WitnessPair, p: int, t: float, *,
     multiplicity * K(alpha, beta, t) in the (deterministic) lexicographic
     multiset order.
     """
-    _validate_eval(pair, p, t, Domain.TORUS)
+    _validate_eval(pair, p, t, Domain.TORUS, sign)
     cfg = pair.config
     xi = int(pair.output_window)
     A = frequency_set(cfg)
@@ -279,7 +282,7 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
     budget guard counts the ordered tensor volume
     sum(multiplicity * nodes^(p-1)). nodes_per_dim=None picks the default.
     """
-    _validate_eval(pair, p, t, Domain.LINE)
+    _validate_eval(pair, p, t, Domain.LINE, sign)
     cfg = pair.config
     wlo, whi = pair.output_window
     if method == "auto":

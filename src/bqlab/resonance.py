@@ -420,8 +420,11 @@ def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
     N_list, every violation found, and N0: one past the largest N in a
     dense scan 1..max(N_list) that still shows a violation (1 if none do).
     fset_fn/window_fn override the witness defaults (used by negative
-    controls); both take N. An empty N_list and scan_max < 1 are refused.
+    controls); both take N. An empty N_list, scan_max < 1 and p < 2 are
+    refused.
     """
+    if p < 2 or int(p) != p:    # the scan would skip every N as degenerate
+        raise ValueError("p must be an integer >= 2")
     if fset_fn is None:
         fset_fn = lambda N: _witness.frequency_set(
             _witness.WitnessConfig(domain, p, N, s=0.0))

@@ -115,7 +115,13 @@ def linear_energy(state: SimState) -> np.ndarray:
 class Stepper:
     """Integrating-factor RK4 for the half-spectrum system. States of any
     leading batch shape are advanced row by row in one set of array calls;
-    windowed_norm and full_norm take one-row states only."""
+    windowed_norm and full_norm take one-row states only.
+
+    The per-mode coefficients (sign k^2 and the rotation entries) are real
+    but stored as complex128. numpy multiplies a real array into a complex
+    one as (c + 0j) * z anyway, so the bits are the same, and storing them
+    complex saves that float-to-complex cast in every coefficient multiply.
+    """
 
     def __init__(self, config: SimConfig):
         self.config = config
@@ -125,7 +131,7 @@ class Stepper:
         k = np.arange(self.K + 1, dtype=float)
         self.lam = dispersion(k)
         self.k2 = k ** 2
-        self._sign_k2 = self.sign * self.k2
+        self._sign_k2 = (self.sign * self.k2).astype(complex)
         self.dt = (float(config.dt) if config.dt is not None
                    else 0.5 / dispersion(float(self.K)))
         # zero padding: products of p copies stay alias-free
@@ -134,10 +140,12 @@ class Stepper:
 
     def _rotations(self, tau: float):
         """The step-invariant arrays of a step of size tau: the free-flow
-        rotation entries at tau and tau/2 and the products _step needs."""
+        rotation entries at tau and tau/2 and the products _step needs,
+        formed real and stored complex."""
         (c1, s1, ls1), (c2, s2, _) = [free_flow_rotation(self.lam, h)
                                       for h in (tau, tau / 2.0)]
-        return c1, s1, -ls1, c2, s2, 2.0 * c2, 2.0 * s2, tau * s2
+        return tuple(a.astype(complex) for a in (
+            c1, s1, -ls1, c2, s2, 2.0 * c2, 2.0 * s2, tau * s2))
 
     def nonlinear(self, u_hat: np.ndarray) -> np.ndarray:
         """g(u) = sign * k^2 * (u^p)_k on the retained modes (last axis),
@@ -277,7 +285,16 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
     non-zero amplitudes (overlaps such as eps and eps/2 shared) are stacked
     as the rows of one batched state and integrated together. The stencil
     error is O(eps^2) and is Richardson-extrapolated over the last two
-    rungs.
+    rungs. eps_list must be non-empty, each eps finite and > 0.
+
+    For odd p, (-u)^p = -u^p makes the flow map odd, S(-a phi) = -S(a phi),
+    and the discrete flow is odd bit for bit: every stepper operation (the
+    rotations, the FFTs, the products forming u^p, the scalings) commutes
+    with negation under round-to-nearest. So only the positive amplitudes
+    are integrated, and each negative amplitude's output coefficient is
+    read as the negation of its partner's; only the signs of exact zeros
+    can differ from a solve at -a. Even p has no such symmetry (-u solves
+    the equation of the opposite sign) and integrates every amplitude.
 
     Step rule: dt = 2 / lambda(max support frequency) unless given. The
     integrating factor rotates every linear phase exactly, so dt only has
@@ -291,8 +308,9 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
     meta["dt_err_est"] is that time-error estimate relative to the value.
     The result is converged when it and the relative spread between the
     eps estimates (at dt) are both at most 5%. meta["n_solves"] counts the
-    non-zero amplitudes (rows) of the dt ladder, meta["n_steps"] the row
-    steps taken over both ladders.
+    ladder's distinct non-zero amplitudes, whether integrated or read by
+    symmetry; meta["n_steps"] counts the row steps actually integrated over
+    both ladders, half as many for odd p as for a full ladder.
 
     The default cutoff K = 2 * (max support frequency) is enough: products
     are dealiased by padding, so modes beyond K influence the output-mode
@@ -305,6 +323,9 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
         raise ValueError(f"p={p} does not match witness p={pair.config.p}")
     if t <= 0:
         raise ValueError(f"need t > 0, got t={t}")
+    if len(eps_list) == 0 or not all(0 < eps < math.inf for eps in eps_list):
+        raise ValueError(f"need a non-empty eps_list of finite eps > 0, "
+                         f"got {tuple(eps_list)}")
     mode = int(pair.output_window)
     max_freq = pair.u0.support.max_frequency()
     K = int(K) if K is not None else 2 * int(round(max_freq))
@@ -318,7 +339,9 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
     for eps in eps_list:
         for off, _w in stencil:
             amps.setdefault(round(off * eps, 14), off * eps)
-    rows = np.array(list(amps.values()))[:, None]
+    odd = p % 2 == 1
+    solved = {key: a for key, a in amps.items() if a > 0 or not odd}
+    rows = np.array(list(solved.values()))[:, None]
     steps = [0]
 
     def count_step(_state):
@@ -331,7 +354,10 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
         state = SimState(0.0, rows * base.u, rows * base.v)
         final = stepper.integrate(state, t, observer=count_step)
         steps[0] -= 1      # the observer also sees the start
-        coeff = dict(zip(amps, final.u[:, mode].tolist()))
+        coeff = dict(zip(solved, final.u[:, mode].tolist()))
+        if odd:
+            coeff.update({round(-a, 14): -coeff[key]
+                          for key, a in solved.items()})
         estimates = []
         for eps in eps_list:
             acc = 0.0 + 0.0j
@@ -357,7 +383,7 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
                        rel_spread, rel_spread <= 0.05 and dt_err_est <= 0.05,
                        meta={"K": K, "dt": dt, "n_solves": len(amps),
                              "dt_err_est": dt_err_est,
-                             "n_steps": len(amps) * steps[0]})
+                             "n_steps": len(solved) * steps[0]})
 
 
 # -- norm inflation -----------------------------------------------------------

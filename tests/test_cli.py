@@ -174,6 +174,29 @@ def test_growth_refuses_vanishing_ratio(capsys, t):
     assert f"N=16, t={float(t)}" in captured.err
 
 
+@pytest.mark.parametrize("sign", ["3", "0"])
+def test_growth_refuses_sign_outside_plus_minus_one(capsys, sign):
+    # sign 3 used to print three times the sign-1 ratio, sign 0 to end
+    # with an error about the ratio
+    assert main(["growth", "--sign", sign, "--n-list", "16,32"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert f"sign must be -1 or +1, got {sign}" in captured.err
+
+
+@pytest.mark.parametrize("p", ["1", "0"])
+def test_resonance_refuses_p_below_two(tmp_path, capsys, p):
+    # an audit that skips every N would report N0=1, 0 violations
+    out = str(tmp_path / "r.json")
+    assert main(["resonance", "--p", p, "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "p must be an integer >= 2" in captured.err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("scan_max", ["0", "-5"])
 def test_resonance_refuses_scan_max_below_one(tmp_path, capsys, scan_max):
     # a scan of nothing would report N0 = 1, as if clean from N = 1

@@ -327,6 +327,20 @@ def test_validation_mismatches():
         flow_derivative_line(pair, 2, 1.0)           # wrong domain
 
 
+@pytest.mark.parametrize("sign", [0, 3, -2])
+def test_sign_outside_plus_minus_one_refused(sign):
+    # a sign of 3 would scale the profile threefold, 0 would zero it
+    torus = build_witness(WitnessConfig(Domain.TORUS, 2, 16, s=-1.0))
+    line = build_witness(WitnessConfig(Domain.LINE, 2, 16, s=-1.0))
+    message = f"sign must be -1 or \\+1, got {sign}"
+    with pytest.raises(ValueError, match=message):
+        flow_derivative_torus(torus, 2, 1.0, sign=sign)
+    with pytest.raises(ValueError, match=message):
+        flow_derivative_line(line, 2, 1.0, sign=sign)
+    with pytest.raises(ValueError, match="sign must be"):
+        growth_table(2, Domain.TORUS, -1.0, None, 1.0, [16, 32], sign=sign)
+
+
 # -- line quadrature ---------------------------------------------------------------
 
 def test_line_even_matches_quadrature_oracle():

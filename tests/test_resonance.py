@@ -275,6 +275,14 @@ def test_audits_refuse_empty_n_list():
         verify_pattern_constraints(3, [], scan_max=5)
 
 
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_resonance_audit_refuses_p_below_two(p):
+    # every N would be skipped as degenerate: N0 = 1 and no entries
+    for domain in (Domain.TORUS, Domain.LINE):
+        with pytest.raises(ValueError, match="p must be an integer >= 2"):
+            verify_resonance_bounds(p, domain, [16, 32])
+
+
 @pytest.mark.parametrize("scan_max", [0, -5])
 def test_audits_refuse_scan_max_below_one(scan_max):
     # a dense scan of nothing would report N0 = 1, clean from N = 1 on

@@ -231,6 +231,29 @@ def test_batched_rows_match_single_solves():
                 assert np.array_equal(batch.v[i], row.v)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_odd_flow_is_exactly_odd(p):
+    # for odd p every stepper operation commutes with negation under
+    # round-to-nearest, so the solve from -data is the negated solve,
+    # remainder step included; the probe's half ladder relies on this
+    K = 24
+    rng = np.random.default_rng(p)
+    decay = 1.0 / (1.0 + np.arange(K + 1))
+    u, v = (decay * (rng.normal(size=(3, K + 1))
+                     + 1j * rng.normal(size=(3, K + 1))) for _ in range(2))
+    amps = np.array([0.2, 2e-2, 0.3])[:, None]
+    finals = {}
+    for sign in (-1, 0, 1):
+        stepper = Stepper(SimConfig(p=p, K=K, dt=2e-3, sign=sign))
+        a = stepper.integrate(SimState(0.0, amps * u, amps * v), 0.0517)
+        b = stepper.integrate(SimState(0.0, -amps * u, -amps * v), 0.0517)
+        assert np.array_equal(-a.u, b.u)
+        assert np.array_equal(-a.v, b.v)
+        finals[sign] = a.u
+    # the nonlinearity is felt, so the symmetry is not the linear one alone
+    assert np.abs(finals[1] - finals[0]).max() > 1e-6
+
+
 def _integrate_sequential(stepper, state, t_end):
     """Stepper.integrate's step sequence with the IF-RK4 stages evaluated
     one nonlinear call at a time, in dependency order, as a reference."""
@@ -374,6 +397,87 @@ def test_probe_time_error_estimate():
     assert err_dt / 3.0 <= est <= 3.0 * err_dt
     assert abs(res.value - exact) <= est * abs(exact)
     assert res.converged
+
+
+def _full_ladder_probe(pair, p, t, sign, eps_list=(2.5e-3, 1.25e-3)):
+    """fd_derivative_probe with every amplitude of the ladder integrated,
+    negative ones included, as a reference for the odd-p half ladder.
+    Returns the value, the estimates, the relative spread, the converged
+    flag, the time-error estimate and the row steps integrated."""
+    mode = int(pair.output_window)
+    max_freq = pair.u0.support.max_frequency()
+    K = 2 * int(round(max_freq))
+    dt = 2.0 / dispersion(float(max_freq))
+    base = witness_state(pair, K)
+    offsets, weights = _stencil_weights(p)
+    stencil = [(off, w) for off, w in zip(offsets, weights)
+               if w != 0.0 and off != 0]
+    amps = {}
+    for eps in eps_list:
+        for off, _w in stencil:
+            amps.setdefault(round(off * eps, 14), off * eps)
+    rows = np.array(list(amps.values()))[:, None]
+    row_steps = 0
+
+    def ladder(step):
+        nonlocal row_steps
+        stepper = Stepper(SimConfig(p=p, K=K, dt=step, sign=sign))
+        times = []
+        final = stepper.integrate(SimState(0.0, rows * base.u, rows * base.v),
+                                  t, observer=lambda st: times.append(st.t))
+        row_steps += len(amps) * (len(times) - 1)
+        coeff = dict(zip(amps, final.u[:, mode].tolist()))
+        estimates = []
+        for eps in eps_list:
+            acc = 0.0 + 0.0j
+            for off, w in stencil:
+                acc += w * coeff[round(off * eps, 14)]
+            estimates.append(acc / eps ** p)
+        r = eps_list[-2] / eps_list[-1]
+        return estimates, (estimates[-1] + (estimates[-1] - estimates[-2])
+                           / (r * r - 1.0))
+
+    estimates, fine = ladder(dt)
+    _, coarse = ladder(2.0 * dt)
+    value = fine + (fine - coarse) / 15.0
+    scale = max(abs(value), 1e-300)
+    rel_spread = abs(estimates[0] - estimates[-1]) / scale
+    dt_err_est = abs(fine - coarse) / 15.0 / scale
+    converged = rel_spread <= 0.05 and dt_err_est <= 0.05
+    return value, estimates, rel_spread, converged, dt_err_est, row_steps
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("N", [6, 16])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_probe_matches_full_ladder(p, N, sign):
+    # reading the negative amplitudes of an odd-p ladder by symmetry gives
+    # the bits of integrating them; only the row steps taken differ
+    pair = _witness(p=p, N=N)
+    res = fd_derivative_probe(pair, p, 0.35, sign=sign)
+    value, estimates, rel_spread, converged, dt_err_est, row_steps = \
+        _full_ladder_probe(pair, p, 0.35, sign)
+    assert res.value == value
+    assert res.estimates == estimates
+    assert res.rel_spread == rel_spread
+    assert res.converged == converged
+    assert res.meta["dt_err_est"] == dt_err_est
+    # odd p integrates half the rows, even p all of them
+    assert res.meta["n_steps"] == (row_steps // 2 if p % 2 else row_steps)
+    if (p, N) == (3, 16):
+        assert (res.meta["n_solves"], res.meta["n_steps"]) == (6, 810)
+        assert row_steps == 1620
+
+
+@pytest.mark.parametrize("eps_list", [(), (0.0,), (math.nan,), (-1e-3,),
+                                      (2.5e-3, math.inf)],
+                         ids=["empty", "zero", "nan", "negative", "inf"])
+def test_probe_refuses_bad_eps_list(eps_list):
+    # these used to raise IndexError, return nan with a RuntimeWarning, or
+    # end as a blown-up simulation
+    pair = _witness(p=2, N=6)
+    with pytest.raises(ValueError, match="eps_list of finite eps > 0"):
+        fd_derivative_probe(pair, 2, 0.35, eps_list=eps_list)
 
 
 def test_probe_shares_ladder_solves():
