@@ -12,10 +12,9 @@ from .witness import (WitnessConfig, WitnessPair, attainable_triplet_range,
                       triplet_count)
 from .resonance import (BetaRange, Representation, ResonanceReport,
                         beta_range, closed_form_profiles,
-                        construct_representation, count_ordered_tuples,
-                        enumerate_representations, pattern_sum_range,
-                        solve_diophantine, verify_pattern_constraints,
-                        verify_resonance_bounds)
+                        construct_representation, enumerate_representations,
+                        pattern_sum_range, solve_diophantine,
+                        verify_pattern_constraints, verify_resonance_bounds)
 from .flow_derivative import (DerivativeProfile, GrowthTable,
                               flow_derivative_line, flow_derivative_torus,
                               growth_table, predicted_growth_slope,
@@ -37,9 +36,8 @@ __all__ = [
     "triplet_count",
     "BetaRange", "Representation", "ResonanceReport", "beta_range",
     "closed_form_profiles", "construct_representation",
-    "count_ordered_tuples", "enumerate_representations",
-    "pattern_sum_range", "solve_diophantine", "verify_pattern_constraints",
-    "verify_resonance_bounds",
+    "enumerate_representations", "pattern_sum_range", "solve_diophantine",
+    "verify_pattern_constraints", "verify_resonance_bounds",
     "DerivativeProfile", "GrowthTable", "flow_derivative_line",
     "flow_derivative_torus", "growth_table",
     "predicted_growth_slope", "time_integral", "window_sobolev_mass",

@@ -205,18 +205,6 @@ def enumerate_representations(target, p: int, A: FrequencySet):
                                   far_start, p) for i in hits]
 
 
-def count_ordered_tuples(target, p: int, A: FrequencySet) -> int:
-    """Brute-force ordered count on the torus (oracle for small p)."""
-    if A.domain != Domain.TORUS:
-        raise ValueError("ordered counting is exact only on the torus")
-    vals = [s * c for c in A.components for s in (+1, -1)]
-    if len(vals) ** p > 10 ** 7:
-        raise ResourceBudgetError("ordered oracle too large",
-                                  len(vals) ** p, 10 ** 7)
-    return sum(1 for tup in itertools.product(vals, repeat=p)
-               if sum(tup) == target)
-
-
 # -- beta enclosures --------------------------------------------------------
 
 def _plain_beta_range(rep: Representation) -> BetaRange:
@@ -420,8 +408,8 @@ def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
     N_list, every violation found, and N0: one past the largest N in a
     dense scan 1..max(N_list) that still shows a violation (1 if none do).
     fset_fn/window_fn override the witness defaults (used by negative
-    controls); both take N. An empty N_list, scan_max < 1 and p < 2 are
-    refused.
+    controls); both take N. An empty N_list, an N < 1, scan_max < 1 and
+    p < 2 are refused.
     """
     if p < 2 or int(p) != p:    # the scan would skip every N as degenerate
         raise ValueError("p must be an integer >= 2")
@@ -434,6 +422,9 @@ def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
     wanted = set(int(N) for N in N_list)
     if not wanted:
         raise ValueError("need at least one N to audit, got an empty list")
+    bad = sorted(N for N in wanted if N < 1)
+    if bad:     # _audit_one_N would skip them as degenerate
+        raise ValueError(f"need every N >= 1, got {bad}")
     if scan_max is not None and scan_max < 1:   # N0 = 1 would read as clean
         raise ValueError(f"need scan_max >= 1, got {scan_max}")
     scan_hi = int(scan_max if scan_max is not None else max(wanted))

@@ -2,13 +2,21 @@
 
 Each test drives the same criterion function exposed by the reproduce-all
 subcommand and prints its [PASS]/[FAIL] line plus the measured details, so a
-verbose pytest run doubles as the acceptance report.
+verbose pytest run doubles as the acceptance report. The tests after them
+feed criterion 6's kernel lines a perturbed kernel or an unresolved oracle
+and require a miss.
 """
+import re
+
+import numpy as np
 import pytest
 
+from bqlab import acceptance
 from bqlab.acceptance import (criterion_1, criterion_2, criterion_3,
                               criterion_4, criterion_5, criterion_6,
                               criterion_7, criterion_8)
+from bqlab.flow_derivative import time_integral
+from bqlab.spectral import dispersion
 
 
 def _run(criterion):
@@ -53,8 +61,8 @@ def test_criterion_5_diophantine():
 
 
 def test_criterion_6_kernel_and_probe():
-    # closed-form kernel vs quadrature at 1e-9; exact functional vs the
-    # nonlinear-solver probe at 1%
+    # closed-form kernel vs Gauss-Legendre and the 40-digit closed form at
+    # 1e-9; exact functional vs the nonlinear-solver probe at 1%
     _run(criterion_6)
 
 
@@ -68,3 +76,44 @@ def test_criterion_8_norm_inflation():
     # bounded at s = 0
     result = _run(criterion_8)
     assert result.elapsed < 300.0
+
+
+def test_kernel_samples_are_the_seeded_draws():
+    # one scalar draw at a time, alpha, beta, t per triple and then alpha,
+    # t per band point: the stream the kernel check has always used
+    rng = np.random.default_rng(20260819)
+    triples = [(dispersion(rng.uniform(0.1, 6.0)), rng.uniform(-80.0, 80.0),
+                rng.uniform(0.05, 2.0)) for _ in range(1000)]
+    band = [(dispersion(rng.uniform(0.1, 6.0)), rng.uniform(0.05, 2.0))
+            for _ in range(4)]
+    (alpha, beta, t), (band_alpha, band_t) = acceptance._kernel_samples()
+    assert np.array_equal(np.array(triples), np.stack([alpha, beta, t], 1))
+    assert np.array_equal(np.array(band), np.stack([band_alpha, band_t], 1))
+
+
+@pytest.mark.parametrize("factor_fn,misses", [
+    (lambda alpha, beta: 1.0 + 1e-8, ("Gauss-Legendre", "near resonance")),
+    (lambda alpha, beta: np.where(
+        np.abs(np.abs(beta) / alpha - 1.0) < 1e-6, 1.0 + 1e-8, 1.0),
+     ("near resonance",)),
+], ids=["everywhere", "near-resonance-only"])
+def test_kernel_check_catches_relative_error_1e8(monkeypatch, factor_fn,
+                                                 misses):
+    monkeypatch.setattr(acceptance, "time_integral", lambda a, b, t:
+                        time_integral(a, b, t) * factor_fn(a, b))
+    ok, details = acceptance._check_kernel()
+    assert not ok
+    for line in details:
+        assert line.endswith(" MISS") == any(m in line for m in misses), line
+
+
+def test_kernel_check_refuses_an_unresolved_oracle(monkeypatch):
+    # 64 nodes do not resolve the fastest triples (|beta| t up to 160): the
+    # n vs 2n estimate must turn the line into a miss, although the kernel
+    # still agrees with the 128-node value to 1e-9
+    monkeypatch.setattr(acceptance, "_GL_NODES", 64)
+    ok, details = acceptance._check_kernel()
+    assert not ok
+    assert details[0].endswith(" MISS")
+    assert float(re.search(r"worst relative (\S+)", details[0])[1]) < 1e-9
+    assert not details[1].endswith(" MISS")

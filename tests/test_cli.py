@@ -209,6 +209,20 @@ def test_resonance_refuses_scan_max_below_one(tmp_path, capsys, scan_max):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("n_list", ["-5,0", "0,16"])
+def test_resonance_refuses_n_below_one(tmp_path, capsys, n_list):
+    # an N without a witness set would be dropped: "-5,0" would report
+    # N0=1, 0 violations and an empty per_N
+    out = str(tmp_path / "r.json")
+    assert main(["resonance", "--p", "2", f"--n-list={n_list}",
+                 "--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "need every N >= 1" in captured.err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--init", "missing.json"],
     ["diophantine", "--config", "missing.cfg"],

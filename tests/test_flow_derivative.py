@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bqlab.acceptance import NEAR_RESONANCE
+from bqlab.acceptance import NEAR_RESONANCE, _mp_kernel
 from bqlab.errors import ResourceBudgetError
 from bqlab.flow_derivative import (KERNEL_BLOCK, DerivativeProfile,
                                    _prefactor, _representative_slots,
@@ -27,22 +27,6 @@ def _quad_kernel(alpha, beta, t):
     im = quad(lambda u: math.sin(alpha * (t - u)) * math.sin(beta * u),
               0.0, t, epsabs=1e-14, epsrel=1e-13, limit=300)[0]
     return re + 1j * im
-
-
-def _mp_kernel(alpha, beta, t):
-    """The closed form at 40 digits: -alpha (cos bt - cos at)/(b^2 - a^2)
-    + i (b sin at - alpha sin bt)/(b^2 - a^2), and its limit at b = +-a."""
-    import mpmath as mp
-    with mp.workdps(40):
-        a, b, t = mp.mpf(alpha), mp.mpf(beta), mp.mpf(t)
-        d = b * b - a * a
-        if d == 0:
-            re = t * mp.sin(a * t) / 2
-            im = mp.sign(b) * (mp.sin(a * t) / a - t * mp.cos(a * t)) / 2
-        else:
-            re = -a * (mp.cos(b * t) - mp.cos(a * t)) / d
-            im = (b * mp.sin(a * t) - a * mp.sin(b * t)) / d
-        return complex(re, im)
 
 
 # -- the time integral ---------------------------------------------------------

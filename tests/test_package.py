@@ -1,6 +1,9 @@
 """Import hygiene: submodules stay reachable as modules, and the package's
 public names all resolve."""
+import os
 import pkgutil
+import subprocess
+import sys
 import types
 
 import bqlab
@@ -22,3 +25,17 @@ def test_public_names_resolve():
     assert len(set(bqlab.__all__)) == len(bqlab.__all__)
     for name in bqlab.__all__:
         assert hasattr(bqlab, name), name
+
+
+def test_package_and_kernel_check_run_without_scipy():
+    # scipy is a test-only dependency: neither the package nor criterion
+    # 6's kernel check may import it
+    code = ("import sys, bqlab\n"
+            "from bqlab.acceptance import _check_kernel\n"
+            "assert _check_kernel()[0]\n"
+            "print('scipy' in sys.modules)\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(bqlab.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "False\n"

@@ -7,7 +7,7 @@ import pytest
 
 from bqlab.errors import ResourceBudgetError
 from bqlab.resonance import (BetaRange, beta_range, closed_form_profiles,
-                             construct_representation, count_ordered_tuples,
+                             construct_representation,
                              enumerate_representations, pattern_sum_range,
                              solve_diophantine, verify_pattern_constraints,
                              verify_resonance_bounds)
@@ -22,6 +22,18 @@ def _torus_set(p, N):
 
 def _line_set(p, N):
     return frequency_set(WitnessConfig(Domain.LINE, p, N, s=0.0))
+
+
+def count_ordered_tuples(target, p: int, A: FrequencySet) -> int:
+    """Brute-force ordered count on the torus (oracle for small p)."""
+    if A.domain != Domain.TORUS:
+        raise ValueError("ordered counting is exact only on the torus")
+    vals = [s * c for c in A.components for s in (+1, -1)]
+    if len(vals) ** p > 10 ** 7:
+        raise ResourceBudgetError("ordered oracle too large",
+                                  len(vals) ** p, 10 ** 7)
+    return sum(1 for tup in itertools.product(vals, repeat=p)
+               if sum(tup) == target)
 
 
 # -- enumeration ---------------------------------------------------------------
@@ -281,6 +293,13 @@ def test_resonance_audit_refuses_p_below_two(p):
     for domain in (Domain.TORUS, Domain.LINE):
         with pytest.raises(ValueError, match="p must be an integer >= 2"):
             verify_resonance_bounds(p, domain, [16, 32])
+
+
+@pytest.mark.parametrize("N_list", [[-5, 0], [0, 16]])
+def test_resonance_audit_refuses_n_below_one(N_list):
+    # N <= 0 has no witness set, so the audit would drop it without a word
+    with pytest.raises(ValueError, match="need every N >= 1"):
+        verify_resonance_bounds(2, Domain.TORUS, N_list)
 
 
 @pytest.mark.parametrize("scan_max", [0, -5])
