@@ -4,8 +4,8 @@ bookkeeping, the p-th derivative of the flow map, a pseudo-spectral
 simulator, and desk-scale growth-exponent measurements."""
 
 from .errors import ResourceBudgetError, SimulationBlowup
-from .spectral import (Domain, FrequencySet, SetSign, SpectralData,
-                       dispersion, free_flow_rotation, propagate_linear_pair,
+from .spectral import (Domain, FrequencySet, SpectralData, dispersion,
+                       free_flow_rotation, propagate_linear_pair,
                        sobolev_norm)
 from .witness import (WitnessConfig, WitnessPair, attainable_triplet_range,
                       build_witness, data_norm, frequency_set, output_window,
@@ -13,8 +13,7 @@ from .witness import (WitnessConfig, WitnessPair, attainable_triplet_range,
 from .resonance import (BetaRange, Representation, ResonanceReport,
                         beta_range, closed_form_profiles,
                         construct_representation, enumerate_representations,
-                        pattern_sum_range, solve_diophantine,
-                        verify_pattern_constraints, verify_resonance_bounds)
+                        solve_diophantine, verify_resonance_bounds)
 from .flow_derivative import (DerivativeProfile, GrowthTable,
                               flow_derivative_line, flow_derivative_torus,
                               growth_table, predicted_growth_slope,
@@ -29,15 +28,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ResourceBudgetError", "SimulationBlowup",
-    "Domain", "FrequencySet", "SetSign", "SpectralData", "dispersion",
+    "Domain", "FrequencySet", "SpectralData", "dispersion",
     "free_flow_rotation", "propagate_linear_pair", "sobolev_norm",
     "WitnessConfig", "WitnessPair", "attainable_triplet_range",
     "build_witness", "data_norm", "frequency_set", "output_window",
     "triplet_count",
     "BetaRange", "Representation", "ResonanceReport", "beta_range",
     "closed_form_profiles", "construct_representation",
-    "enumerate_representations", "pattern_sum_range", "solve_diophantine",
-    "verify_pattern_constraints", "verify_resonance_bounds",
+    "enumerate_representations", "solve_diophantine",
+    "verify_resonance_bounds",
     "DerivativeProfile", "GrowthTable", "flow_derivative_line",
     "flow_derivative_torus", "growth_table",
     "predicted_growth_slope", "time_integral", "window_sobolev_mass",

@@ -413,8 +413,11 @@ CRITERIA = {1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
 
 def run_criteria(numbers=None, out_dir=None):
     """Run the selected criteria (all by default), print one status line
-    each, and return the CriterionResult list."""
-    numbers = sorted(numbers) if numbers else sorted(CRITERIA)
+    each, and return the CriterionResult list. An empty list is refused."""
+    numbers = sorted(CRITERIA) if numbers is None else sorted(numbers)
+    if not numbers:
+        raise ValueError("need at least one criterion number, got an empty "
+                         "list")
     unknown = [n for n in numbers if n not in CRITERIA]
     if unknown:
         raise ValueError(f"unknown criteria {unknown}; choose from "

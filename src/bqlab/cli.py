@@ -2,9 +2,10 @@
 
 Subcommands: witness, resonance, diophantine, growth, simulate, inflate,
 reproduce-all. Parameter precedence is explicit flags, then KEY=VALUE pairs
-from --config, then built-in defaults. Every run that writes files also
-writes a manifest (command, resolved params, sha256 of file inputs, package
-version, wall time, output paths) next to them.
+from --config (a key that no subcommand declares is refused), then built-in
+defaults. Every run that writes files also writes a manifest (command,
+resolved params, sha256 of file inputs, package version, wall time, output
+paths) next to them.
 
 Exit codes: 0 success, 1 validation failure, unreadable input or output
 file, or failed checks, 2 resource budget exceeded (argparse also exits 2
@@ -150,6 +151,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve_params(args) -> dict:
     config = _read_config(args.config) if args.config else {}
+    # a key of another subcommand is kept, so one file serves several
+    unknown = sorted(set(config) - {key for params in _PARAMS.values()
+                                    for key, *_ in params})
+    if unknown:
+        raise ValueError(f"{args.config}: unknown config key "
+                         f"{', '.join(map(repr, unknown))}")
     resolved = {}
     for key, cast, default, _help in _PARAMS[args.command]:
         raw = getattr(args, key)

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResourceBudgetError
-from .spectral import Domain, FrequencySet, SetSign, dispersion
+from .spectral import Domain, FrequencySet, dispersion
 from . import witness as _witness
 
 ENUMERATION_BUDGET = 10 ** 8
@@ -73,12 +73,6 @@ class Representation:
     @property
     def p(self) -> int:
         return len(self.signs)
-
-    def signed_sum(self):
-        """Exact sum (torus only)."""
-        if self.domain != Domain.TORUS:
-            raise ValueError("signed_sum is exact only on the torus")
-        return sum(s * v for s, v in zip(self.signs, self.payloads))
 
     def beta(self) -> float:
         """Exact beta (torus only)."""
@@ -493,67 +487,6 @@ def closed_form_profiles(p: int):
         profiles = [(1 + 2 * g, 1, 0, g),
                     (2 * g, 0, 1, 1 + g)]
     return sorted(profiles)
-
-
-def pattern_sum_range(p: int, counts, N: int):
-    """IA range of the signed sum for an odd-p line pattern (n1..n4).
-
-    counts may also be an (n, 4) array of patterns; the bounds are then
-    arrays, computed column by column.
-    """
-    cfg = _witness.WitnessConfig(Domain.LINE, p, N, s=0.0)
-    (lo1, hi1), (lo2, hi2) = _witness.frequency_set(cfg).components
-    n1, n2, n3, n4 = np.asarray(counts).T
-    return (n1 * lo1 - n2 * hi1 + n3 * lo2 - n4 * hi2,
-            n1 * hi1 - n2 * lo1 + n3 * hi2 - n4 * lo2)
-
-
-@dataclass
-class PatternReport:
-    p: int
-    N0: int
-    per_N: list
-
-    def to_dict(self) -> dict:
-        return {"p": self.p, "N0": self.N0, "per_N": self.per_N}
-
-
-def verify_pattern_constraints(p: int, N_list, *, scan_max=None) -> PatternReport:
-    """Check that every unfiltered pattern whose sum range meets the odd-p
-    window satisfies n1 > n2, n3 < n4 and n2 + n3 <= 2.
-
-    Patterns are enumerated with no constraint at all; the report lists,
-    per N, how many patterns intersect the window and which of those break
-    a constraint. N0 is one past the largest scanned N with a violation.
-    """
-    if p % 2 == 0:
-        raise ValueError("pattern constraints apply to odd p")
-    N_list = sorted(int(N) for N in N_list)
-    if not N_list:
-        raise ValueError("need at least one N to audit, got an empty list")
-    if scan_max is not None and scan_max < 1:
-        raise ValueError(f"need scan_max >= 1, got {scan_max}")
-    scan_hi = int(scan_max if scan_max is not None else max(N_list))
-    counts = _multiset_counts(4, p)
-    admissible = _admissible(counts)
-
-    def audit(N):
-        wlo, whi = _witness.output_window(
-            _witness.WitnessConfig(Domain.LINE, p, N, s=0.0))
-        lo, hi = pattern_sum_range(p, counts, N)
-        meets = (hi >= wlo) & (lo <= whi)
-        return int(meets.sum()), counts[meets & ~admissible].tolist()
-
-    last_bad = 0
-    for N in range(1, scan_hi + 1):
-        _, bad = audit(N)
-        if bad:
-            last_bad = N
-    per_N = []
-    for N in N_list:
-        inter, bad = audit(N)
-        per_N.append({"N": N, "n_intersecting": inter, "violations": bad})
-    return PatternReport(p, last_bad + 1, per_N)
 
 
 # -- constructive representability -------------------------------------------

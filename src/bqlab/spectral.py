@@ -2,19 +2,22 @@
 
 Everything in the laboratory lives on the Fourier side of the fourth-order
 Boussinesq operator: the dispersion relation lambda(xi) = sqrt(xi^2 + xi^4),
-frequency supports (integer modes on the torus, finite unions of intervals
-on the line), weighted spectral samples, Sobolev norms, and the linear
+frequency supports, weighted spectral samples, Sobolev norms, and the linear
 propagator written as the usual pair of cos / sin-over-lambda multipliers.
+
+A support is always a mirror-symmetric set +-A, stored as the components of
+A (integer modes on the torus, finite unions of intervals on the line). The
+signs of an output frequency xi = eps_1 a_1 + ... + eps_p a_p belong to its
+representation, not to the set.
 
 Conventions: torus coefficients are indexed by k in Z with counting measure;
 the line transform uses the unit-constant convention, and all norms are
 computed directly on the stored frequency grid, so no physical-space pass is
 ever needed. Line data is sampled on composite-midpoint grids, one grid per
-support interval.
+signed component. Every sample lies on its support.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,12 +36,6 @@ MIN_NODES_PER_COMPONENT = 8
 class Domain(str, Enum):
     LINE = "line"
     TORUS = "torus"
-
-
-class SetSign(str, Enum):
-    PLUS = "+"
-    MINUS = "-"
-    BOTH = "+-"
 
 
 def dispersion(xi):
@@ -62,17 +59,15 @@ def sin_over_lambda(lam, t: float):
 
 @dataclass(frozen=True)
 class FrequencySet:
-    """A finite union of positive frequency components plus a mirror tag.
+    """The mirror-symmetric set +-A, stored as the components of A.
 
     Line components are closed intervals (lo, hi) with 0 < lo <= hi; torus
-    components are positive integers. ``sign`` selects the set itself
-    (PLUS), its mirror (MINUS), or the symmetric union (BOTH). The mirror is
-    always derived on demand, never stored.
+    components are positive integers. The mirror -A is derived on demand,
+    never stored.
     """
 
     domain: Domain
     components: tuple
-    sign: SetSign = SetSign.PLUS
 
     def __post_init__(self):
         comps = tuple(self.components)
@@ -94,35 +89,26 @@ class FrequencySet:
                 if hi >= lo2:
                     raise ValueError("line components must be disjoint and sorted")
 
-    def with_sign(self, sign: SetSign) -> "FrequencySet":
-        return FrequencySet(self.domain, self.components, sign)
-
     def signed_components(self):
-        """Expand to concrete signed components, negatives first.
+        """The components of -A, then those of A, in increasing order.
 
         Line: list of (lo, hi) intervals on the real axis. Torus: list of
         signed integers.
         """
-        out = []
-        if self.sign in (SetSign.MINUS, SetSign.BOTH):
-            if self.domain == Domain.TORUS:
-                out.extend(-c for c in reversed(self.components))
-            else:
-                out.extend((-hi, -lo) for (lo, hi) in reversed(self.components))
-        if self.sign in (SetSign.PLUS, SetSign.BOTH):
-            out.extend(self.components)
-        return out
+        if self.domain == Domain.TORUS:
+            mirror = [-c for c in reversed(self.components)]
+        else:
+            mirror = [(-hi, -lo) for (lo, hi) in reversed(self.components)]
+        return mirror + list(self.components)
 
     def contains(self, xi: float) -> bool:
         if self.domain == Domain.TORUS:
-            return any(xi == c for c in self.signed_components())
-        return any(lo <= xi <= hi for lo, hi in self.signed_components())
+            return abs(xi) in self.components
+        return any(lo <= abs(xi) <= hi for lo, hi in self.components)
 
     def max_frequency(self) -> float:
-        if self.domain == Domain.TORUS:
-            return float(max(abs(c) for c in self.signed_components()))
-        return float(max(max(abs(lo), abs(hi))
-                         for lo, hi in self.signed_components()))
+        last = self.components[-1]
+        return float(last if self.domain == Domain.TORUS else last[1])
 
 
 @dataclass
@@ -183,11 +169,6 @@ class SpectralData:
         return cls(Domain.LINE, freqs, np.asarray(value_fn(freqs), dtype=complex),
                    weights, support, N, sigma)
 
-    def scaled(self, factor: complex) -> "SpectralData":
-        return SpectralData(self.domain, self.freqs.copy(),
-                            self.values * factor, self.weights.copy(),
-                            self.support, self.N, self.sigma)
-
     def hermitian_defect(self) -> float:
         """Max |v(-xi) - conj(v(xi))| over nodes whose mirror is on the grid."""
         idx = {f: i for i, f in enumerate(self.freqs)}
@@ -223,21 +204,16 @@ class SpectralData:
             np.array([complex(row[1], row[2]) for row in rows])))
         support = json_field(d, "supports",
                              lambda s: _support_from_json(domain, s))
+        off = [f for f in freqs if not support.contains(f)]
+        if off:
+            raise ValueError(f"values: frequency {off[0]:g} lies on no "
+                             "support component")
         if domain == Domain.TORUS:
             weights = np.ones_like(freqs)
         else:
             weights = _midpoint_weights(freqs, support)
         return cls(domain, freqs, vals, weights, support,
                    json_field(d, "N", int), json_field(d, "sigma", float))
-
-    def to_json(self, path: str):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    @classmethod
-    def from_json(cls, path: str) -> "SpectralData":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def json_field(d, key: str, parse):
@@ -257,22 +233,17 @@ def json_field(d, key: str, parse):
 
 
 def _support_from_json(domain: Domain, supports: list) -> FrequencySet:
+    """+-A from its signed components; refuses a support that is not its
+    own mirror."""
     if domain == Domain.TORUS:
-        modes = sorted(supports[0]["modes"])
-        pos = tuple(m for m in modes if m > 0)
-        neg = tuple(sorted(-m for m in modes if m < 0))
+        signed = sorted(supports[0]["modes"])
+        half = tuple(m for m in signed if m > 0)
     else:
-        ivs = sorted((s["lo"], s["hi"]) for s in supports)
-        pos = tuple(iv for iv in ivs if iv[0] > 0)
-        neg = tuple(sorted((-hi, -lo) for lo, hi in ivs if hi < 0))
-    if pos and neg == pos:
-        return FrequencySet(domain, pos, SetSign.BOTH)
-    if pos and not neg:
-        return FrequencySet(domain, pos, SetSign.PLUS)
-    if neg and not pos:
-        return FrequencySet(domain, neg, SetSign.MINUS)
-    raise ValueError(f"{domain.value} support is neither one-sided nor "
-                     "symmetric")
+        signed = sorted((s["lo"], s["hi"]) for s in supports)
+        half = tuple(iv for iv in signed if iv[0] > 0)
+    if not half or FrequencySet(domain, half).signed_components() != signed:
+        raise ValueError(f"{domain.value} support is not mirror-symmetric")
+    return FrequencySet(domain, half)
 
 
 def _midpoint_weights(freqs: np.ndarray, support: FrequencySet) -> np.ndarray:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (Domain, FrequencySet, SetSign, SpectralData,
-                       dispersion, json_field, sobolev_norm)
+from .spectral import (Domain, FrequencySet, SpectralData, dispersion,
+                       json_field, sobolev_norm)
 
 
 @dataclass(frozen=True)
@@ -97,20 +97,19 @@ class WitnessPair:
 
 
 def frequency_set(cfg: WitnessConfig) -> FrequencySet:
-    """The positive half A of the witness support (mirror derived)."""
+    """The witness support +-A, stored as its positive half A."""
     p, N = cfg.p, cfg.N
     if cfg.domain == Domain.TORUS:
         comps = (N, N + 1) if p % 2 == 0 else (N, N + 1, 2 * N)
-        return FrequencySet(Domain.TORUS, comps, SetSign.PLUS)
+        return FrequencySet(Domain.TORUS, comps)
     if p % 2 == 0:
-        return FrequencySet(Domain.LINE, ((float(N), float(N + 1)),),
-                            SetSign.PLUS)
+        return FrequencySet(Domain.LINE, ((float(N), float(N + 1)),))
     # odd p: two short intervals; widths shrink like 1/p^2 so that p-fold
     # signed sums can only reach the window through the intended triplets
     q = 1.0 / (2.0 * p * p)
     near = (N + 3 * (p - 1) * q, N + 3 * (p + 2) * q)
     far = (2.0 * N, 2.0 * N + 6 * q)
-    return FrequencySet(Domain.LINE, (near, far), SetSign.PLUS)
+    return FrequencySet(Domain.LINE, (near, far))
 
 
 def output_window(cfg: WitnessConfig):
@@ -136,7 +135,7 @@ def build_witness(cfg: WitnessConfig) -> WitnessPair:
     even, u1 odd).
     """
     amp = float(cfg.N) ** (-cfg.sigma)
-    support = frequency_set(cfg).with_sign(SetSign.BOTH)
+    support = frequency_set(cfg)
     if cfg.domain == Domain.TORUS:
         modes0, modes1 = {}, {}
         for k in support.signed_components():

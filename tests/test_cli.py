@@ -122,6 +122,22 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert str(cfg) in manifest["inputs"]
 
 
+def test_config_refuses_unknown_key(tmp_path, capsys):
+    # "pp" used to be ignored, so diophantine ran at its default p = 3
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("pp = 7\n")
+    out = tmp_path / "d.json"
+    assert main(["diophantine", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "unknown config key 'pp'" in captured.err
+    # a key that another subcommand declares is kept for that subcommand
+    cfg.write_text("p = 5\nn_list = 8,16\ncriteria = 5\n")
+    assert main(["diophantine", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _load(out)["p"] == 5
+
+
 def test_malformed_config(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("p 7\n")
@@ -257,6 +273,15 @@ def test_reproduce_rejects_unknown_criterion(capsys):
     assert captured.out == ""        # no criterion ran
 
 
+def test_reproduce_refuses_empty_criteria_list(capsys):
+    # an empty list used to run all eight criteria
+    assert main(["reproduce-all", "--criteria", ","]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "empty" in captured.err
+
+
 @pytest.mark.parametrize("command", ["resonance", "inflate"])
 def test_empty_n_list_refused(tmp_path, capsys, command):
     out = str(tmp_path / "o.json")
@@ -323,3 +348,44 @@ def test_simulate_refuses_observe_every_below_one(tmp_path, capsys, every):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "observe_every" in err and not out.exists()
+
+
+def _witness_file(tmp_path, edit):
+    """A p = 2, N = 8 torus witness file, passed through edit(u) for u0, u1."""
+    path = tmp_path / "w.json"
+    assert main(["witness", "--p", "2", "--n", "8", "--out", str(path)]) == 0
+    payload = _load(path)
+    for key in ("u0", "u1"):
+        edit(payload[key])
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _keep_sign(positive):
+    def edit(u):
+        u["supports"] = [{"modes": [m for m in u["supports"][0]["modes"]
+                                    if (m > 0) == positive]}]
+        u["values"] = [row for row in u["values"] if (row[0] > 0) == positive]
+    return edit
+
+
+def _add_mode_50(u):
+    u["values"].append([50.0, 1.0, 0.0])
+
+
+@pytest.mark.parametrize("edit,message", [
+    (_keep_sign(False), "u0: supports: torus support is not mirror-symmetric"),
+    (_keep_sign(True), "u0: supports: torus support is not mirror-symmetric"),
+    (_add_mode_50, "u0: values: frequency 50 lies on no support component"),
+], ids=["minus-only", "plus-only", "off-support"])
+def test_simulate_init_refuses_bad_support(tmp_path, capsys, edit, message):
+    # minus-only data used to be integrated as zero, plus-only as if
+    # symmetric, and a sample at mode 50 ended in an IndexError
+    wpath = _witness_file(tmp_path, edit)
+    capsys.readouterr()
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--init", wpath, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err and "Traceback" not in captured.err

@@ -8,10 +8,9 @@ import pytest
 from bqlab.errors import ResourceBudgetError
 from bqlab.resonance import (BetaRange, beta_range, closed_form_profiles,
                              construct_representation,
-                             enumerate_representations, pattern_sum_range,
-                             solve_diophantine, verify_pattern_constraints,
+                             enumerate_representations, solve_diophantine,
                              verify_resonance_bounds)
-from bqlab.spectral import Domain, FrequencySet, SetSign, dispersion
+from bqlab.spectral import Domain, FrequencySet, dispersion
 from bqlab.witness import (WitnessConfig, attainable_triplet_range,
                            frequency_set, output_window, triplet_count)
 
@@ -22,6 +21,32 @@ def _torus_set(p, N):
 
 def _line_set(p, N):
     return frequency_set(WitnessConfig(Domain.LINE, p, N, s=0.0))
+
+
+def _tallies(target, p, A):
+    """Sorted (n1, n2, n3, n4) of the representations reaching the target."""
+    return sorted(rep.counts for rep in enumerate_representations(target, p, A))
+
+
+def _window_tallies(p, N):
+    """Sorted tallies of the odd-p line patterns reaching the window."""
+    cfg = WitnessConfig(Domain.LINE, p, N, s=0.0)
+    return _tallies(output_window(cfg), p, frequency_set(cfg))
+
+
+def _all_tallies(p):
+    """Every (n1, n2, n3, n4) >= 0 summing to p, by a triple loop."""
+    return [(n1, n2, n3, p - n1 - n2 - n3)
+            for n1 in range(p + 1) for n2 in range(p + 1 - n1)
+            for n3 in range(p + 1 - n1 - n2)]
+
+
+def _balanced(n1, n2, n3, n4):
+    return n1 - n2 + 2 * (n3 - n4) == 0
+
+
+def _admissible(n1, n2, n3, n4):
+    return n1 > n2 and n3 < n4 and n2 + n3 <= 2
 
 
 def count_ordered_tuples(target, p: int, A: FrequencySet) -> int:
@@ -46,7 +71,6 @@ def test_enumerate_frozen_even():
     assert sorted(s * v for s, v in zip(rep.signs, rep.payloads)) == [-50, 51]
     assert rep.multiplicity == 2
     assert rep.counts == (1, 1, 0, 0)
-    assert rep.signed_sum() == 1
 
 
 def test_enumerate_frozen_odd():
@@ -185,7 +209,7 @@ def test_audit_negative_control_wrong_set():
     # feeding the even-p interval to an odd-p window: nothing reaches it,
     # and the nearest attainable sum is ~N away
     wrong = lambda N: FrequencySet(Domain.LINE,
-                                   ((float(N), float(N + 1)),), SetSign.PLUS)
+                                   ((float(N), float(N + 1)),))
     report = verify_resonance_bounds(
         3, Domain.LINE, [64],
         fset_fn=wrong,
@@ -223,68 +247,53 @@ def test_excluded_class_stays_below_window():
     p = 9
     bound = 1.0 - 4.0 / p + 6.0 / (4.0 * p * p)
     window = output_window(WitnessConfig(Domain.LINE, p, 50, s=0.0))
-    found = 0
-    for n1 in range(p + 1):
-        for n2 in range(p + 1 - n1):
-            for n3 in range(p + 1 - n1 - n2):
-                n4 = p - n1 - n2 - n3
-                if n1 - n2 + 2 * (n3 - n4) != 0 or n2 + n3 != 3:
-                    continue
-                found += 1
-                for N in (10, 50, 1000):
-                    _, hi = pattern_sum_range(p, (n1, n2, n3, n4), N)
-                    assert hi <= bound + 1e-12
-    assert found == 4
+    excluded = {c for c in _all_tallies(p)
+                if _balanced(*c) and c[1] + c[2] == 3}
+    assert len(excluded) == 4
+    for N in (10, 50, 1000):
+        A = _line_set(p, N)
+        assert excluded <= set(_tallies((-math.inf, math.inf), p, A))
+        assert not excluded & set(_tallies((bound + 1e-12, math.inf), p, A))
     assert bound < window[0]
 
 
 def test_pattern_constraint_audit():
+    # from N = 2 on, every pattern reaching the window is admissible
     for p in (3, 9):
-        report = verify_pattern_constraints(p, [50], scan_max=50)
-        assert report.N0 <= 2
-        entry = report.per_N[0]
-        assert entry["violations"] == []
-        assert entry["n_intersecting"] == 1
+        for N in range(2, 51):
+            assert all(_admissible(*c) for c in _window_tallies(p, N))
+        assert len(_window_tallies(p, 50)) == 1
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 9])
 def test_count_vector_audits_match_triple_loop(p):
     # independent enumeration of (n1, n2, n3, n4) with its own interval sums
-    def admissible(n1, n2, n3, n4):
-        return n1 > n2 and n3 < n4 and n2 + n3 <= 2
-
-    tallies = [(n1, n2, n3, p - n1 - n2 - n3)
-               for n1 in range(p + 1) for n2 in range(p + 1 - n1)
-               for n3 in range(p + 1 - n1 - n2)]
+    tallies = _all_tallies(p)
     assert solve_diophantine(p) == sorted(
-        c for c in tallies
-        if c[0] - c[1] + 2 * (c[2] - c[3]) == 0 and admissible(*c))
+        c for c in tallies if _balanced(*c) and _admissible(*c))
 
-    N_max = 60
-    report = verify_pattern_constraints(p, range(1, N_max + 1),
-                                        scan_max=N_max)
-    last_bad = 0
-    for entry in report.per_N:
-        N = entry["N"]
+    for N in range(1, 61):
         (lo1, hi1), (lo2, hi2) = _line_set(p, N).components
         wlo, whi = output_window(WitnessConfig(Domain.LINE, p, N, s=0.0))
         meeting = [(n1, n2, n3, n4) for n1, n2, n3, n4 in tallies
                    if n1 * hi1 - n2 * lo1 + n3 * hi2 - n4 * lo2 >= wlo
                    and n1 * lo1 - n2 * hi1 + n3 * lo2 - n4 * hi2 <= whi]
-        bad = [list(c) for c in meeting if not admissible(*c)]
-        assert entry["n_intersecting"] == len(meeting)
-        assert entry["violations"] == bad
-        if bad:
-            last_bad = N
-    assert [e["N"] for e in report.per_N] == list(range(1, N_max + 1))
-    assert report.N0 == last_bad + 1
+        assert _window_tallies(p, N) == sorted(meeting)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 9, 11])
+def test_window_reaching_tallies_are_the_diophantine_profiles(p):
+    # the balance and admissibility constraints are exactly what reaching
+    # the window imposes (at N = 1, and N = 2 for p = 5 and 11, other
+    # tallies reach it too)
+    profiles = solve_diophantine(p)
+    for N in range(3, 65):
+        assert _window_tallies(p, N) == profiles
 
 
 def test_audits_refuse_empty_n_list():
     with pytest.raises(ValueError, match="empty"):
         verify_resonance_bounds(2, Domain.TORUS, [])
-    with pytest.raises(ValueError, match="empty"):
-        verify_pattern_constraints(3, [], scan_max=5)
 
 
 @pytest.mark.parametrize("p", [1, 0, -3])
@@ -307,17 +316,18 @@ def test_audits_refuse_scan_max_below_one(scan_max):
     # a dense scan of nothing would report N0 = 1, clean from N = 1 on
     with pytest.raises(ValueError, match="scan_max >= 1"):
         verify_resonance_bounds(2, Domain.TORUS, [16], scan_max=scan_max)
-    with pytest.raises(ValueError, match="scan_max >= 1"):
-        verify_pattern_constraints(3, [16], scan_max=scan_max)
 
 
-def test_pattern_sum_range_matches_triplet_range():
-    # the (2,0,0,1) tally is exactly one triplet a + b - c
+def test_triplet_tally_reaches_exactly_the_triplet_range():
+    # the (2,0,0,1) tally is exactly one triplet a + b - c: it reaches
+    # every target in the attainable range and nothing beyond it
     for p in (3, 9):
-        lo, hi = pattern_sum_range(p, (2, 0, 0, 1), 40)
+        A = _line_set(p, 40)
         tlo, thi = attainable_triplet_range(p, 40)
-        assert lo == pytest.approx(tlo, abs=1e-12)
-        assert hi == pytest.approx(thi, abs=1e-12)
+        for target in ((tlo, tlo), (thi, thi)):
+            assert (2, 0, 0, 1) in _tallies(target, 3, A)
+        for target in ((-math.inf, tlo - 1e-12), (thi + 1e-12, math.inf)):
+            assert (2, 0, 0, 1) not in _tallies(target, 3, A)
 
 
 # -- constructive representability ------------------------------------------------------

@@ -1,19 +1,19 @@
 """Dispersion relation, spectral containers, norms, and the free propagator."""
+import json
 import math
 
 import numpy as np
 import pytest
 
-from bqlab.spectral import (Domain, FrequencySet, SetSign, SpectralData,
-                            dispersion, propagate_linear_pair,
-                            sin_over_lambda, sobolev_norm)
+from bqlab.spectral import (Domain, FrequencySet, SpectralData, dispersion,
+                            propagate_linear_pair, sin_over_lambda,
+                            sobolev_norm)
 
 
 def _torus_data(modes, N=1, sigma=0.0, support=None):
     if support is None:
         support = FrequencySet(Domain.TORUS,
-                               tuple(sorted({abs(k) for k in modes if k})) or (1,),
-                               SetSign.BOTH)
+                               tuple(sorted({abs(k) for k in modes if k})) or (1,))
     ks = np.array(sorted(modes), dtype=float)
     vals = np.array([modes[k] for k in sorted(modes)], dtype=complex)
     return SpectralData(Domain.TORUS, ks, vals, np.ones_like(ks),
@@ -74,28 +74,22 @@ def test_frequency_set_validation():
 
 
 def test_signed_components_order_and_contains():
-    fs = FrequencySet(Domain.TORUS, (4, 5), SetSign.BOTH)
+    fs = FrequencySet(Domain.TORUS, (4, 5))
     assert fs.signed_components() == [-5, -4, 4, 5]
     assert fs.contains(-5) and fs.contains(4) and not fs.contains(3)
     assert fs.max_frequency() == 5.0
 
-    line = FrequencySet(Domain.LINE, ((1.0, 2.0), (4.0, 4.5)), SetSign.BOTH)
+    line = FrequencySet(Domain.LINE, ((1.0, 2.0), (4.0, 4.5)))
     assert line.signed_components() == [(-4.5, -4.0), (-2.0, -1.0),
                                         (1.0, 2.0), (4.0, 4.5)]
     assert line.contains(-4.2) and line.contains(1.5) and not line.contains(3.0)
     assert line.max_frequency() == 4.5
 
 
-def test_with_sign_minus_only():
-    fs = FrequencySet(Domain.TORUS, (2,), SetSign.PLUS).with_sign(SetSign.MINUS)
-    assert fs.signed_components() == [-2]
-    assert not fs.contains(2)
-
-
 # -- containers ---------------------------------------------------------------
 
 def test_sampled_line_grid_structure():
-    fs = FrequencySet(Domain.LINE, ((3.0, 4.0),), SetSign.BOTH)
+    fs = FrequencySet(Domain.LINE, ((3.0, 4.0),))
     data = SpectralData.sampled(fs, lambda x: np.ones_like(x, dtype=complex),
                                 N=3, sigma=0.0)
     # 64 nodes per unit interval on each signed component
@@ -107,16 +101,17 @@ def test_sampled_line_grid_structure():
 
 
 def test_sampled_short_component_floor():
-    # components shorter than 8/64 still get 8 nodes
-    fs = FrequencySet(Domain.LINE, ((5.0, 5.01),), SetSign.PLUS)
+    # components shorter than 8/64 still get 8 nodes per signed component
+    fs = FrequencySet(Domain.LINE, ((5.0, 5.01),))
     data = SpectralData.sampled(fs, lambda x: np.ones_like(x, dtype=complex),
                                 N=5, sigma=0.0)
-    assert data.freqs.size == 8
-    assert data.weights.sum() == pytest.approx(0.01)
+    assert data.freqs.size == 16
+    assert np.count_nonzero(data.freqs > 0) == 8
+    assert data.weights.sum() == pytest.approx(0.02)
 
 
 def test_torus_rejects_fractional_modes():
-    fs = FrequencySet(Domain.TORUS, (1,), SetSign.PLUS)
+    fs = FrequencySet(Domain.TORUS, (1,))
     with pytest.raises(ValueError):
         SpectralData(Domain.TORUS, np.array([1.5]), np.array([1.0 + 0j]),
                      np.array([1.0]), fs, 1, 0.0)
@@ -151,18 +146,19 @@ def test_sobolev_norm_rejects_nonfinite():
 
 
 def test_sobolev_norm_line_window_mass():
-    fs = FrequencySet(Domain.LINE, ((0.25, 0.5),), SetSign.PLUS)
+    fs = FrequencySet(Domain.LINE, ((0.25, 0.5),))
     data = SpectralData.sampled(fs, lambda x: np.ones_like(x, dtype=complex),
                                 N=1, sigma=0.0)
-    # sqrt(integral of 1 over [1/4, 1/2]) = 1/2
-    assert sobolev_norm(data, 0.0) == pytest.approx(0.5, rel=1e-12)
+    # sqrt(integral of 1 over +-[1/4, 1/2]) = 1/sqrt(2)
+    assert sobolev_norm(data, 0.0) == pytest.approx(1.0 / math.sqrt(2.0),
+                                                    rel=1e-12)
 
 
 # -- propagator -----------------------------------------------------------------
 
 def test_propagate_zero_frequency_limit():
     # at xi = 0 position evolves as u0 + t u1 and the velocity stays u1
-    fs = FrequencySet(Domain.TORUS, (1,), SetSign.PLUS)
+    fs = FrequencySet(Domain.TORUS, (1,))
     u0 = SpectralData(Domain.TORUS, np.array([0.0]), np.array([0.0 + 0j]),
                       np.array([1.0]), fs, 1, 0.0)
     u1 = SpectralData(Domain.TORUS, np.array([0.0]), np.array([0.7 + 0.1j]),
@@ -201,27 +197,28 @@ def test_propagator_grid_mismatch():
 
 # -- serialization ----------------------------------------------------------------
 
-def test_roundtrip_torus(tmp_path):
+def _roundtrip(data):
+    return SpectralData.from_dict(json.loads(json.dumps(data.to_dict())))
+
+
+def test_roundtrip_torus():
     data = _torus_data({-5: 1 - 2j, -4: 0.5j, 4: -0.5j, 5: 1 + 2j},
                        N=4, sigma=1.0,
-                       support=FrequencySet(Domain.TORUS, (4, 5), SetSign.BOTH))
-    path = str(tmp_path / "t.json")
-    data.to_json(path)
-    back = SpectralData.from_json(path)
+                       support=FrequencySet(Domain.TORUS, (4, 5)))
+    back = _roundtrip(data)
     assert back.domain == Domain.TORUS
     assert np.array_equal(back.freqs, data.freqs)
     assert np.array_equal(back.values, data.values)
     assert np.array_equal(back.weights, data.weights)
-    assert back.support.signed_components() == data.support.signed_components()
+    assert back.support == data.support
     assert back.N == 4 and back.sigma == 1.0
 
 
-def test_roundtrip_line(tmp_path):
-    fs = FrequencySet(Domain.LINE, ((2.0, 3.0), (5.0, 5.25)), SetSign.BOTH)
+def test_roundtrip_line():
+    fs = FrequencySet(Domain.LINE, ((2.0, 3.0), (5.0, 5.25)))
     data = SpectralData.sampled(fs, lambda x: np.exp(1j * x), N=2, sigma=0.5)
-    path = str(tmp_path / "l.json")
-    data.to_json(path)
-    back = SpectralData.from_json(path)
+    back = _roundtrip(data)
+    assert back.support == fs
     assert np.array_equal(back.freqs, data.freqs)
     assert np.allclose(back.values, data.values, rtol=0, atol=1e-15)
     assert np.allclose(back.weights, data.weights, rtol=1e-15)
@@ -229,8 +226,41 @@ def test_roundtrip_line(tmp_path):
                                                      rel=1e-12)
 
 
-def test_scaled_preserves_grid():
-    data = _torus_data({1: 2.0, -1: 2.0})
-    out = data.scaled(0.5j)
-    assert np.array_equal(out.freqs, data.freqs)
-    assert np.allclose(out.values, 0.5j * data.values)
+@pytest.mark.parametrize("supports", [
+    [{"modes": [4, 5]}],                        # A alone
+    [{"modes": [-5, -4]}],                      # its mirror alone
+    [{"modes": [-5, -4, 4]}],                   # lopsided
+], ids=["plus", "minus", "lopsided"])
+def test_from_dict_refuses_torus_support_without_mirror(supports):
+    d = _torus_data({4: 1.0}, support=FrequencySet(Domain.TORUS, (4, 5)))
+    d = dict(d.to_dict(), supports=supports)
+    with pytest.raises(ValueError, match="supports: .*not mirror-symmetric"):
+        SpectralData.from_dict(d)
+
+
+@pytest.mark.parametrize("keep", [lambda lo: lo > 0, lambda lo: lo < 0],
+                         ids=["plus", "minus"])
+def test_from_dict_refuses_one_sided_line_support(keep):
+    fs = FrequencySet(Domain.LINE, ((2.0, 3.0),))
+    d = SpectralData.sampled(fs, np.ones_like, N=2, sigma=0.0).to_dict()
+    d["supports"] = [s for s in d["supports"] if keep(s["lo"])]
+    d["values"] = [row for row in d["values"] if keep(row[0])]
+    with pytest.raises(ValueError, match="supports: .*not mirror-symmetric"):
+        SpectralData.from_dict(d)
+
+
+def test_from_dict_refuses_torus_sample_off_support():
+    # an extra mode 50 beyond the support {+-8, +-9} of an N = 8 witness
+    d = _torus_data({k: 1.0 for k in (-9, -8, 8, 9, 50)},
+                    support=FrequencySet(Domain.TORUS, (8, 9))).to_dict()
+    with pytest.raises(ValueError, match="values: frequency 50 lies on no"):
+        SpectralData.from_dict(d)
+
+
+def test_from_dict_refuses_line_sample_off_support():
+    # a node between the components would get no midpoint weight
+    fs = FrequencySet(Domain.LINE, ((2.0, 3.0), (5.0, 5.25)))
+    d = SpectralData.sampled(fs, np.ones_like, N=2, sigma=0.0).to_dict()
+    d["values"].append([4.0, 1.0, 0.0])
+    with pytest.raises(ValueError, match="values: frequency 4 lies on no"):
+        SpectralData.from_dict(d)

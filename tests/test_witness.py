@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bqlab.spectral import Domain, SetSign, dispersion, propagate_linear_pair
+from bqlab.spectral import Domain, dispersion, propagate_linear_pair
 from bqlab.witness import (WitnessConfig, WitnessPair, attainable_triplet_range,
                            build_witness, data_norm, frequency_set,
                            output_window, triplet_count)
