@@ -5,8 +5,7 @@ simulator, and desk-scale growth-exponent measurements."""
 
 from .errors import ResourceBudgetError, SimulationBlowup
 from .spectral import (Domain, FrequencySet, SpectralData, dispersion,
-                       free_flow_rotation, propagate_linear_pair,
-                       sobolev_norm)
+                       free_flow_rotation, sobolev_norm)
 from .witness import (WitnessConfig, WitnessPair, attainable_triplet_range,
                       build_witness, data_norm, frequency_set, output_window,
                       triplet_count)
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ResourceBudgetError", "SimulationBlowup",
     "Domain", "FrequencySet", "SpectralData", "dispersion",
-    "free_flow_rotation", "propagate_linear_pair", "sobolev_norm",
+    "free_flow_rotation", "sobolev_norm",
     "WitnessConfig", "WitnessPair", "attainable_triplet_range",
     "build_witness", "data_norm", "frequency_set", "output_window",
     "triplet_count",

@@ -7,7 +7,6 @@ output directory. Numbering follows docs/schemas.md.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import time
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Domain, dispersion
+from .spectral import Domain, dispersion, write_json
 from .witness import WitnessConfig, build_witness, output_window
 from .resonance import (closed_form_profiles, construct_representation,
                         solve_diophantine, verify_resonance_bounds)
@@ -56,8 +55,7 @@ def _maybe_write(out_dir, name, payload):
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     if name.endswith(".json"):
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=1)
+        write_json(path, payload)
     else:
         payload.to_csv(path)
 

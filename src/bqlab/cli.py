@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import sys
@@ -25,13 +24,14 @@ import numpy as np
 
 from . import __version__ as VERSION
 from .errors import ResourceBudgetError, SimulationBlowup
-from .spectral import Domain, sobolev_norm
+from .spectral import Domain, write_json
 from .witness import WitnessConfig, WitnessPair, build_witness, data_norm
 from .resonance import (closed_form_profiles, solve_diophantine,
                         verify_resonance_bounds)
 from .flow_derivative import growth_table
-from .simulator import (SimConfig, Stepper, full_norm, inflation_experiment,
-                        linear_energy, windowed_norm, witness_state)
+from .simulator import (INFLATION_WINDOW, SimConfig, Stepper, full_norm,
+                        inflation_experiment, linear_energy, windowed_norm,
+                        witness_state)
 from .acceptance import run_criteria
 
 
@@ -177,11 +177,6 @@ def _domain(params) -> Domain:
                          "use torus or line")
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-
-
 def _witness_config(params, domain=Domain.TORUS) -> WitnessConfig:
     return WitnessConfig(domain, params["p"], params["n"], params["s"],
                          params["sigma"])
@@ -196,7 +191,7 @@ def cmd_witness(params):
           f"sigma={cfg.sigma:g}, window={pair.output_window}, "
           f"data norm (s={cfg.s:g}) = {data_norm(pair, cfg.s):.6e}")
     if params["out"]:
-        pair.to_json(params["out"])
+        write_json(params["out"], pair.to_dict())
         return [params["out"]], 0, []
     return [], 0, []
 
@@ -214,7 +209,7 @@ def cmd_resonance(params):
               f"[{e['beta_over_scale_min']}, {e['beta_over_scale_max']}], "
               f"{len(e['violations'])} violations")
     if params["out"]:
-        _write_json(params["out"], report.to_dict())
+        write_json(params["out"], report.to_dict())
         return [params["out"]], 0, []
     return [], 0, []
 
@@ -229,8 +224,9 @@ def cmd_diophantine(params):
     for prof in brute:
         print(f"  (n1,n2,n3,n4) = {prof}")
     if params["out"]:
-        _write_json(params["out"], {"p": p, "profiles": [list(x) for x in brute],
-                                    "closed_form_match": match})
+        write_json(params["out"], {"p": p,
+                                   "profiles": [list(x) for x in brute],
+                                   "closed_form_match": match})
         return [params["out"]], 0 if match else 1, []
     return [], 0 if match else 1, []
 
@@ -327,9 +323,9 @@ def cmd_inflate(params):
     if params["out"]:
         payload = {"p": result.p, "s": result.s, "delta": result.delta,
                    "t_end": result.t_end,
-                   "window_modes": list(result.window_modes),
+                   "window_modes": list(INFLATION_WINDOW),
                    "rows": [vars(r) for r in result.rows]}
-        _write_json(params["out"], payload)
+        write_json(params["out"], payload)
         return [params["out"]], 0, []
     return [], 0, []
 
@@ -339,9 +335,9 @@ def cmd_reproduce_all(params):
     outputs = []
     if params["out_dir"]:
         summary = os.path.join(params["out_dir"], "criteria_summary.json")
-        _write_json(summary, [{"number": r.number, "name": r.name,
-                               "passed": r.passed, "elapsed_s": r.elapsed,
-                               "details": r.details} for r in results])
+        write_json(summary, [{"number": r.number, "name": r.name,
+                              "passed": r.passed, "elapsed_s": r.elapsed,
+                              "details": r.details} for r in results])
         outputs.append(summary)
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
@@ -387,7 +383,7 @@ def main(argv=None) -> int:
                     "version": VERSION,
                     "wall_time_s": round(time.perf_counter() - t0, 3),
                     "outputs": outputs}
-        _write_json(mpath, manifest)
+        write_json(mpath, manifest)
     return code
 
 

@@ -18,10 +18,10 @@ the pure phase e^{-i eps lambda(a) tau}, making K the only time dependence.
 This module evaluates K by one half-angle formula that holds through the
 resonance |beta| = lambda(xi), with the sine and cosine of the half angle
 taken from a single tangent of its half. It assembles the profile exactly
-on the torus and by clipped tensor-product midpoint quadrature or
-stratified Monte Carlo on the line, measures its Sobolev mass on the
-output window, and builds the N-sweep growth tables whose log-log slopes
-are the measured blow-up exponents.
+on the torus and by tensor-product midpoint quadrature or plain Monte Carlo
+(innermost variable clipped exactly in both) on the line, measures its
+Sobolev mass on the output window, and builds the N-sweep growth tables
+whose log-log slopes are the measured blow-up exponents.
 """
 from __future__ import annotations
 
@@ -265,22 +265,22 @@ def _pattern_integrand(slots, xi: float, alpha: float, t: float, S_out,
 def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
                          sign: int = 1, n_xi: int = 33, nodes_per_dim=None,
                          method: str = "auto", mc_samples: int = 8192,
-                         seed: int = 0,
-                         doubling_check: bool = False) -> DerivativeProfile:
+                         seed: int = 0) -> DerivativeProfile:
     """Quadrature evaluation of the profile on the line output window.
 
     Tensor-product clipped midpoint quadrature (p <= 3: 64 nodes/dim,
-    p in {4, 5}: 16 nodes/dim by default) or stratified Monte Carlo with a
+    p in {4, 5}: 16 nodes/dim by default) or plain Monte Carlo with a
     reported 95% half-width (the default for p >= 6). Both evaluate the
-    same clipped-innermost integrand: the tensor rule on a midpoint mesh of
-    the outer slots with n inner midpoints per row, Monte Carlo on uniform
-    outer draws with one uniform inner point per row. The tensor rule builds
-    each pattern's outer mesh once per node count and reuses it at every xi
-    node. Monte Carlo takes one block of uniforms per (xi, pattern), xi
-    nodes in order and patterns in turn within each: mc_samples draws for
-    each outer slot in order, then mc_samples for the inner point. The
-    budget guard counts the ordered tensor volume
-    sum(multiplicity * nodes^(p-1)). nodes_per_dim=None picks the default.
+    same integrand, its innermost variable clipped exactly: the tensor
+    rule on a midpoint mesh of the outer slots with n inner midpoints per
+    row, Monte Carlo on plain uniform outer draws (rng.random, no strata)
+    with one uniform inner point per row. The tensor rule builds each
+    pattern's outer mesh once and reuses it at every xi node. Monte Carlo
+    takes one block of uniforms per (xi, pattern), xi nodes in order and
+    patterns in turn within each: mc_samples draws for each outer slot in
+    order, then mc_samples for the inner point. The budget guard counts the
+    ordered tensor volume sum(multiplicity * nodes^(p-1)), and
+    nodes_per_dim=None picks the default.
     """
     _validate_eval(pair, p, t, Domain.LINE, sign)
     cfg = pair.config
@@ -313,42 +313,39 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
     mults = [r.multiplicity for r in patterns]
     rng = np.random.default_rng(seed)
 
-    def evaluate(nn):
-        vals = np.zeros(n_xi, dtype=complex)
-        variances = np.zeros(n_xi)
-        if method == "tensor":   # the outer mesh does not depend on xi
-            offsets = (np.arange(nn) + 0.5)[None, :]
-            meshes = [_tensor_mesh(slots[:-2], nn) for slots in slot_lists]
-        for i, xi in enumerate(xis.tolist()):
-            alpha = dispersion(xi)
-            total = 0.0 + 0.0j
-            for k, (slots, mult) in enumerate(zip(slot_lists, mults)):
-                if method == "tensor":
-                    S_out, P_out, weight = meshes[k]
-                    _, f = _pattern_integrand(slots, xi, alpha, t, S_out,
-                                              P_out, offsets, weight)
-                    total += mult * complex(np.sum(f))
-                    continue
-                outer = slots[:-2]
-                draws = rng.random((len(outer) + 1, mc_samples))
-                for (lo, hi), r in zip(outer, draws):
-                    r *= hi - lo        # lo + (hi - lo) u, as rng.uniform
-                    r += lo
-                S_out, P_out = _outer_sums(draws[:-1], mc_samples)
-                idx, f = _pattern_integrand(slots, xi, alpha, t, S_out, P_out,
-                                            draws[-1][:, None], 1.0)
-                # the mean runs over every draw, empty rows as 0
-                f_all = np.zeros(mc_samples, dtype=complex)
-                f_all[idx] = f[:, 0]
-                vol = math.prod(hi - lo for lo, hi in outer)
-                variances[i] += mult ** 2 * (
-                    vol ** 2 / mc_samples
-                    * float(np.var(f_all.real) + np.var(f_all.imag)))
-                total += mult * (vol * complex(f_all.mean()))
-            vals[i] = _prefactor(pair, p, xi, sign) * total
-        return vals, variances
+    values = np.zeros(n_xi, dtype=complex)
+    variances = np.zeros(n_xi)
+    if method == "tensor":   # the outer mesh does not depend on xi
+        offsets = (np.arange(nodes) + 0.5)[None, :]
+        meshes = [_tensor_mesh(slots[:-2], nodes) for slots in slot_lists]
+    for i, xi in enumerate(xis.tolist()):
+        alpha = dispersion(xi)
+        total = 0.0 + 0.0j
+        for k, (slots, mult) in enumerate(zip(slot_lists, mults)):
+            if method == "tensor":
+                S_out, P_out, weight = meshes[k]
+                _, f = _pattern_integrand(slots, xi, alpha, t, S_out,
+                                          P_out, offsets, weight)
+                total += mult * complex(np.sum(f))
+                continue
+            outer = slots[:-2]
+            draws = rng.random((len(outer) + 1, mc_samples))
+            for (lo, hi), r in zip(outer, draws):
+                r *= hi - lo        # lo + (hi - lo) u, as rng.uniform
+                r += lo
+            S_out, P_out = _outer_sums(draws[:-1], mc_samples)
+            idx, f = _pattern_integrand(slots, xi, alpha, t, S_out, P_out,
+                                        draws[-1][:, None], 1.0)
+            # the mean runs over every draw, empty rows as 0
+            f_all = np.zeros(mc_samples, dtype=complex)
+            f_all[idx] = f[:, 0]
+            vol = math.prod(hi - lo for lo, hi in outer)
+            variances[i] += mult ** 2 * (
+                vol ** 2 / mc_samples
+                * float(np.var(f_all.real) + np.var(f_all.imag)))
+            total += mult * (vol * complex(f_all.mean()))
+        values[i] = _prefactor(pair, p, xi, sign) * total
 
-    values, variances = evaluate(nodes)
     meta = {"method": method, "n_patterns": len(patterns),
             "nodes_per_dim": nodes if method == "tensor" else None,
             "mc_samples": mc_samples if method == "mc" else None,
@@ -362,14 +359,6 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
             meta["warnings"].append(
                 f"monte-carlo 95% half-width {half.max():.3g} exceeds 5% of "
                 f"the profile peak {scale:.3g}")
-    if doubling_check and method == "tensor":
-        fine, _ = evaluate(2 * nodes)
-        scale = float(np.abs(fine).max())
-        rel = float(np.abs(values - fine).max() / scale) if scale > 0 else 0.0
-        meta["doubling_rel_diff"] = rel
-        if rel > 1e-3:
-            meta["warnings"].append(
-                f"quadrature doubling moved the profile by {rel:.3g} relative")
     return DerivativeProfile(Domain.LINE, p, t, xis, values, weights, meta)
 
 

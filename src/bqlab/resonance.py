@@ -70,10 +70,6 @@ class Representation:
     counts: tuple
     multiplicity: int
 
-    @property
-    def p(self) -> int:
-        return len(self.signs)
-
     def beta(self) -> float:
         """Exact beta (torus only)."""
         if self.domain != Domain.TORUS:
@@ -345,18 +341,19 @@ def _abs_range(br: BetaRange):
     return 0.0, max(-br.lo, br.hi)
 
 
-def _audit_one_N(p, N, fset_fn, window_fn, cells_by_groups):
-    """Representations reaching the window at this N, with beta verdicts
-    (line enclosures refined on the cells_by_groups grid).
+def _audit_one_N(p, domain, N, cells_by_groups):
+    """Representations reaching the witness window at this N, with beta
+    verdicts (line enclosures refined on the cells_by_groups grid).
 
     Returns (entry dict, had_violation). Skips N where the witness set is
     degenerate (e.g. torus odd p with 2N == N+1).
     """
+    cfg = _witness.WitnessConfig(domain, p, N, s=0.0)
     try:
-        A = fset_fn(N)
+        A = _witness.frequency_set(cfg)
     except ValueError:
         return None, False
-    window = window_fn(N)
+    window = _witness.output_window(cfg)
     expected = _expected_beta_sign(p)
     scale = float(N) ** (1 if p % 2 == 0 else 2)
     ratios_lo, ratios_hi, violations = [], [], []
@@ -393,7 +390,6 @@ def _nearest_gap(p, A, window):
 
 
 def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
-                            fset_fn=None, window_fn=None,
                             scan_max=None) -> ResonanceReport:
     """Audit sign-definiteness of beta for every representation reaching
     the output window, across N.
@@ -401,18 +397,10 @@ def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
     Reports |beta|/N (even p) or |beta|/N^2 (odd p) windows per N in
     N_list, every violation found, and N0: one past the largest N in a
     dense scan 1..max(N_list) that still shows a violation (1 if none do).
-    fset_fn/window_fn override the witness defaults (used by negative
-    controls); both take N. An empty N_list, an N < 1, scan_max < 1 and
-    p < 2 are refused.
+    An empty N_list, an N < 1, scan_max < 1 and p < 2 are refused.
     """
     if p < 2 or int(p) != p:    # the scan would skip every N as degenerate
         raise ValueError("p must be an integer >= 2")
-    if fset_fn is None:
-        fset_fn = lambda N: _witness.frequency_set(
-            _witness.WitnessConfig(domain, p, N, s=0.0))
-    if window_fn is None:
-        window_fn = lambda N: _witness.output_window(
-            _witness.WitnessConfig(domain, p, N, s=0.0))
     wanted = set(int(N) for N in N_list)
     if not wanted:
         raise ValueError("need at least one N to audit, got an empty list")
@@ -428,7 +416,7 @@ def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
     # requested N beyond the dense-scan ceiling are still audited
     for N in sorted(set(range(1, scan_hi + 1)) | wanted):
         in_list = N in wanted
-        entry, bad = _audit_one_N(p, N, fset_fn, window_fn,
+        entry, bad = _audit_one_N(p, domain, N,
                                   _CELLS_BY_GROUPS if in_list
                                   else _CELLS_BY_GROUPS_SCAN)
         if bad and N <= scan_hi:

@@ -34,6 +34,8 @@ from .witness import WitnessConfig, WitnessPair, build_witness, data_norm
 
 NAN_CHECK_EVERY = 16
 INFLATION_DT_FACTOR = 0.05      # inflation_experiment's dt times (2N + 2)
+INFLATION_WINDOW = (1, 2)       # the low modes inflation_experiment watches
+PROBE_EPS = (2.5e-3, 1.25e-3)   # fd_derivative_probe's stencil steps
 
 
 def _fft_good_size(n: int) -> int:
@@ -254,8 +256,7 @@ class ProbeResult:
     t: float
     mode: int
     value: complex
-    estimates: list
-    eps_list: tuple
+    estimates: list     # one stencil estimate per PROBE_EPS entry
     rel_spread: float
     converged: bool
     meta: dict = field(default_factory=dict)
@@ -275,17 +276,17 @@ def _stencil_weights(p: int):
 
 
 def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
-                        eps_list=(2.5e-3, 1.25e-3), K: int = None,
-                        dt: float = None, sign: int = 1) -> ProbeResult:
+                        sign: int = 1) -> ProbeResult:
     """Differentiate the full nonlinear flow through the data amplitude.
 
     Solves the equation from the witness scaled by a ladder of amplitudes,
-    applies a central p-th-derivative stencil in the amplitude at each eps,
-    and reads off the output-mode coefficient. The ladder's distinct
-    non-zero amplitudes (overlaps such as eps and eps/2 shared) are stacked
-    as the rows of one batched state and integrated together. The stencil
-    error is O(eps^2) and is Richardson-extrapolated over the last two
-    rungs. eps_list must be non-empty, each eps finite and > 0.
+    applies a central p-th-derivative stencil in the amplitude at each eps
+    of PROBE_EPS, and reads off the output-mode coefficient. Every
+    amplitude is an integer multiple j of the finer eps, and the ladder's
+    distinct non-zero multiples (overlaps such as eps and eps/2 shared)
+    are stacked as the rows of one batched state and integrated together.
+    The stencil error is O(eps^2) and is Richardson-extrapolated over the
+    two eps.
 
     For odd p, (-u)^p = -u^p makes the flow map odd, S(-a phi) = -S(a phi),
     and the discrete flow is odd bit for bit: every stepper operation (the
@@ -296,14 +297,13 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
     can differ from a solve at -a. Even p has no such symmetry (-u solves
     the equation of the opposite sign) and integrates every amplitude.
 
-    Step rule: dt = 2 / lambda(max support frequency) unless given. The
-    integrating factor rotates every linear phase exactly, so dt only has
-    to resolve the phases of the witness modes, not lambda(K). The whole
-    ladder is solved once more at 2 dt. IF-RK4 is fourth order, so with
-    v(h) the Richardson value in eps at step h, |v(dt) - v(2dt)| / 15
-    estimates the time error of v(dt), and the reported value is the
-    Richardson value in time, v(dt) + (v(dt) - v(2dt)) / 15, whose error
-    is smaller still.
+    Step rule: dt = 2 / lambda(max support frequency). The integrating
+    factor rotates every linear phase exactly, so dt only has to resolve
+    the phases of the witness modes, not lambda(K). The whole ladder is
+    solved once more at 2 dt. IF-RK4 is fourth order, so with v(h) the
+    Richardson value in eps at step h, |v(dt) - v(2dt)| / 15 estimates the
+    time error of v(dt), and the reported value is the Richardson value in
+    time, v(dt) + (v(dt) - v(2dt)) / 15, whose error is smaller still.
 
     meta["dt_err_est"] is that time-error estimate relative to the value.
     The result is converged when it and the relative spread between the
@@ -312,8 +312,8 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
     symmetry; meta["n_steps"] counts the row steps actually integrated over
     both ladders, half as many for odd p as for a full ladder.
 
-    The default cutoff K = 2 * (max support frequency) is enough: products
-    are dealiased by padding, so modes beyond K influence the output-mode
+    The cutoff K = 2 * (max support frequency) is enough: products are
+    dealiased by padding, so modes beyond K influence the output-mode
     coefficient of order eps^p only through eps^{p+2} terms, which the
     stencil suppresses to the same eps^2 level as its own truncation error
     (verified directly: K at 1.5x, 2x, 4x the support give identical
@@ -323,25 +323,22 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
         raise ValueError(f"p={p} does not match witness p={pair.config.p}")
     if t <= 0:
         raise ValueError(f"need t > 0, got t={t}")
-    if len(eps_list) == 0 or not all(0 < eps < math.inf for eps in eps_list):
-        raise ValueError(f"need a non-empty eps_list of finite eps > 0, "
-                         f"got {tuple(eps_list)}")
     mode = int(pair.output_window)
     max_freq = pair.u0.support.max_frequency()
-    K = int(K) if K is not None else 2 * int(round(max_freq))
-    dt = float(dt) if dt is not None else 2.0 / dispersion(float(max_freq))
+    K = 2 * int(round(max_freq))
+    dt = 2.0 / dispersion(float(max_freq))
     base = witness_state(pair, K)
     offsets, weights = _stencil_weights(p)
     # the zero amplitude solves to zero and drops out of the stencil
-    stencil = [(off, w) for off, w in zip(offsets, weights)
+    stencil = [(int(off), w) for off, w in zip(offsets, weights)
                if w != 0.0 and off != 0]
-    amps = {}           # distinct amplitudes, keeping the first value seen
-    for eps in eps_list:
-        for off, _w in stencil:
-            amps.setdefault(round(off * eps, 14), off * eps)
+    # each eps is m times the finest, m = (2, 1), so offset off sits at the
+    # multiple j = off * m, and j * PROBE_EPS[-1] is the double off * eps
+    ms = [round(eps / PROBE_EPS[-1]) for eps in PROBE_EPS]
+    js = list(dict.fromkeys(off * m for m in ms for off, _w in stencil))
     odd = p % 2 == 1
-    solved = {key: a for key, a in amps.items() if a > 0 or not odd}
-    rows = np.array(list(solved.values()))[:, None]
+    solved = [j for j in js if j > 0 or not odd]
+    rows = PROBE_EPS[-1] * np.array(solved, dtype=float)[:, None]
     steps = [0]
 
     def count_step(_state):
@@ -356,32 +353,20 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
         steps[0] -= 1      # the observer also sees the start
         coeff = dict(zip(solved, final.u[:, mode].tolist()))
         if odd:
-            coeff.update({round(-a, 14): -coeff[key]
-                          for key, a in solved.items()})
-        estimates = []
-        for eps in eps_list:
-            acc = 0.0 + 0.0j
-            for off, w in stencil:
-                acc += w * coeff[round(off * eps, 14)]
-            estimates.append(acc / eps ** p)
-        if len(estimates) > 1:
-            r = eps_list[-2] / eps_list[-1]
-            value = (estimates[-1]
-                     + (estimates[-1] - estimates[-2]) / (r * r - 1.0))
-        else:
-            value = estimates[-1]
-        return estimates, value
+            coeff.update({-j: -c for j, c in coeff.items()})
+        est = [sum((w * coeff[off * m] for off, w in stencil), 0j) / eps ** p
+               for eps, m in zip(PROBE_EPS, ms)]
+        return est, est[1] + (est[1] - est[0]) / (ms[0] ** 2 - 1.0)
 
     estimates, fine = ladder(dt)
     _, coarse = ladder(2.0 * dt)
     value = fine + (fine - coarse) / 15.0
     scale = max(abs(value), 1e-300)
-    rel_spread = (abs(estimates[0] - estimates[-1]) / scale
-                  if len(estimates) > 1 else 0.0)
+    rel_spread = abs(estimates[0] - estimates[1]) / scale
     dt_err_est = abs(fine - coarse) / 15.0 / scale
-    return ProbeResult(p, t, mode, value, estimates, tuple(eps_list),
-                       rel_spread, rel_spread <= 0.05 and dt_err_est <= 0.05,
-                       meta={"K": K, "dt": dt, "n_solves": len(amps),
+    return ProbeResult(p, t, mode, value, estimates, rel_spread,
+                       rel_spread <= 0.05 and dt_err_est <= 0.05,
+                       meta={"K": K, "dt": dt, "n_solves": len(js),
                              "dt_err_est": dt_err_est,
                              "n_steps": len(solved) * steps[0]})
 
@@ -403,7 +388,6 @@ class InflationResult:
     s: float
     delta: float
     t_end: float
-    window_modes: tuple
     rows: list
 
     def sup_norms(self):
@@ -412,10 +396,9 @@ class InflationResult:
 
 def inflation_experiment(s: float, N_list, *, p: int = 2,
                          delta: float = 1e-2, t_end: float = 1.0,
-                         sign: int = 1,
-                         window_modes=(1, 2)) -> InflationResult:
+                         sign: int = 1) -> InflationResult:
     """Feed size-delta witness data to the full solver and track the H^s
-    mass that the low window accumulates.
+    mass that the low window INFLATION_WINDOW accumulates.
 
     The witness for each N is rescaled so the data norm is exactly delta.
     The step dt = INFLATION_DT_FACTOR / (2N + 2) resolves the slow beat
@@ -442,13 +425,13 @@ def inflation_experiment(s: float, N_list, *, p: int = 2,
         dt = INFLATION_DT_FACTOR / (2 * N + 2)
         stepper = Stepper(SimConfig(p=p, K=K, dt=dt, sign=sign))
         peak = {"norm": -1.0, "t": 0.0}
-        initial = windowed_norm(state, window_modes, s)
+        initial = windowed_norm(state, INFLATION_WINDOW, s)
 
         def observe(st, _peak=peak):
-            w = windowed_norm(st, window_modes, s)
+            w = windowed_norm(st, INFLATION_WINDOW, s)
             if w > _peak["norm"]:
                 _peak["norm"] = w
                 _peak["t"] = st.t
         stepper.integrate(state, t_end, observer=observe)
         rows.append(InflationRow(N, peak["norm"], peak["t"], initial, scale))
-    return InflationResult(p, s, delta, t_end, tuple(window_modes), rows)
+    return InflationResult(p, s, delta, t_end, rows)

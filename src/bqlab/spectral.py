@@ -18,6 +18,7 @@ signed component. Every sample lies on its support.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +32,10 @@ NODES_PER_UNIT = 64
 
 # short intervals still deserve a grid; floor per component
 MIN_NODES_PER_COMPONENT = 8
+
+# loaded values whose Hermitian defect exceeds this fraction of their
+# largest |value| are refused: they are not those of a real field
+HERMITIAN_TOL = 1e-12
 
 
 class Domain(str, Enum):
@@ -208,12 +213,39 @@ class SpectralData:
         if off:
             raise ValueError(f"values: frequency {off[0]:g} lies on no "
                              "support component")
+        bad = freqs[~np.isfinite(vals)]
+        if bad.size:
+            raise ValueError(f"values: non-finite amplitude at frequency "
+                             f"{bad[0]:g}")
+        uniq, n_rows = np.unique(freqs, return_counts=True)
+        if (n_rows > 1).any():
+            raise ValueError(f"values: frequency {uniq[n_rows > 1][0]:g} is "
+                             "listed more than once")
         if domain == Domain.TORUS:
             weights = np.ones_like(freqs)
         else:
             weights = _midpoint_weights(freqs, support)
-        return cls(domain, freqs, vals, weights, support,
-                   json_field(d, "N", int), json_field(d, "sigma", float))
+        data = cls(domain, freqs, vals, weights, support,
+                   json_field(d, "N", json_int), json_field(d, "sigma", float))
+        defect = data.hermitian_defect()
+        if defect > HERMITIAN_TOL * np.abs(vals).max(initial=0.0):
+            raise ValueError(f"values: not a real field, |v(-xi) - conj "
+                             f"v(xi)| reaches {defect:.3g}")
+        return data
+
+
+def json_int(x) -> int:
+    """x as an int; a fractional part is refused, not truncated."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return n
+
+
+def write_json(path: str, payload):
+    """The one JSON writer: indent 1, as docs/schemas.md specifies."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1)
 
 
 def json_field(d, key: str, parse):
@@ -228,7 +260,7 @@ def json_field(d, key: str, parse):
         return parse(d[key])
     except KeyError as exc:
         raise ValueError(f"{key}: missing key {exc.args[0]!r}") from None
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ValueError(f"{key}: {exc}") from None
 
 
@@ -269,26 +301,9 @@ def sobolev_norm(data: SpectralData, s: float) -> float:
     return float(np.sqrt(mass.sum()))
 
 
-def _require_same_grid(a: SpectralData, b: SpectralData):
-    if a.domain != b.domain or a.freqs.shape != b.freqs.shape \
-            or not np.array_equal(a.freqs, b.freqs):
-        raise ValueError("operands live on different grids")
-
-
 def free_flow_rotation(lam, t: float):
     """cos(t lam), sin(t lam)/lam and lam sin(t lam): the entries of the
     free flow's rotation (u, v) -> (c u + s v, -ls u + c v) over time t,
     the lam -> 0 limit handled by sin_over_lambda."""
     return np.cos(t * lam), sin_over_lambda(lam, t), lam * np.sin(t * lam)
 
-
-def propagate_linear_pair(u0: SpectralData, u1: SpectralData, t: float):
-    """(position, velocity) of the free evolution at time t. Each node's
-    energy lam^2 |u_hat|^2 + |ut_hat|^2 is conserved exactly."""
-    _require_same_grid(u0, u1)
-    c, s, ls = free_flow_rotation(dispersion(u0.freqs), t)
-    pos = c * u0.values + s * u1.values
-    vel = -ls * u0.values + c * u1.values
-    mk = lambda v: SpectralData(u0.domain, u0.freqs.copy(), v,
-                                u0.weights.copy(), u0.support, u0.N, u0.sigma)
-    return mk(pos), mk(vel)

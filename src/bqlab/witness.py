@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (Domain, FrequencySet, SpectralData, dispersion,
-                       json_field, sobolev_norm)
+                       json_field, json_int, sobolev_norm)
 
 
 @dataclass(frozen=True)
@@ -74,23 +74,25 @@ class WitnessPair:
             "u1": self.u1.to_dict(),
         }
 
-    def to_json(self, path: str):
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
     @classmethod
     def from_json(cls, path: str) -> "WitnessPair":
         """Read a witness file; a malformed file raises ValueError naming
-        the file and the offending key."""
+        the file and the offending key, and so does a u1 whose domain,
+        support, N or sigma differs from u0's."""
         try:
             with open(path) as fh:
                 d = json.load(fh)
             u0 = json_field(d, "u0", SpectralData.from_dict)
             u1 = json_field(d, "u1", SpectralData.from_dict)
-            cfg = WitnessConfig(u0.domain, json_field(d, "p", int), u0.N,
-                                json_field(d, "s", float), u0.sigma)
+            for name in ("domain", "support", "N", "sigma"):
+                if getattr(u1, name) != getattr(u0, name):
+                    raise ValueError(f"u1: {name} {getattr(u1, name)!r} "
+                                     f"differs from u0's "
+                                     f"{getattr(u0, name)!r}")
+            cfg = WitnessConfig(u0.domain, json_field(d, "p", json_int),
+                                u0.N, json_field(d, "s", float), u0.sigma)
             win = json_field(d, "output_window", lambda w: (
-                tuple(w) if isinstance(w, list) else int(w)))
+                tuple(w) if isinstance(w, list) else json_int(w)))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         return cls(cfg, u0, u1, win)

@@ -1,5 +1,6 @@
 """Command-line driver: subcommands, config precedence, manifests, exit codes."""
 import json
+import math
 import os
 from pathlib import Path
 
@@ -351,14 +352,21 @@ def test_simulate_refuses_observe_every_below_one(tmp_path, capsys, every):
 
 
 def _witness_file(tmp_path, edit):
-    """A p = 2, N = 8 torus witness file, passed through edit(u) for u0, u1."""
+    """A p = 2, N = 8 torus witness file, its payload passed through edit."""
     path = tmp_path / "w.json"
     assert main(["witness", "--p", "2", "--n", "8", "--out", str(path)]) == 0
     payload = _load(path)
-    for key in ("u0", "u1"):
-        edit(payload[key])
+    edit(payload)
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _both(edit_u):
+    """The payload edit that applies edit_u to u0 and to u1."""
+    def edit(payload):
+        for key in ("u0", "u1"):
+            edit_u(payload[key])
+    return edit
 
 
 def _keep_sign(positive):
@@ -366,21 +374,52 @@ def _keep_sign(positive):
         u["supports"] = [{"modes": [m for m in u["supports"][0]["modes"]
                                     if (m > 0) == positive]}]
         u["values"] = [row for row in u["values"] if (row[0] > 0) == positive]
+    return _both(edit)
+
+
+def _set(*keys, value):
+    """The payload edit that sets payload[keys[0]][keys[1]]... to value."""
+    def edit(payload):
+        for key in keys[:-1]:
+            payload = payload[key]
+        payload[keys[-1]] = value
     return edit
 
 
-def _add_mode_50(u):
-    u["values"].append([50.0, 1.0, 0.0])
+def _break_mirror(payload):
+    # u0 at modes -8 and -9 is no longer the conjugate of modes 8 and 9
+    for row in payload["u0"]["values"]:
+        if row[0] < 0:
+            row[1] = 123.0
+
+
+def _nan_at_minus_9(payload):
+    # the first row is mode -9, which witness_state never reads
+    payload["u0"]["values"][0][1] = math.nan
+
+
+def _repeat_last_row(payload):
+    payload["u0"]["values"].append(payload["u0"]["values"][-1])
 
 
 @pytest.mark.parametrize("edit,message", [
     (_keep_sign(False), "u0: supports: torus support is not mirror-symmetric"),
     (_keep_sign(True), "u0: supports: torus support is not mirror-symmetric"),
-    (_add_mode_50, "u0: values: frequency 50 lies on no support component"),
-], ids=["minus-only", "plus-only", "off-support"])
+    (_both(lambda u: u["values"].append([50.0, 1.0, 0.0])),
+     "u0: values: frequency 50 lies on no support component"),
+    (_break_mirror, "u0: values: not a real field"),
+    (_nan_at_minus_9, "u0: values: non-finite amplitude at frequency -9"),
+    (_repeat_last_row, "u0: values: frequency 9 is listed more than once"),
+    (_set("u1", "N", value=99), "u1: N 99 differs from u0's 8"),
+    (_set("u1", "sigma", value=5.0), "u1: sigma 5.0 differs from u0's"),
+    (_set("p", value=2.7), "p: 2.7 is not an integer"),
+    (_set("u0", "N", value=8.9), "u0: N: 8.9 is not an integer"),
+], ids=["minus-only", "plus-only", "off-support", "not-real", "nan-value",
+        "repeated-row", "u1-N", "u1-sigma", "fractional-p", "fractional-N"])
 def test_simulate_init_refuses_bad_support(tmp_path, capsys, edit, message):
     # minus-only data used to be integrated as zero, plus-only as if
-    # symmetric, and a sample at mode 50 ended in an IndexError
+    # symmetric, and a sample at mode 50 ended in an IndexError; the other
+    # files used to simulate as the unedited witness (p and N truncated)
     wpath = _witness_file(tmp_path, edit)
     capsys.readouterr()
     out = tmp_path / "traj.csv"

@@ -205,17 +205,13 @@ def test_audit_stabilizes_across_domains():
                     assert entry["beta_over_scale_min"] > 0
 
 
-def test_audit_negative_control_wrong_set():
+def test_audit_negative_control_wrong_set(monkeypatch):
     # feeding the even-p interval to an odd-p window: nothing reaches it,
     # and the nearest attainable sum is ~N away
-    wrong = lambda N: FrequencySet(Domain.LINE,
-                                   ((float(N), float(N + 1)),))
-    report = verify_resonance_bounds(
-        3, Domain.LINE, [64],
-        fset_fn=wrong,
-        window_fn=lambda N: output_window(
-            WitnessConfig(Domain.LINE, 3, N, s=0.0)),
-        scan_max=4)
+    wrong = lambda cfg: FrequencySet(Domain.LINE,
+                                     ((float(cfg.N), float(cfg.N + 1)),))
+    monkeypatch.setattr("bqlab.witness.frequency_set", wrong)
+    report = verify_resonance_bounds(3, Domain.LINE, [64], scan_max=4)
     entry = report.per_N[0]
     assert entry["n_representations"] == 0
     assert entry["nearest_gap"] > 64 / 2

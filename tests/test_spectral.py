@@ -1,4 +1,4 @@
-"""Dispersion relation, spectral containers, norms, and the free propagator."""
+"""Dispersion relation, spectral containers, norms, and the free flow."""
 import json
 import math
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from bqlab.spectral import (Domain, FrequencySet, SpectralData, dispersion,
-                            propagate_linear_pair, sin_over_lambda,
-                            sobolev_norm)
+                            free_flow_rotation, sin_over_lambda, sobolev_norm)
 
 
 def _torus_data(modes, N=1, sigma=0.0, support=None):
@@ -154,7 +153,13 @@ def test_sobolev_norm_line_window_mass():
                                                     rel=1e-12)
 
 
-# -- propagator -----------------------------------------------------------------
+# -- free flow ------------------------------------------------------------------
+
+def _free_flow(u0, u1, t):
+    """(position, velocity) values of the free flow from (u0, u1) at t."""
+    c, s, ls = free_flow_rotation(dispersion(u0.freqs), t)
+    return c * u0.values + s * u1.values, -ls * u0.values + c * u1.values
+
 
 def test_propagate_zero_frequency_limit():
     # at xi = 0 position evolves as u0 + t u1 and the velocity stays u1
@@ -163,9 +168,9 @@ def test_propagate_zero_frequency_limit():
                       np.array([1.0]), fs, 1, 0.0)
     u1 = SpectralData(Domain.TORUS, np.array([0.0]), np.array([0.7 + 0.1j]),
                       np.array([1.0]), fs, 1, 0.0)
-    pos, vel = propagate_linear_pair(u0, u1, 1.3)
-    assert pos.values[0] == pytest.approx(1.3 * (0.7 + 0.1j), rel=1e-15)
-    assert vel.values[0] == 0.7 + 0.1j
+    pos, vel = _free_flow(u0, u1, 1.3)
+    assert pos[0] == pytest.approx(1.3 * (0.7 + 0.1j), rel=1e-15)
+    assert vel[0] == 0.7 + 0.1j
 
 
 def test_propagator_energy_conserved():
@@ -176,23 +181,15 @@ def test_propagator_energy_conserved():
         modes[-k] = np.conj(modes[k])
     u0 = _torus_data(modes)
     u1 = _torus_data({k: 1j * v for k, v in modes.items()})
+    lam2 = u0.freqs ** 2 + u0.freqs ** 4
 
     def energy(u, ut):   # lam^2 |u_hat|^2 + |ut_hat|^2 per node
-        return (u.freqs ** 2 + u.freqs ** 4) * np.abs(u.values) ** 2 \
-            + np.abs(ut.values) ** 2
+        return lam2 * np.abs(u) ** 2 + np.abs(ut) ** 2
 
-    e0 = energy(u0, u1)
+    e0 = energy(u0.values, u1.values)
     for t in (0.3, 1.1, 2.7):
-        pos, vel = propagate_linear_pair(u0, u1, t)
-        et = energy(pos, vel)
+        et = energy(*_free_flow(u0, u1, t))
         assert np.allclose(et, e0, rtol=1e-12, atol=1e-14)
-
-
-def test_propagator_grid_mismatch():
-    a = _torus_data({1: 1.0, -1: 1.0})
-    b = _torus_data({2: 1.0, -2: 1.0})
-    with pytest.raises(ValueError):
-        propagate_linear_pair(a, b, 1.0)
 
 
 # -- serialization ----------------------------------------------------------------
@@ -254,6 +251,23 @@ def test_from_dict_refuses_torus_sample_off_support():
     d = _torus_data({k: 1.0 for k in (-9, -8, 8, 9, 50)},
                     support=FrequencySet(Domain.TORUS, (8, 9))).to_dict()
     with pytest.raises(ValueError, match="values: frequency 50 lies on no"):
+        SpectralData.from_dict(d)
+
+
+@pytest.mark.parametrize("domain", [Domain.TORUS, Domain.LINE])
+def test_from_dict_refuses_repeated_frequency(domain):
+    # a repeated row used to load silently; on the line it would also have
+    # shrunk every midpoint weight of its component
+    if domain == Domain.TORUS:
+        data = _torus_data({k: 1.0 for k in (-9, -8, 8, 9)})
+    else:
+        data = SpectralData.sampled(FrequencySet(Domain.LINE, ((2.0, 3.0),)),
+                                    np.ones_like, N=2, sigma=0.0)
+    d = data.to_dict()
+    d["values"].append(d["values"][-1])
+    freq = f"{d['values'][-1][0]:g}"
+    with pytest.raises(ValueError, match=f"values: frequency {freq} is "
+                                         "listed more than once"):
         SpectralData.from_dict(d)
 
 
