@@ -20,7 +20,7 @@ from .resonance import (closed_form_profiles, construct_representation,
                         solve_diophantine, verify_resonance_bounds)
 from .flow_derivative import (flow_derivative_torus, growth_table,
                               predicted_growth_slope, time_integral)
-from .simulator import (SimConfig, SimState, Stepper, fd_derivative_probe,
+from .simulator import (SimConfig, Stepper, fd_derivative_probe,
                         inflation_experiment, linear_energy, witness_state)
 
 GROWTH_N = (16, 32, 64, 128, 256, 512)

@@ -270,7 +270,7 @@ def cmd_simulate(params):
     stepper = Stepper(SimConfig(p=params["p"], K=K, dt=params["dt"],
                                 sign=params["sign"]))
     norm_s = params["norm_s"] or [pair.config.s]
-    window = (int(round(pair.output_window)),)
+    window = (pair.output_window,)
     if not math.isfinite(params["t_end"]):
         raise ValueError(f"need a finite t_end, got {params['t_end']}")
     every = params["observe_every"]

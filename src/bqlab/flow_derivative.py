@@ -191,10 +191,7 @@ def _representative_slots(rep):
     the outer midpoint grids. Sorting is stable, so the order is
     deterministic.
     """
-    ivs = []
-    for sgn, payload in zip(rep.signs, rep.payloads):
-        lo, hi = payload
-        ivs.append((lo, hi) if sgn > 0 else (-hi, -lo))
+    ivs = [(lo, hi) if sgn > 0 else (-hi, -lo) for sgn, (lo, hi) in rep.slots]
     ivs.sort(key=lambda iv: (iv[1] - iv[0], iv[0]))
     return ivs
 
@@ -402,13 +399,12 @@ def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
     """Sweep N, recording data norm, window derivative mass, and their
     ratio ap_norm / data_norm^p, plus running and final log-log slopes.
 
-    sigma=None defaults to s + 1; sigma <= s is refused, and so is an N
-    list with fewer than two distinct values, which has no slope, or a
-    ratio that is not finite and positive (t = 0, or t so small that the
-    profile underflows), which has no logarithm.
+    sigma follows WitnessConfig's rule (None means s + 1, sigma <= s is
+    refused). An N list with fewer than two distinct values, which has no
+    slope, is refused, and so is a ratio that is not finite and positive
+    (t = 0, or t so small that the profile underflows), which has no
+    logarithm.
     """
-    if sigma is not None and sigma <= s:
-        raise ValueError(f"sigma={sigma} must exceed s={s}")
     N_list = sorted(int(N) for N in N_list)
     if len(set(N_list)) < 2:
         raise ValueError(f"need at least two distinct N values for a "
@@ -435,6 +431,5 @@ def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
         else:
             slope_run = float("nan")
         records.append(GrowthRecord(N, dn, an, ratio, slope_run))
-    return GrowthTable(p, domain, s,
-                       sigma if sigma is not None else s + 1.0, t, records,
+    return GrowthTable(p, domain, s, cfg.sigma, t, records,
                        records[-1].slope_running, predicted_growth_slope(p, s))

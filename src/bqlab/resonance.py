@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -57,16 +58,15 @@ class BetaRange:
 class Representation:
     """One unordered decomposition xi = sum eps_j a_j.
 
-    signs/class_indices/payloads run over the p slots in a canonical
-    order; payloads are concrete integers on the torus and (lo, hi)
-    component tuples on the line. multiplicity counts the ordered tuples
-    this unordered pattern stands for. counts = (n1, n2, n3, n4).
+    slots holds the p (sign, payload) pairs, plus copies first, then minus
+    copies, each run in component order; payloads are concrete integers on
+    the torus and (lo, hi) component tuples on the line. multiplicity
+    counts the ordered tuples this unordered pattern stands for. counts =
+    (n1, n2, n3, n4).
     """
 
     domain: Domain
-    signs: tuple
-    class_indices: tuple
-    payloads: tuple
+    slots: tuple
     counts: tuple
     multiplicity: int
 
@@ -74,8 +74,7 @@ class Representation:
         """Exact beta (torus only)."""
         if self.domain != Domain.TORUS:
             raise ValueError("use beta_range for line representations")
-        return float(-sum(s * dispersion(v)
-                          for s, v in zip(self.signs, self.payloads)))
+        return float(-sum(s * dispersion(v) for s, v in self.slots))
 
 
 # -- enumeration -----------------------------------------------------------
@@ -110,36 +109,6 @@ def _far_class_start(domain: Domain, n_components: int) -> int:
     if n_components >= 2 and (domain == Domain.LINE or n_components == 3):
         return n_components - 1
     return n_components
-
-
-def _counts_from_cells(cell_counts, symbols, far_start):
-    n1 = n2 = n3 = n4 = 0
-    for (sgn, ci), c in zip(symbols, cell_counts):
-        if ci < far_start:
-            if sgn > 0:
-                n1 += c
-            else:
-                n2 += c
-        else:
-            if sgn > 0:
-                n3 += c
-            else:
-                n4 += c
-    return (n1, n2, n3, n4)
-
-
-def _build_representation(domain, cell_counts, symbols, components,
-                          far_start, p) -> Representation:
-    signs, cidx, payloads = [], [], []
-    mult = math.factorial(p)
-    for (sgn, ci), c in zip(symbols, cell_counts):
-        mult //= math.factorial(int(c))
-        signs.extend([sgn] * int(c))
-        cidx.extend([ci] * int(c))
-        payloads.extend([components[ci]] * int(c))
-    return Representation(domain, tuple(signs), tuple(cidx), tuple(payloads),
-                          _counts_from_cells(cell_counts, symbols, far_start),
-                          mult)
 
 
 def _signed_sum_bounds(p: int, A: FrequencySet):
@@ -189,18 +158,27 @@ def enumerate_representations(target, p: int, A: FrequencySet):
         raise ValueError("p must be an integer >= 2")
     symbols, counts, lo_sum, hi_sum = _signed_sum_bounds(p, A)
     wlo, whi = (int(target),) * 2 if A.domain == Domain.TORUS else target
-    hits = np.nonzero((hi_sum >= wlo) & (lo_sum <= whi))[0]
+    hits = counts[(hi_sum >= wlo) & (lo_sum <= whi)]
     far_start = _far_class_start(A.domain, len(A.components))
-    return [_build_representation(A.domain, counts[i], symbols, A.components,
-                                  far_start, p) for i in hits]
+    # row k of tally marks the count of (n1, n2, n3, n4) symbol k adds to
+    tally = np.eye(4, dtype=np.int64)[[(sgn < 0) + 2 * (ci >= far_start)
+                                       for sgn, ci in symbols]]
+    slots = [(sgn, A.components[ci]) for sgn, ci in symbols]
+    fact = [math.factorial(c) for c in range(p + 1)]
+    return [Representation(A.domain,
+                           tuple(slot for slot, c in zip(slots, row)
+                                 for _ in range(c)),
+                           tuple(tal),
+                           fact[p] // math.prod(fact[c] for c in row))
+            for row, tal in zip(hits.tolist(), (hits @ tally).tolist())]
 
 
 # -- beta enclosures --------------------------------------------------------
 
 def _plain_beta_range(rep: Representation) -> BetaRange:
     lo = hi = 0.0
-    for sgn, payload in zip(rep.signs, rep.payloads):
-        a, b = dispersion(payload[0]), dispersion(payload[1])
+    for sgn, (lo_v, hi_v) in rep.slots:
+        a, b = dispersion(lo_v), dispersion(hi_v)
         if sgn > 0:   # contributes -lambda(a_j)
             lo -= b
             hi -= a
@@ -210,7 +188,7 @@ def _plain_beta_range(rep: Representation) -> BetaRange:
     return BetaRange(lo, hi)
 
 
-def _sum_lambda_min(S, m, lo, hi):
+def _sum_lambda_min(S, m):
     # Jensen: lambda is convex (lambda''(a) = a(3+2a^2)/(1+a^2)^{3/2} > 0),
     # so the min of a fixed-total sum over a box sits at the equal split
     return m * dispersion(S / m)
@@ -228,16 +206,10 @@ def _sum_lambda_max(S, m, lo, hi):
 
 
 def _slot_groups(rep: Representation):
-    """(sign, slot count, lo, hi) per (class, sign) group of slots, in
-    (class, sign) order."""
-    groups = {}
-    for sgn, ci, payload in zip(rep.signs, rep.class_indices, rep.payloads):
-        key = (ci, sgn)
-        if key not in groups:
-            groups[key] = [0, payload]
-        groups[key][0] += 1
-    return [(sgn, m, payload[0], payload[1])
-            for (ci, sgn), (m, payload) in sorted(groups.items())]
+    """(sign, slot count, lo, hi) per (payload, sign) group of slots, in
+    (payload, sign) order: components are sorted, so this is class order."""
+    groups = Counter((payload, sgn) for sgn, payload in rep.slots)
+    return [(sgn, m, lo, hi) for ((lo, hi), sgn), m in sorted(groups.items())]
 
 
 def _constrained_beta_range(items, window, n_cells: int):
@@ -270,7 +242,7 @@ def _constrained_beta_range(items, window, n_cells: int):
     beta_hi = np.zeros_like(beta_lo)
     for i, (sgn, m, lo, hi) in enumerate(items):
         sl, sh = S_lo[i][feasible], S_hi[i][feasible]
-        lam_min = _sum_lambda_min(sl, m, lo, hi)
+        lam_min = _sum_lambda_min(sl, m)
         lam_max = _sum_lambda_max(sh, m, lo, hi)
         if sgn > 0:   # beta gets -Lambda_group
             beta_lo -= lam_max

@@ -13,8 +13,9 @@ representation, not to the set.
 Conventions: torus coefficients are indexed by k in Z with counting measure;
 the line transform uses the unit-constant convention, and all norms are
 computed directly on the stored frequency grid, so no physical-space pass is
-ever needed. Line data is sampled on composite-midpoint grids, one grid per
-signed component. Every sample lies on its support.
+ever needed. Torus data is sampled at every signed mode; line data on
+composite-midpoint grids, one grid per signed component. Every sample lies
+on its support.
 """
 from __future__ import annotations
 
@@ -146,33 +147,29 @@ class SpectralData:
                 raise ValueError("torus data requires integer modes")
 
     @classmethod
-    def from_modes(cls, modes: dict, support: FrequencySet, N: int,
-                   sigma: float) -> "SpectralData":
-        """Torus constructor from a mode -> amplitude mapping."""
-        ks = np.array(sorted(modes), dtype=float)
-        vals = np.array([modes[int(k)] for k in ks], dtype=complex)
-        return cls(Domain.TORUS, ks, vals, np.ones_like(ks), support, N, sigma)
-
-    @classmethod
     def sampled(cls, support: FrequencySet, value_fn, N: int,
                 sigma: float) -> "SpectralData":
-        """Line constructor: midpoint grids per signed component.
-
-        value_fn maps a node array to complex amplitudes.
+        """value_fn (a map from a frequency array to complex amplitudes)
+        sampled on the support: at every signed mode with unit weights on
+        the torus, on a midpoint grid per signed component on the line.
         """
-        if support.domain != Domain.LINE:
-            raise ValueError("sampled() builds line data")
-        freqs, weights = [], []
-        for lo, hi in support.signed_components():
-            width = hi - lo
-            n = max(MIN_NODES_PER_COMPONENT, int(np.ceil(width * NODES_PER_UNIT)))
-            h = width / n
-            freqs.append(lo + (np.arange(n) + 0.5) * h)
-            weights.append(np.full(n, h))
-        freqs = np.concatenate(freqs)
-        weights = np.concatenate(weights)
-        return cls(Domain.LINE, freqs, np.asarray(value_fn(freqs), dtype=complex),
-                   weights, support, N, sigma)
+        if support.domain == Domain.TORUS:
+            freqs = np.array(support.signed_components(), dtype=float)
+            weights = np.ones_like(freqs)
+        else:
+            freqs, weights = [], []
+            for lo, hi in support.signed_components():
+                width = hi - lo
+                n = max(MIN_NODES_PER_COMPONENT,
+                        int(np.ceil(width * NODES_PER_UNIT)))
+                h = width / n
+                freqs.append(lo + (np.arange(n) + 0.5) * h)
+                weights.append(np.full(n, h))
+            freqs = np.concatenate(freqs)
+            weights = np.concatenate(weights)
+        return cls(support.domain, freqs,
+                   np.asarray(value_fn(freqs), dtype=complex), weights,
+                   support, N, sigma)
 
     def hermitian_defect(self) -> float:
         """Max |v(-xi) - conj(v(xi))| over nodes whose mirror is on the grid."""

@@ -61,15 +61,18 @@ class WitnessPair:
     config: WitnessConfig
     u0: SpectralData
     u1: SpectralData
-    output_window: tuple | int
+
+    @property
+    def output_window(self):
+        return output_window(self.config)
 
     def to_dict(self) -> dict:
+        window = self.output_window
         return {
             "p": self.config.p,
             "s": self.config.s,
-            "output_window": (list(self.output_window)
-                              if isinstance(self.output_window, tuple)
-                              else self.output_window),
+            "output_window": (list(window) if isinstance(window, tuple)
+                              else window),
             "u0": self.u0.to_dict(),
             "u1": self.u1.to_dict(),
         }
@@ -78,7 +81,8 @@ class WitnessPair:
     def from_json(cls, path: str) -> "WitnessPair":
         """Read a witness file; a malformed file raises ValueError naming
         the file and the offending key, and so does a u1 whose domain,
-        support, N or sigma differs from u0's."""
+        support, N or sigma differs from u0's, or an output_window other
+        than the one p and N define."""
         try:
             with open(path) as fh:
                 d = json.load(fh)
@@ -93,9 +97,13 @@ class WitnessPair:
                                 u0.N, json_field(d, "s", float), u0.sigma)
             win = json_field(d, "output_window", lambda w: (
                 tuple(w) if isinstance(w, list) else json_int(w)))
+            own = output_window(cfg)
+            if win != own:
+                raise ValueError(f"output_window {win} is not {own}, the "
+                                 f"window of p={cfg.p} at N={cfg.N}")
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-        return cls(cfg, u0, u1, win)
+        return cls(cfg, u0, u1)
 
 
 def frequency_set(cfg: WitnessConfig) -> FrequencySet:
@@ -138,22 +146,13 @@ def build_witness(cfg: WitnessConfig) -> WitnessPair:
     """
     amp = float(cfg.N) ** (-cfg.sigma)
     support = frequency_set(cfg)
-    if cfg.domain == Domain.TORUS:
-        modes0, modes1 = {}, {}
-        for k in support.signed_components():
-            modes0[k] = amp
-            modes1[k] = -1j * amp * dispersion(k) * np.sign(k)
-        u0 = SpectralData.from_modes(modes0, support, cfg.N, cfg.sigma)
-        u1 = SpectralData.from_modes(modes1, support, cfg.N, cfg.sigma)
-    else:
-        u0 = SpectralData.sampled(support, lambda x: np.full(x.shape, amp,
-                                                             dtype=complex),
-                                  cfg.N, cfg.sigma)
-        u1 = SpectralData.sampled(
-            support,
-            lambda x: -1j * amp * dispersion(x) * np.sign(x),
-            cfg.N, cfg.sigma)
-    return WitnessPair(cfg, u0, u1, output_window(cfg))
+    u0 = SpectralData.sampled(
+        support, lambda x: np.full(x.shape, amp, dtype=complex),
+        cfg.N, cfg.sigma)
+    u1 = SpectralData.sampled(
+        support, lambda x: -1j * amp * dispersion(x) * np.sign(x),
+        cfg.N, cfg.sigma)
+    return WitnessPair(cfg, u0, u1)
 
 
 def data_norm(pair: WitnessPair, s: float) -> float:

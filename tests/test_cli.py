@@ -51,6 +51,18 @@ def test_resonance_report_schema(tmp_path):
         assert entry["beta_over_scale_min"] > 0
 
 
+def test_resonance_report_writes_violations(tmp_path):
+    # below N0 = 4 the p = 3 torus audit finds violations; their tallies
+    # used to be numpy integers, which json refused with a traceback
+    out = str(tmp_path / "r.json")
+    assert main(["resonance", "--p", "3", "--n-list", "2,3",
+                 "--out", out]) == 0
+    per_N = _load(out)["per_N"]
+    assert [len(e["violations"]) for e in per_N] == [4, 1]
+    assert per_N[0]["violations"][0]["counts"] == [2, 0, 0, 1]
+    assert per_N[0]["violations"][0]["multiplicity"] == 3
+
+
 def test_growth_csv(tmp_path):
     out = str(tmp_path / "g.csv")
     code = main(["growth", "--domain", "torus", "--p", "2", "--s", "-1",
@@ -428,3 +440,17 @@ def test_simulate_init_refuses_bad_support(tmp_path, capsys, edit, message):
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("window", [5, 999])
+def test_simulate_init_refuses_foreign_window(tmp_path, capsys, window):
+    # the file's window used to be trusted: 5 simulated at mode 5, and 999
+    # ended in an IndexError traceback
+    wpath = _witness_file(tmp_path, _set("output_window", value=window))
+    capsys.readouterr()
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--init", wpath, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (f"error: {wpath}: output_window {window} is not "
+                            f"1, the window of p=2 at N=8\n")

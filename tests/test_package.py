@@ -1,5 +1,6 @@
 """Import hygiene: submodules stay reachable as modules, and the package's
 public names all resolve."""
+import ast
 import os
 import pkgutil
 import subprocess
@@ -39,3 +40,32 @@ def test_package_and_kernel_check_run_without_scipy():
     run = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert run.stdout == "False\n"
+
+
+def _unused_imports(path):
+    """Module-level imported names that the module never reads."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{path}:{line}: {name}" for name, line in bound.items()
+                  if name not in read)
+
+
+def test_no_unused_imports():
+    # __init__.py imports only to re-export, so it is not scanned
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    paths = [os.path.join(d, f)
+             for d in (os.path.dirname(bqlab.__file__), tests_dir)
+             for f in sorted(os.listdir(d))
+             if f.endswith(".py") and f != "__init__.py"]
+    assert len(paths) > 10
+    assert [u for path in paths for u in _unused_imports(path)] == []

@@ -1,6 +1,7 @@
 """Representation enumeration, beta enclosures, and the count bookkeeping."""
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -68,7 +69,7 @@ def test_enumerate_frozen_even():
     reps = enumerate_representations(1, 2, _torus_set(2, 50))
     assert len(reps) == 1
     rep = reps[0]
-    assert sorted(s * v for s, v in zip(rep.signs, rep.payloads)) == [-50, 51]
+    assert sorted(s * v for s, v in rep.slots) == [-50, 51]
     assert rep.multiplicity == 2
     assert rep.counts == (1, 1, 0, 0)
 
@@ -78,16 +79,14 @@ def test_enumerate_frozen_odd():
     reps = enumerate_representations(2, 3, _torus_set(3, 50))
     assert len(reps) == 1
     rep = reps[0]
-    assert sorted(s * v for s, v in zip(rep.signs, rep.payloads)) \
-        == [-100, 51, 51]
+    assert sorted(s * v for s, v in rep.slots) == [-100, 51, 51]
     assert rep.multiplicity == 3
     assert rep.counts == (2, 0, 0, 1)
 
 
 def test_enumerate_zero_mode_cancellation_pairs():
     reps = enumerate_representations(0, 2, _torus_set(2, 50))
-    seen = sorted(tuple(sorted(s * v for s, v in zip(r.signs, r.payloads)))
-                  for r in reps)
+    seen = sorted(tuple(sorted(s * v for s, v in r.slots)) for r in reps)
     assert seen == [(-51, 51), (-50, 50)]
     assert all(r.multiplicity == 2 for r in reps)
 
@@ -101,6 +100,36 @@ def test_enumeration_is_complete(p, N):
         reps = enumerate_representations(int(target), p, A)
         assert sum(r.multiplicity for r in reps) \
             == count_ordered_tuples(int(target), p, A)
+
+
+@pytest.mark.parametrize("domain", [Domain.TORUS, Domain.LINE])
+@pytest.mark.parametrize("p", range(2, 10))
+def test_counts_and_multiplicity_recount_the_slots(domain, p):
+    # counts and multiplicity are derived from count rows; recount both
+    # from the slots alone, n3 and n4 being the slots in the far class
+    for N in (3, 16, 64):
+        cfg = WitnessConfig(domain, p, N, s=0.0)
+        A = frequency_set(cfg)
+        far = A.components[-1] if p % 2 == 1 else None
+        zero = 0 if domain == Domain.TORUS else (0.0, 0.0)
+        order = [(sgn, c) for sgn in (+1, -1) for c in A.components]
+        # odd p on the line never reaches the zero mode
+        for target in (output_window(cfg), zero):
+            reps = enumerate_representations(target, p, A)
+            assert reps or (target == zero and p % 2 == 1
+                            and domain == Domain.LINE)
+            for rep in reps:
+                assert len(rep.slots) == p
+                assert list(rep.slots) == sorted(rep.slots, key=order.index)
+                tally = Counter((sgn, payload == far)
+                                for sgn, payload in rep.slots)
+                assert rep.counts == (tally[+1, False], tally[-1, False],
+                                      tally[+1, True], tally[-1, True])
+                repeats = Counter(rep.slots).values()
+                assert rep.multiplicity == math.factorial(p) // math.prod(
+                    math.factorial(m) for m in repeats)
+                if domain == Domain.TORUS:
+                    assert sum(sgn * v for sgn, v in rep.slots) == target
 
 
 def test_enumeration_budget_guard():
@@ -154,11 +183,12 @@ def test_beta_range_soundness_random_tuples():
     for rep in enumerate_representations(window, p, A):
         br = beta_range(rep, window=window)
         for _ in range(4000):
-            xs = np.array([rng.uniform(lo, hi) for lo, hi in rep.payloads])
-            total = float(np.sum(np.array(rep.signs) * xs))
+            signs = np.array([sgn for sgn, _ in rep.slots])
+            xs = np.array([rng.uniform(lo, hi) for _, (lo, hi) in rep.slots])
+            total = float(np.sum(signs * xs))
             if not (window[0] <= total <= window[1]):
                 continue
-            beta = float(np.sum(-np.array(rep.signs) * dispersion(xs)))
+            beta = float(np.sum(-signs * dispersion(xs)))
             assert br is not None, "sampled a tuple in a pruned pattern"
             assert br.lo - 1e-9 <= beta <= br.hi + 1e-9
             tested += 1

@@ -109,6 +109,22 @@ def test_sampled_short_component_floor():
     assert data.weights.sum() == pytest.approx(0.02)
 
 
+def test_sampled_torus_signed_modes():
+    # every signed mode once, unit weights, and a lossless round trip of
+    # the values of a real field, v(-k) = conj v(k)
+    fs = FrequencySet(Domain.TORUS, (3, 4, 8))
+    data = SpectralData.sampled(fs, lambda k: k * k + 1j * k, N=4, sigma=0.5)
+    assert data.domain == Domain.TORUS
+    assert data.freqs.tolist() == [-8.0, -4.0, -3.0, 3.0, 4.0, 8.0]
+    assert data.weights.tolist() == [1.0] * 6
+    assert np.array_equal(data.values, data.freqs ** 2 + 1j * data.freqs)
+    back = SpectralData.from_dict(data.to_dict())
+    for name in ("domain", "support", "N", "sigma"):
+        assert getattr(back, name) == getattr(data, name)
+    for name in ("freqs", "values", "weights"):
+        assert np.array_equal(getattr(back, name), getattr(data, name))
+
+
 def test_torus_rejects_fractional_modes():
     fs = FrequencySet(Domain.TORUS, (1,))
     with pytest.raises(ValueError):

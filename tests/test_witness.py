@@ -1,6 +1,4 @@
 """Witness construction: supports, windows, amplitudes, norm scaling."""
-import math
-
 import numpy as np
 import pytest
 
