@@ -18,11 +18,17 @@ one batched call of Stepper.nonlinear.
 
 A state may carry leading batch axes (modes on the last axis): every row is
 advanced by the same steps, and each row's result is bit-identical to
-integrating that row alone. The probe integrates its amplitude ladder this
-way, as one state.
+integrating that row alone. Rows with different step sizes can share the
+steps too: _integrate_lockstep advances several (stepper, state) parts of
+one equation to one time, stacking the rows of every part that still has
+full steps left into one Stepper._step call, with the rotations and dt
+given per row. The probe integrates its dt and 2 dt amplitude ladders as
+two parts of one lockstep run, and criterion 8 its two s runs at each N as
+the two rows of one state.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -123,6 +129,11 @@ class Stepper:
     but stored as complex128. numpy multiplies a real array into a complex
     one as (c + 0j) * z anyway, so the bits are the same, and storing them
     complex saves that float-to-complex cast in every coefficient multiply.
+    _step takes the rotation arrays in any shape that broadcasts against
+    the state, and dt as a scalar or a per-row column. An integration of
+    a batched state broadcasts the rotations to the state's shape once, as
+    contiguous arrays, so its steps do not broadcast (K+1,) arrays in every
+    multiply; a stacked lockstep step concatenates them per row.
     """
 
     def __init__(self, config: SimConfig):
@@ -193,38 +204,135 @@ class Stepper:
         """Advance to t_end with fixed steps plus one remainder step.
         observer(state), when given, is called at the start and after every
         step. Non-finite spectra raise SimulationBlowup."""
-        if not math.isfinite(t_end):
-            raise ValueError(f"need a finite t_end, got {t_end}")
+        (final,), _ = _integrate_lockstep([(self, state, observer)], t_end)
+        return final
+
+
+class _Part:
+    """One part of a lockstep integration: its stepper and observer, its
+    count of full steps and its own clock, its current arrays and its last
+    checked state. A batched state's rotations are broadcast to its shape
+    once, as contiguous arrays, so no step broadcasts them again."""
+
+    def __init__(self, stepper: Stepper, state: SimState, observer,
+                 t_end: float):
         if t_end < state.t:
             raise ValueError(f"t_end={t_end} before state time {state.t}")
+        self.stepper = stepper
+        self.observer = observer
         state = state.copy()
         if observer is not None:
             observer(state)
-        span = t_end - state.t
-        n_full = int(math.floor(span / self.dt + 1e-12))
-        last_good = state.copy()
-        for i in range(n_full):
-            u, v = self._step(state.u, state.v, self._rot_dt, self.dt)
-            state = SimState(state.t + self.dt, u, v)
-            if (i + 1) % NAN_CHECK_EVERY == 0:
-                if not (np.isfinite(state.u).all()
-                        and np.isfinite(state.v).all()):
-                    raise SimulationBlowup(
-                        f"non-finite spectrum at t={state.t:.6g}",
-                        last_good.t, last_good)
-                last_good = state.copy()
-            if observer is not None:
-                observer(state)
+        self.dt = stepper.dt
+        self.n_full = int(math.floor((t_end - state.t) / self.dt + 1e-12))
+        self.t, self.i = state.t, 0     # the time after i full steps
+        self.shape = state.u.shape
+        self.n_rows = state.u.size // state.u.shape[-1]
+        self.u, self.v = state.u, state.v
+        self.rot = (stepper._rot_dt if state.u.ndim == 1 else
+                    tuple(np.broadcast_to(a, self.shape).copy()
+                          for a in stepper._rot_dt))
+        self.last_good = state.copy()
+        self.steps = self.n_full
+
+    def time_after(self, i: int) -> float:
+        """The time after full step i, summed step by step, t + dt + dt
+        ..., as one integration's clock runs."""
+        while self.i < i:
+            self.t += self.dt
+            self.i += 1
+        return self.t
+
+    def check(self, t: float, u, v):
+        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+            raise SimulationBlowup(f"non-finite spectrum at t={t:.6g}",
+                                   self.last_good.t, self.last_good)
+
+    def after_step(self, i: int, u, v):
+        """Check the state after full step i every NAN_CHECK_EVERY steps,
+        and show it to the observer."""
+        t = self.time_after(i)
+        if i % NAN_CHECK_EVERY == 0:
+            self.check(t, u, v)
+            self.last_good = SimState(t, u.copy(), v.copy())
+        if self.observer is not None:
+            self.observer(SimState(t, u, v))
+
+    def finish(self, t_end: float) -> SimState:
+        """The remainder step, if any, and the final check."""
+        state = SimState(self.time_after(self.n_full), self.u, self.v)
         rem = t_end - state.t
         if rem > 1e-12 * max(1.0, self.dt):
-            u, v = self._step(state.u, state.v, self._rotations(rem), rem)
+            u, v = self.stepper._step(state.u, state.v,
+                                      self.stepper._rotations(rem), rem)
             state = SimState(t_end, u, v)
-            if observer is not None:
-                observer(state)
-        if not (np.isfinite(state.u).all() and np.isfinite(state.v).all()):
-            raise SimulationBlowup(f"non-finite spectrum at t={state.t:.6g}",
-                                   last_good.t, last_good)
+            self.steps += 1
+            if self.observer is not None:
+                self.observer(state)
+        self.check(state.t, state.u, state.v)
         return state
+
+
+def _integrate_lockstep(parts, t_end: float):
+    """Advance each (stepper, state, observer) part to t_end as
+    Stepper.integrate advances it alone, and return the final states and
+    the steps each part took.
+
+    The steppers share p, K and sign; each has its own dt, so each part
+    has its own full steps, time sum, remainder step, finiteness check
+    every NAN_CHECK_EVERY full steps and last good state. While two or
+    more parts have full steps left, their rows are stacked and go through
+    one Stepper._step call, the rotations concatenated per row and dt a
+    per-row column. Rows are advanced independently, so every part gets
+    the bits of integrating it alone."""
+    if not math.isfinite(t_end):
+        raise ValueError(f"need a finite t_end, got {t_end}")
+    if len({(st.p, st.K, st.sign) for st, _s, _o in parts}) != 1:
+        raise ValueError("lockstep parts must share p, K and sign")
+    parts = [_Part(stepper, state, observer, t_end)
+             for stepper, state, observer in parts]
+    done = 0
+    while True:
+        group = [q for q in parts if q.n_full > done]
+        if not group:
+            break
+        stop = min(q.n_full for q in group)
+        observing = any(q.observer is not None for q in group)
+        if len(group) == 1:
+            (only,) = group
+            u, v, rot, dt = only.u, only.v, only.rot, only.dt
+            after_step = only.after_step
+
+            def split(u, v):
+                return ((only, u, v),)
+        else:
+            width = group[0].stepper.K + 1
+            u, v = (np.concatenate([getattr(q, a).reshape(-1, width)
+                                    for q in group]) for a in "uv")
+            rot = tuple(np.concatenate([r.reshape(-1, width) for r in rs])
+                        for rs in zip(*(q.rot for q in group)))
+            dt = np.concatenate([np.full((q.n_rows, 1), q.dt) for q in group])
+            edges = list(itertools.accumulate(
+                (q.n_rows for q in group), initial=0))
+
+            def split(u, v):
+                """Each part's rows of the stacked arrays, in its shape."""
+                return [(q, u[a:b].reshape(q.shape), v[a:b].reshape(q.shape))
+                        for q, a, b in zip(group, edges, edges[1:])]
+
+            def after_step(i, u, v):
+                for q, q_u, q_v in split(u, v):
+                    q.after_step(i, q_u, q_v)
+        step = group[0].stepper._step
+        for i in range(done + 1, stop + 1):
+            u, v = step(u, v, rot, dt)
+            if observing or i % NAN_CHECK_EVERY == 0:
+                after_step(i, u, v)
+        for q, q_u, q_v in split(u, v):
+            q.u, q.v = q_u, q_v
+        done = stop
+    finals = [q.finish(t_end) for q in parts]
+    return finals, [q.steps for q in parts]
 
 
 def witness_state(pair: WitnessPair, K: int) -> SimState:
@@ -299,8 +407,12 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
 
     Step rule: dt = 2 / lambda(max support frequency). The integrating
     factor rotates every linear phase exactly, so dt only has to resolve
-    the phases of the witness modes, not lambda(K). The whole ladder is
-    solved once more at 2 dt. IF-RK4 is fourth order, so with v(h) the
+    the phases of the witness modes, not lambda(K). The ladder is solved
+    at dt and at 2 dt, and both ladders are parts of one lockstep run
+    (_integrate_lockstep): while the 2 dt ladder has full steps left, both
+    ladders' rows go through one step call, each with its own dt, and each
+    ladder gets the bits of integrating it alone. IF-RK4 is fourth order,
+    so with v(h) the
     Richardson value in eps at step h, |v(dt) - v(2dt)| / 15 estimates the
     time error of v(dt), and the reported value is the Richardson value in
     time, v(dt) + (v(dt) - v(2dt)) / 15, whose error is smaller still.
@@ -339,18 +451,14 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
     odd = p % 2 == 1
     solved = [j for j in js if j > 0 or not odd]
     rows = PROBE_EPS[-1] * np.array(solved, dtype=float)[:, None]
-    steps = [0]
+    parts = [(Stepper(SimConfig(p=p, K=K, dt=step, sign=sign)),
+              SimState(0.0, rows * base.u, rows * base.v), None)
+             for step in (dt, 2.0 * dt)]
+    finals, steps = _integrate_lockstep(parts, t)
 
-    def count_step(_state):
-        steps[0] += 1
-
-    def ladder(step: float):
-        """Stencil estimates per eps and their Richardson value, at one
-        time step."""
-        stepper = Stepper(SimConfig(p=p, K=K, dt=step, sign=sign))
-        state = SimState(0.0, rows * base.u, rows * base.v)
-        final = stepper.integrate(state, t, observer=count_step)
-        steps[0] -= 1      # the observer also sees the start
+    def ladder(final):
+        """Stencil estimates per eps and their Richardson value, from one
+        ladder's final state."""
         coeff = dict(zip(solved, final.u[:, mode].tolist()))
         if odd:
             coeff.update({-j: -c for j, c in coeff.items()})
@@ -358,8 +466,8 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
                for eps, m in zip(PROBE_EPS, ms)]
         return est, est[1] + (est[1] - est[0]) / (ms[0] ** 2 - 1.0)
 
-    estimates, fine = ladder(dt)
-    _, coarse = ladder(2.0 * dt)
+    estimates, fine = ladder(finals[0])
+    _, coarse = ladder(finals[1])
     value = fine + (fine - coarse) / 15.0
     scale = max(abs(value), 1e-300)
     rel_spread = abs(estimates[0] - estimates[1]) / scale
@@ -368,7 +476,7 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
                        rel_spread <= 0.05 and dt_err_est <= 0.05,
                        meta={"K": K, "dt": dt, "n_solves": len(js),
                              "dt_err_est": dt_err_est,
-                             "n_steps": len(solved) * steps[0]})
+                             "n_steps": len(solved) * sum(steps)})
 
 
 # -- norm inflation -----------------------------------------------------------
@@ -407,31 +515,56 @@ def inflation_experiment(s: float, N_list, *, p: int = 2,
     lambda(K)).
     An empty N_list is refused.
     """
+    (result,) = _inflation_runs((s,), N_list, p=p, delta=delta, t_end=t_end,
+                                sign=sign)
+    return result
+
+
+def _inflation_runs(s_list, N_list, *, p: int, delta: float, t_end: float,
+                    sign: int) -> list:
+    """inflation_experiment at each s of s_list, one InflationResult per s.
+    The runs at one N share K, M and dt, so they are integrated as the rows
+    of one state, row i at s_list[i] (a lone s keeps a one-row state); each
+    row gets the bits of its own run, and each row's windowed norm is
+    taken by windowed_norm on that row."""
     if not (0 < delta < math.inf and 0 < t_end < math.inf):
         raise ValueError(f"need a finite delta > 0 and a finite t_end > 0, "
                          f"got delta={delta}, t_end={t_end}")
     N_list = sorted(int(N) for N in N_list)
     if not N_list:
         raise ValueError("need at least one N, got an empty list")
-    rows = []
+    rows = [[] for _ in s_list]
     for N in N_list:
-        cfg = WitnessConfig(Domain.TORUS, p, N, s)
-        pair = build_witness(cfg)
-        scale = delta / data_norm(pair, s)
         K = 4 * (N + 1)
-        state = witness_state(pair, K)
-        state.u *= scale
-        state.v *= scale
+        states, scales = [], []
+        for s in s_list:
+            pair = build_witness(WitnessConfig(Domain.TORUS, p, N, s))
+            scale = delta / data_norm(pair, s)
+            state = witness_state(pair, K)
+            state.u *= scale
+            state.v *= scale
+            states.append(state)
+            scales.append(scale)
+        batched = len(states) > 1
+        state = (SimState(0.0, np.array([st.u for st in states]),
+                          np.array([st.v for st in states]))
+                 if batched else states[0])
         dt = INFLATION_DT_FACTOR / (2 * N + 2)
         stepper = Stepper(SimConfig(p=p, K=K, dt=dt, sign=sign))
-        peak = {"norm": -1.0, "t": 0.0}
-        initial = windowed_norm(state, INFLATION_WINDOW, s)
+        initial = [windowed_norm(st, INFLATION_WINDOW, s)
+                   for st, s in zip(states, s_list)]
+        peaks = [[-1.0, 0.0] for _ in s_list]
 
-        def observe(st, _peak=peak):
-            w = windowed_norm(st, INFLATION_WINDOW, s)
-            if w > _peak["norm"]:
-                _peak["norm"] = w
-                _peak["t"] = st.t
+        def observe(st):
+            row_states = ([SimState(st.t, u, v) for u, v in zip(st.u, st.v)]
+                          if batched else (st,))
+            for row, s, peak in zip(row_states, s_list, peaks):
+                w = windowed_norm(row, INFLATION_WINDOW, s)
+                if w > peak[0]:
+                    peak[:] = w, row.t
         stepper.integrate(state, t_end, observer=observe)
-        rows.append(InflationRow(N, peak["norm"], peak["t"], initial, scale))
-    return InflationResult(p, s, delta, t_end, rows)
+        for out, (norm, t_peak), init, scale in zip(rows, peaks, initial,
+                                                    scales):
+            out.append(InflationRow(N, norm, t_peak, init, scale))
+    return [InflationResult(p, s, delta, t_end, out)
+            for s, out in zip(s_list, rows)]

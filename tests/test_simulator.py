@@ -8,6 +8,7 @@ import pytest
 from bqlab.errors import SimulationBlowup
 from bqlab.flow_derivative import flow_derivative_torus
 from bqlab.simulator import (SimConfig, SimState, Stepper, _fft_good_size,
+                             _inflation_runs, _integrate_lockstep,
                              _stencil_weights, fd_derivative_probe, full_norm,
                              inflation_experiment, linear_energy,
                              windowed_norm, witness_state)
@@ -229,6 +230,66 @@ def test_batched_rows_match_single_solves():
                     SimState(0.0, a * base.u, a * base.v), 0.0517)
                 assert np.array_equal(batch.u[i], row.u)
                 assert np.array_equal(batch.v[i], row.v)
+
+
+def _lockstep_parts(p, sign, shapes, amps, dt=2e-3, K=24):
+    """A dt part and a 2 dt part of the given state shapes, seeded data
+    scaled by amps."""
+    rng = np.random.default_rng(10 * p + sign)
+    decay = 1.0 / (1.0 + np.arange(K + 1))
+    parts = []
+    for step, shape, amp in zip((dt, 2.0 * dt), shapes, amps):
+        u, v = (amp * decay * (rng.normal(size=shape)
+                               + 1j * rng.normal(size=shape))
+                for _ in range(2))
+        parts.append((Stepper(SimConfig(p=p, K=K, dt=step, sign=sign)),
+                      SimState(0.0, u, v), None))
+    return parts
+
+
+@pytest.mark.parametrize("sign", [-1, 0, 1])
+@pytest.mark.parametrize("p", [2, 3])
+def test_lockstep_matches_separate_integrations(p, sign):
+    # stacked steps while both parts have full steps left, then the dt
+    # part alone, then each remainder: every part gets the bits of its own
+    # Stepper.integrate; t_end = 25.85 dt, so 25 fine and 12 coarse full
+    # steps, and a remainder in both parts
+    t_end = 0.0517
+    for shapes in (((25,), (3, 25)), ((3, 25), (25,)), ((3, 25), (3, 25))):
+        parts = _lockstep_parts(p, sign, shapes, (0.2, 0.2))
+        finals, steps = _integrate_lockstep(parts, t_end)
+        assert steps == [26, 13]
+        for (stepper, state, _), final in zip(parts, finals):
+            alone = stepper.integrate(state, t_end)
+            assert final.t == alone.t == t_end
+            assert final.u.shape == state.u.shape
+            assert np.array_equal(final.u, alone.u)
+            assert np.array_equal(final.v, alone.v)
+
+
+def test_lockstep_blowup_names_its_part():
+    # the 2 dt part blows up after 48 steps, while both parts step
+    # stacked; the error carries that part's last good state, as its own
+    # integration reports it
+    parts = _lockstep_parts(2, 1, ((25,), (3, 25)), (1e-2, 5.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SimulationBlowup) as alone:
+            parts[1][0].integrate(parts[1][1], 1.0)
+        with pytest.raises(SimulationBlowup) as info:
+            _integrate_lockstep(parts, 1.0)
+    assert str(info.value) == str(alone.value)
+    assert info.value.t_last_good == alone.value.t_last_good > 0.0
+    assert info.value.state.u.shape == (3, 25)
+    assert np.array_equal(info.value.state.u, alone.value.state.u)
+    assert np.array_equal(info.value.state.v, alone.value.state.v)
+
+
+def test_lockstep_refuses_mixed_equations():
+    parts = _lockstep_parts(2, 1, ((25,), (25,)), (0.2, 0.2))
+    other = (Stepper(SimConfig(p=3, K=24, dt=2e-3)), parts[1][1], None)
+    with pytest.raises(ValueError, match="share p, K and sign"):
+        _integrate_lockstep([parts[0], other], 0.05)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -495,3 +556,16 @@ def test_inflation_validation():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite delta"):
             inflation_experiment(-0.6, [8], delta=bad)
+
+
+def test_inflation_runs_as_rows_match_separate_runs():
+    # criterion 8 integrates its two s as the rows of one state per N:
+    # each row keeps the bits of its own inflation_experiment
+    both = _inflation_runs((-0.6, 0.0), [8, 16], p=2, delta=1e-2,
+                           t_end=0.5, sign=1)
+    for s, result in zip((-0.6, 0.0), both):
+        alone = inflation_experiment(s, [8, 16], p=2, t_end=0.5)
+        assert (result.p, result.s, result.delta, result.t_end) == (
+            alone.p, alone.s, alone.delta, alone.t_end)
+        assert [vars(r) for r in result.rows] == [vars(r)
+                                                 for r in alone.rows]
