@@ -20,8 +20,8 @@ from .resonance import (closed_form_profiles, construct_representation,
                         solve_diophantine, verify_resonance_bounds)
 from .flow_derivative import (flow_derivative_torus, growth_table,
                               predicted_growth_slope, time_integral)
-from .simulator import (SimConfig, Stepper, _inflation_runs,
-                        fd_derivative_probe, linear_energy, witness_state)
+from .simulator import (SimConfig, Stepper, fd_derivative_probe,
+                        inflation_experiment, linear_energy, witness_state)
 
 GROWTH_N = (16, 32, 64, 128, 256, 512)
 AUDIT_N = (16, 32, 64, 128)
@@ -381,8 +381,8 @@ def criterion_8(out_dir=None) -> CriterionResult:
     N_list = (16, 32, 64, 128)
     delta = 1e-2
     # both s share K, M and dt at each N: one two-row state per N
-    grow, flat = _inflation_runs((-0.6, 0.0), N_list, p=2, delta=delta,
-                                 t_end=1.0, sign=1)
+    grow, flat = inflation_experiment((-0.6, 0.0), N_list, p=2, delta=delta,
+                                      t_end=1.0, sign=1)
     sups = grow.sup_norms()
     good = all(b > a for a, b in zip(sups, sups[1:]))
     ok &= good

@@ -8,8 +8,8 @@ resolved params, sha256 of file inputs, package version, wall time, output
 paths) next to them.
 
 Exit codes: 0 success, 1 validation failure, unreadable input or output
-file, or failed checks, 2 resource budget exceeded (argparse also exits 2
-on malformed flags).
+file, or failed checks, 2 enumeration budget exceeded (argparse also
+exits 2 on malformed flags).
 """
 from __future__ import annotations
 
@@ -311,10 +311,10 @@ def cmd_simulate(params):
 
 
 def cmd_inflate(params):
-    result = inflation_experiment(params["s"], params["n_list"],
-                                  p=params["p"], delta=params["delta"],
-                                  t_end=params["t_end"],
-                                  sign=params["sign"])
+    (result,) = inflation_experiment((params["s"],), params["n_list"],
+                                     p=params["p"], delta=params["delta"],
+                                     t_end=params["t_end"],
+                                     sign=params["sign"])
     print(f"inflate p={params['p']} s={params['s']:g} "
           f"delta={params['delta']:g}:")
     for row in result.rows:

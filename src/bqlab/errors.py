@@ -2,7 +2,7 @@
 
 
 class ResourceBudgetError(RuntimeError):
-    """Raised when an enumeration or quadrature would exceed its budget.
+    """Raised when a representation enumeration would exceed its budget.
 
     Carries the estimated cost so callers (and the CLI, which maps this to
     exit code 2) can report how far over budget the request was.

@@ -19,9 +19,11 @@ This module evaluates K by one half-angle formula that holds through the
 resonance |beta| = lambda(xi), with the sine and cosine of the half angle
 taken from a single tangent of its half. It assembles the profile exactly
 on the torus and by tensor-product midpoint quadrature or plain Monte Carlo
-(innermost variable clipped exactly in both) on the line, measures its
-Sobolev mass on the output window, and builds the N-sweep growth tables
-whose log-log slopes are the measured blow-up exponents.
+(innermost variable clipped exactly in both) on the line, at resolutions
+that are module constants, not options (LINE_XI_NODES, LINE_NODES,
+LINE_MC_SAMPLES). It measures the profile's Sobolev mass on the output
+window and builds the N-sweep growth tables whose log-log slopes are the
+measured blow-up exponents.
 """
 from __future__ import annotations
 
@@ -30,13 +32,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceBudgetError
 from .spectral import Domain, dispersion
-from .witness import WitnessPair, build_witness, data_norm, frequency_set, WitnessConfig
-from .resonance import enumerate_representations, ENUMERATION_BUDGET
+from .witness import (WitnessConfig, WitnessPair, build_witness,
+                      checked_n_list, data_norm, frequency_set)
+from .resonance import enumerate_representations
 
 DEFAULT_HORIZON = 2.0   # upper limit for measurement times
 KERNEL_BLOCK = 8192     # betas per block: the kernel's temporaries stay cached
+LINE_XI_NODES = 33      # midpoints of the line output window
+LINE_NODES = {2: 64, 3: 64, 4: 16, 5: 16}   # tensor nodes per dim, by p
+LINE_MC_SAMPLES = 8192  # Monte Carlo draws per (xi, pattern), unlisted p
 
 
 # -- the oscillatory time kernel --------------------------------------------
@@ -260,49 +265,31 @@ def _pattern_integrand(slots, xi: float, alpha: float, t: float, S_out,
 
 
 def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
-                         sign: int = 1, n_xi: int = 33, nodes_per_dim=None,
-                         method: str = "auto", mc_samples: int = 8192,
-                         seed: int = 0) -> DerivativeProfile:
-    """Quadrature evaluation of the profile on the line output window.
+                         sign: int = 1, seed: int = 0) -> DerivativeProfile:
+    """Quadrature evaluation of the profile on the line output window, at
+    LINE_XI_NODES midpoints of the window.
 
-    Tensor-product clipped midpoint quadrature (p <= 3: 64 nodes/dim,
-    p in {4, 5}: 16 nodes/dim by default) or plain Monte Carlo with a
-    reported 95% half-width (the default for p >= 6). Both evaluate the
-    same integrand, its innermost variable clipped exactly: the tensor
+    Tensor-product clipped midpoint quadrature with LINE_NODES[p] nodes per
+    dimension, or, for a p that LINE_NODES does not list, plain Monte Carlo
+    with LINE_MC_SAMPLES draws and a reported 95% half-width. Both evaluate
+    the same integrand, its innermost variable clipped exactly: the tensor
     rule on a midpoint mesh of the outer slots with n inner midpoints per
     row, Monte Carlo on plain uniform outer draws (rng.random, no strata)
     with one uniform inner point per row. The tensor rule builds each
     pattern's outer mesh once and reuses it at every xi node. Monte Carlo
     takes one block of uniforms per (xi, pattern), xi nodes in order and
-    patterns in turn within each: mc_samples draws for each outer slot in
-    order, then mc_samples for the inner point. The budget guard counts the
-    ordered tensor volume sum(multiplicity * nodes^(p-1)), and
-    nodes_per_dim=None picks the default.
+    patterns in turn within each: LINE_MC_SAMPLES draws for each outer slot
+    in order, then as many for the inner point.
     """
     _validate_eval(pair, p, t, Domain.LINE, sign)
     cfg = pair.config
     wlo, whi = pair.output_window
-    if method == "auto":
-        method = "tensor" if p <= 5 else "mc"
-    if method not in ("tensor", "mc"):
-        raise ValueError(f"unknown method {method!r}")
-    nodes = (64 if p <= 3 else 16) if nodes_per_dim is None \
-        else int(nodes_per_dim)
-    if n_xi < 1 or nodes < 1 or mc_samples < 2:
-        raise ValueError(f"need n_xi >= 1, nodes_per_dim >= 1 and "
-                         f"mc_samples >= 2, got {n_xi}, {nodes_per_dim} "
-                         f"and {mc_samples}")
+    nodes = LINE_NODES.get(p)
+    method = "mc" if nodes is None else "tensor"
+    n_xi, mc_samples = LINE_XI_NODES, LINE_MC_SAMPLES
 
     A = frequency_set(cfg)
     patterns = enumerate_representations((wlo, whi), p, A)
-    if method == "tensor":
-        volume = sum(r.multiplicity * nodes ** (p - 1) for r in patterns)
-        if volume > ENUMERATION_BUDGET:
-            raise ResourceBudgetError(
-                f"tensor quadrature volume {volume:.3g} exceeds budget "
-                f"{ENUMERATION_BUDGET:g}; use method='mc'", volume,
-                ENUMERATION_BUDGET)
-
     h_xi = (whi - wlo) / n_xi
     xis = wlo + (np.arange(n_xi) + 0.5) * h_xi
     weights = np.full(n_xi, h_xi)
@@ -344,7 +331,7 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
         values[i] = _prefactor(pair, p, xi, sign) * total
 
     meta = {"method": method, "n_patterns": len(patterns),
-            "nodes_per_dim": nodes if method == "tensor" else None,
+            "nodes_per_dim": nodes,
             "mc_samples": mc_samples if method == "mc" else None,
             "warnings": []}
     if method == "mc":
@@ -395,30 +382,36 @@ def predicted_growth_slope(p: int, s: float) -> float:
 
 
 def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
-                 N_list, *, sign: int = 1, **line_kwargs) -> GrowthTable:
+                 N_list, *, sign: int = 1, seed: int = 0) -> GrowthTable:
     """Sweep N, recording data norm, window derivative mass, and their
     ratio ap_norm / data_norm^p, plus running and final log-log slopes.
 
     sigma follows WitnessConfig's rule (None means s + 1, sigma <= s is
-    refused). An N list with fewer than two distinct values, which has no
-    slope, is refused, and so is a ratio that is not finite and positive
-    (t = 0, or t so small that the profile underflows), which has no
-    logarithm.
+    refused). N_list must pass checked_n_list with at least two N, since
+    one N has no slope. seed is the line quadrature's Monte Carlo seed. A data
+    norm, an N^(p sigma) factor or a ratio that is not finite and positive
+    (t = 0, say, or t so small that the profile underflows) is refused:
+    the ratio would have no logarithm.
     """
-    N_list = sorted(int(N) for N in N_list)
-    if len(set(N_list)) < 2:
-        raise ValueError(f"need at least two distinct N values for a "
-                         f"slope, got {N_list}")
+    N_list = checked_n_list(N_list, 2)
     records = []
     logN, logR = [], []
     for N in N_list:
         cfg = WitnessConfig(domain, p, N, s, sigma)
         pair = build_witness(cfg)
         dn = data_norm(pair, s)
+        try:
+            n_factor = float(N) ** (p * cfg.sigma)
+        except OverflowError:
+            n_factor = math.inf
+        for name, x in (("data norm", dn), ("N^(p sigma) factor", n_factor)):
+            if not 0.0 < x < math.inf:
+                raise ValueError(f"{name} {x} at N={N} is not finite and "
+                                 f"positive")
         if domain == Domain.TORUS:
             prof = flow_derivative_torus(pair, p, t, sign=sign)
         else:
-            prof = flow_derivative_line(pair, p, t, sign=sign, **line_kwargs)
+            prof = flow_derivative_line(pair, p, t, sign=sign, seed=seed)
         an = window_sobolev_mass(prof, s)
         ratio = an / dn ** p
         if not 0.0 < ratio < math.inf:   # no log, so no slope

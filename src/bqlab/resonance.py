@@ -369,16 +369,12 @@ def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
     Reports |beta|/N (even p) or |beta|/N^2 (odd p) windows per N in
     N_list, every violation found, and N0: one past the largest N in a
     dense scan 1..max(N_list) that still shows a violation (1 if none do).
-    An empty N_list, an N < 1, scan_max < 1 and p < 2 are refused.
+    N_list follows checked_n_list's rule (_audit_one_N would skip an
+    N < 1 as degenerate), and scan_max < 1 and p < 2 are refused.
     """
     if p < 2 or int(p) != p:    # the scan would skip every N as degenerate
         raise ValueError("p must be an integer >= 2")
-    wanted = set(int(N) for N in N_list)
-    if not wanted:
-        raise ValueError("need at least one N to audit, got an empty list")
-    bad = sorted(N for N in wanted if N < 1)
-    if bad:     # _audit_one_N would skip them as degenerate
-        raise ValueError(f"need every N >= 1, got {bad}")
+    wanted = set(_witness.checked_n_list(N_list))
     if scan_max is not None and scan_max < 1:   # N0 = 1 would read as clean
         raise ValueError(f"need scan_max >= 1, got {scan_max}")
     scan_hi = int(scan_max if scan_max is not None else max(wanted))

@@ -36,7 +36,8 @@ import numpy as np
 
 from .errors import SimulationBlowup
 from .spectral import Domain, dispersion, free_flow_rotation
-from .witness import WitnessConfig, WitnessPair, build_witness, data_norm
+from .witness import (WitnessConfig, WitnessPair, build_witness,
+                      checked_n_list, data_norm)
 
 NAN_CHECK_EVERY = 16
 INFLATION_DT_FACTOR = 0.05      # inflation_experiment's dt times (2N + 2)
@@ -502,37 +503,24 @@ class InflationResult:
         return [r.sup_window_norm for r in self.rows]
 
 
-def inflation_experiment(s: float, N_list, *, p: int = 2,
-                         delta: float = 1e-2, t_end: float = 1.0,
-                         sign: int = 1) -> InflationResult:
+def inflation_experiment(s_list, N_list, *, p: int, delta: float,
+                         t_end: float, sign: int) -> list:
     """Feed size-delta witness data to the full solver and track the H^s
-    mass that the low window INFLATION_WINDOW accumulates.
+    mass that the low window INFLATION_WINDOW accumulates, at each s of
+    s_list: one InflationResult per s.
 
     The witness for each N is rescaled so the data norm is exactly delta.
     The step dt = INFLATION_DT_FACTOR / (2N + 2) resolves the slow beat
     phase that transfers mass to the window (the fast factors are rotated
     exactly by the integrating factor, so dt does not need to resolve
-    lambda(K)).
-    An empty N_list is refused.
+    lambda(K)). The runs at one N share K, M and dt, so they are
+    integrated as the rows of one state, row i at s_list[i]; each row gets
+    the bits of its own run. N_list follows checked_n_list's rule.
     """
-    (result,) = _inflation_runs((s,), N_list, p=p, delta=delta, t_end=t_end,
-                                sign=sign)
-    return result
-
-
-def _inflation_runs(s_list, N_list, *, p: int, delta: float, t_end: float,
-                    sign: int) -> list:
-    """inflation_experiment at each s of s_list, one InflationResult per s.
-    The runs at one N share K, M and dt, so they are integrated as the rows
-    of one state, row i at s_list[i] (a lone s keeps a one-row state); each
-    row gets the bits of its own run, and each row's windowed norm is
-    taken by windowed_norm on that row."""
     if not (0 < delta < math.inf and 0 < t_end < math.inf):
         raise ValueError(f"need a finite delta > 0 and a finite t_end > 0, "
                          f"got delta={delta}, t_end={t_end}")
-    N_list = sorted(int(N) for N in N_list)
-    if not N_list:
-        raise ValueError("need at least one N, got an empty list")
+    N_list = checked_n_list(N_list)
     rows = [[] for _ in s_list]
     for N in N_list:
         K = 4 * (N + 1)
@@ -545,10 +533,8 @@ def _inflation_runs(s_list, N_list, *, p: int, delta: float, t_end: float,
             state.v *= scale
             states.append(state)
             scales.append(scale)
-        batched = len(states) > 1
-        state = (SimState(0.0, np.array([st.u for st in states]),
-                          np.array([st.v for st in states]))
-                 if batched else states[0])
+        state = SimState(0.0, np.array([st.u for st in states]),
+                         np.array([st.v for st in states]))
         dt = INFLATION_DT_FACTOR / (2 * N + 2)
         stepper = Stepper(SimConfig(p=p, K=K, dt=dt, sign=sign))
         initial = [windowed_norm(st, INFLATION_WINDOW, s)
@@ -556,12 +542,10 @@ def _inflation_runs(s_list, N_list, *, p: int, delta: float, t_end: float,
         peaks = [[-1.0, 0.0] for _ in s_list]
 
         def observe(st):
-            row_states = ([SimState(st.t, u, v) for u, v in zip(st.u, st.v)]
-                          if batched else (st,))
-            for row, s, peak in zip(row_states, s_list, peaks):
-                w = windowed_norm(row, INFLATION_WINDOW, s)
+            for u, v, s, peak in zip(st.u, st.v, s_list, peaks):
+                w = windowed_norm(SimState(st.t, u, v), INFLATION_WINDOW, s)
                 if w > peak[0]:
-                    peak[:] = w, row.t
+                    peak[:] = w, st.t
         stepper.integrate(state, t_end, observer=observe)
         for out, (norm, t_peak), init, scale in zip(rows, peaks, initial,
                                                     scales):

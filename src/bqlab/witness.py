@@ -21,6 +21,7 @@ controlled phase mismatch:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,8 @@ class WitnessConfig:
     """Parameters of one witness: domain, power p, scale N, indices (s, sigma).
 
     sigma defaults to s + 1 (any gap > 0 works; a unit gap keeps the N-sweep
-    well conditioned). sigma <= s is refused: the data norms would not decay.
+    well conditioned). A non-finite s or sigma is refused, and so is
+    sigma <= s: the data norms would not decay.
     """
 
     domain: Domain
@@ -52,8 +54,29 @@ class WitnessConfig:
         object.__setattr__(self, "N", int(self.N))
         if self.sigma is None:
             object.__setattr__(self, "sigma", self.s + 1.0)
+        if not (math.isfinite(self.s) and math.isfinite(self.sigma)):
+            raise ValueError(f"need a finite s and sigma, got s={self.s}, "
+                             f"sigma={self.sigma}")
         if self.sigma <= self.s:
             raise ValueError(f"sigma={self.sigma} must exceed s={self.s}")
+
+
+def checked_n_list(N_list, least: int = 1) -> list:
+    """N_list sorted, as the N sweeps of growth_table, inflation_experiment
+    and verify_resonance_bounds take it. An empty list, a non-integer, an
+    N < 1, a repeated N and fewer than `least` values are refused."""
+    Ns = sorted(json_int(N) for N in N_list)
+    if not Ns:
+        raise ValueError("need at least one N, got an empty list")
+    bad = [N for N in Ns if N < 1]
+    if bad:
+        raise ValueError(f"need every N >= 1, got {bad}")
+    repeats = sorted({a for a, b in zip(Ns, Ns[1:]) if a == b})
+    if repeats:
+        raise ValueError(f"N list repeats {repeats}")
+    if len(Ns) < least:
+        raise ValueError(f"need at least {least} N values, got {Ns}")
+    return Ns
 
 
 @dataclass

@@ -214,6 +214,47 @@ def test_growth_refuses_sign_outside_plus_minus_one(capsys, sign):
     assert f"sign must be -1 or +1, got {sign}" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["inflate", "--n-list", "16,16", "--t-end", "0.05"],
+    ["growth", "--n-list", "16,16,32"],
+    ["resonance", "--n-list", "16,16"],
+], ids=["inflate", "growth", "resonance"])
+def test_repeated_n_refused(tmp_path, capsys, argv):
+    # inflate reported N=16 twice, growth wrote a second N=16 row with a
+    # running slope, and resonance audited N=16 once without a word
+    out = str(tmp_path / "o")
+    assert main(argv + ["--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "N list repeats [16]" in captured.err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["witness", "--sigma", "inf"], "finite s and sigma"),
+    (["simulate", "--s", "nan"], "finite s and sigma"),
+    (["simulate", "--sigma", "nan"], "finite s and sigma"),
+    (["growth", "--sigma", "inf", "--n-list", "16,32"], "finite s and sigma"),
+    (["growth", "--sigma", "400", "--n-list", "16,32"],
+     "data norm 0.0 at N=16 is not finite"),
+    (["growth", "--p", "9", "--s", "99", "--sigma", "100",
+      "--n-list", "16,32"], "N^(p sigma) factor inf at N=16 is not finite"),
+    (["growth", "--p", "9", "--s", "-41", "--sigma", "-40",
+      "--n-list", "16,32"], "N^(p sigma) factor 0.0 at N=16 is not finite"),
+], ids=["witness-sigma-inf", "simulate-s-nan", "simulate-sigma-nan",
+        "growth-sigma-inf", "growth-sigma-400", "growth-factor-overflow",
+        "growth-factor-underflow"])
+def test_bad_witness_exponents_refused(capsys, argv, message):
+    # these printed a zero data norm, ended as "simulation blew up", or
+    # ended in a ZeroDivisionError or OverflowError traceback
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 @pytest.mark.parametrize("p", ["1", "0"])
 def test_resonance_refuses_p_below_two(tmp_path, capsys, p):
     # an audit that skips every N would report N0=1, 0 violations

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bqlab import flow_derivative
 from bqlab.acceptance import NEAR_RESONANCE, _mp_kernel
-from bqlab.errors import ResourceBudgetError
 from bqlab.flow_derivative import (KERNEL_BLOCK, DerivativeProfile,
                                    _prefactor, _representative_slots,
                                    flow_derivative_line,
@@ -350,12 +350,14 @@ def test_line_even_matches_quadrature_oracle():
         assert abs(prof.values[idx] - oracle) <= 5e-6 * abs(oracle)
 
 
-def test_line_doubling_check():
+def test_line_doubling_check(monkeypatch):
     # doubling the default 64 nodes per dimension moves the profile by
     # less than 1e-5 relative
     pair = build_witness(WitnessConfig(Domain.LINE, 2, 32, s=-1.0))
-    coarse = flow_derivative_line(pair, 2, 1.0, nodes_per_dim=64)
-    fine = flow_derivative_line(pair, 2, 1.0, nodes_per_dim=128)
+    coarse = flow_derivative_line(pair, 2, 1.0)
+    assert coarse.meta["nodes_per_dim"] == 64
+    monkeypatch.setattr(flow_derivative, "LINE_NODES", {2: 128})
+    fine = flow_derivative_line(pair, 2, 1.0)
     scale = np.abs(fine.values).max()
     assert np.abs(coarse.values - fine.values).max() < 1e-5 * scale
     assert coarse.meta["warnings"] == []
@@ -375,33 +377,18 @@ def test_line_odd_compensated_magnitude_stabilizes():
     assert abs(comp[-1] / comp[-2] - 1.0) < 0.1
 
 
-def test_line_budget_guard():
-    pair = build_witness(WitnessConfig(Domain.LINE, 13, 16, s=-1.0))
-    with pytest.raises(ResourceBudgetError):
-        flow_derivative_line(pair, 13, 1.0, method="tensor")
-
-
-def test_line_mc_agrees_with_tensor():
+def test_line_mc_agrees_with_tensor(monkeypatch):
     pair = build_witness(WitnessConfig(Domain.LINE, 4, 16, s=-1.0, sigma=0.0))
-    ref = flow_derivative_line(pair, 4, 1.0, n_xi=9, nodes_per_dim=32)
-    mc = flow_derivative_line(pair, 4, 1.0, n_xi=9, method="mc",
-                              mc_samples=16384, seed=3)
+    monkeypatch.setattr(flow_derivative, "LINE_XI_NODES", 9)
+    monkeypatch.setattr(flow_derivative, "LINE_NODES", {4: 32})
+    ref = flow_derivative_line(pair, 4, 1.0)
+    monkeypatch.setattr(flow_derivative, "LINE_NODES", {})
+    monkeypatch.setattr(flow_derivative, "LINE_MC_SAMPLES", 16384)
+    mc = flow_derivative_line(pair, 4, 1.0, seed=3)
     assert mc.meta["mc_halfwidth_max"] > 0.0
     scale = np.abs(ref.values).max()
     worst = np.abs(mc.values - ref.values).max()
     assert worst < max(4.0 * mc.meta["mc_halfwidth_max"], 1e-3 * scale)
-
-
-def test_line_validates_sizes():
-    pair = build_witness(WitnessConfig(Domain.LINE, 2, 16, s=-1.0))
-    for kwargs in ({"n_xi": 0}, {"n_xi": -2}, {"nodes_per_dim": 0},
-                   {"nodes_per_dim": -1}, {"mc_samples": 1},
-                   {"mc_samples": 0}, {"method": "mc", "mc_samples": 1}):
-        with pytest.raises(ValueError, match="need n_xi >= 1"):
-            flow_derivative_line(pair, 2, 1.0, **kwargs)
-    for kwargs in ({"nodes_per_dim": 1}, {"method": "mc", "mc_samples": 2}):
-        prof = flow_derivative_line(pair, 2, 1.0, n_xi=1, **kwargs)
-        assert prof.values.shape == (1,) and np.isfinite(prof.values).all()
 
 
 def _reference_phase(v):
@@ -491,17 +478,19 @@ def _reference_line(pair, p, t, method, nodes, n_xi, mc_samples, seed):
 
 @pytest.mark.parametrize("p", range(2, 10))
 @pytest.mark.parametrize("N", [16, 64])
-def test_line_bitwise_against_reference(p, N):
+def test_line_bitwise_against_reference(monkeypatch, p, N):
     # every float operation and every draw in the reference's order: the
-    # tensor rule at each p (4 nodes/dim from p = 6 on, within budget) and
-    # Monte Carlo at two seeds
+    # tensor rule at each p (4 nodes/dim from p = 6 on) and Monte Carlo at
+    # two seeds
     pair = build_witness(WitnessConfig(Domain.LINE, p, N, s=-1.0))
     nodes = 64 if p <= 3 else (16 if p <= 5 else 4)
+    monkeypatch.setattr(flow_derivative, "LINE_XI_NODES", 9)
     runs = [dict(method="tensor", seed=0), dict(method="mc", seed=0),
             dict(method="mc", seed=5)]
     for run in runs:
-        prof = flow_derivative_line(pair, p, 0.9, n_xi=9, nodes_per_dim=nodes,
-                                    **run)
+        monkeypatch.setattr(flow_derivative, "LINE_NODES",
+                            {p: nodes} if run["method"] == "tensor" else {})
+        prof = flow_derivative_line(pair, p, 0.9, seed=run["seed"])
         xis, values, meta = _reference_line(pair, p, 0.9, nodes=nodes,
                                             n_xi=9, mc_samples=8192, **run)
         assert np.array_equal(prof.xi, xis)
@@ -509,10 +498,12 @@ def test_line_bitwise_against_reference(p, N):
         assert prof.meta == meta, run
 
 
-def test_line_mc_deterministic_per_seed():
+def test_line_mc_deterministic_per_seed(monkeypatch):
     pair = build_witness(WitnessConfig(Domain.LINE, 7, 12, s=-1.0))
-    a = flow_derivative_line(pair, 7, 0.8, n_xi=5, mc_samples=2048, seed=11)
-    b = flow_derivative_line(pair, 7, 0.8, n_xi=5, mc_samples=2048, seed=11)
+    monkeypatch.setattr(flow_derivative, "LINE_XI_NODES", 5)
+    monkeypatch.setattr(flow_derivative, "LINE_MC_SAMPLES", 2048)
+    a = flow_derivative_line(pair, 7, 0.8, seed=11)
+    b = flow_derivative_line(pair, 7, 0.8, seed=11)
     assert np.array_equal(a.values, b.values)
     assert a.meta["method"] == "mc"
 
@@ -572,13 +563,14 @@ def test_growth_table_rejects_bad_sigma():
         growth_table(2, Domain.TORUS, -1.0, -1.5, 1.0, [16, 32])
 
 
-def test_growth_table_rejects_vanishing_ratio():
+def test_growth_table_rejects_vanishing_ratio(monkeypatch):
     # K vanishes at t = 0, and the profile underflows at t = 1e-200
+    monkeypatch.setattr(flow_derivative, "LINE_XI_NODES", 3)
     for t in (0.0, 1e-200):
         with pytest.raises(ValueError, match=f"N=16, t={t} is not finite"):
             growth_table(2, Domain.TORUS, -1.0, None, t, [16, 32])
         with pytest.raises(ValueError, match=f"N=16, t={t} is not finite"):
-            growth_table(2, Domain.LINE, -1.0, None, t, [16, 32], n_xi=3)
+            growth_table(2, Domain.LINE, -1.0, None, t, [16, 32])
 
 
 def test_growth_table_csv(tmp_path):

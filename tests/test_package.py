@@ -1,6 +1,8 @@
 """Import hygiene: submodules stay reachable as modules, and the package's
 public names all resolve."""
 import ast
+import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -8,6 +10,8 @@ import sys
 import types
 
 import bqlab
+from bqlab.flow_derivative import growth_table
+from bqlab.spectral import Domain
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(bqlab.__path__))
 
@@ -69,3 +73,22 @@ def test_no_unused_imports():
              if f.endswith(".py") and f != "__init__.py"]
     assert len(paths) > 10
     assert [u for path in paths for u in _unused_imports(path)] == []
+
+
+def test_benchmark_entry_points_resolve():
+    # the benchmark traces the LAYERS names and calls growth_table with a
+    # Monte Carlo seed; a renamed function or keyword would fail only there
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.LAYERS
+    for owner_path, attr, _name, _count in tracing.LAYERS:
+        module_name, _, cls = owner_path.partition(".")
+        owner = importlib.import_module("bqlab." + module_name)
+        if cls:
+            owner = getattr(owner, cls)
+        assert callable(getattr(owner, attr, None)), (owner_path, attr)
+    inspect.signature(growth_table).bind(
+        4, Domain.LINE, -1.0, None, 1.0, [16, 32], seed=7)

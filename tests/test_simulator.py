@@ -8,8 +8,8 @@ import pytest
 from bqlab.errors import SimulationBlowup
 from bqlab.flow_derivative import flow_derivative_torus
 from bqlab.simulator import (SimConfig, SimState, Stepper, _fft_good_size,
-                             _inflation_runs, _integrate_lockstep,
-                             _stencil_weights, fd_derivative_probe, full_norm,
+                             _integrate_lockstep, _stencil_weights,
+                             fd_derivative_probe, full_norm,
                              inflation_experiment, linear_energy,
                              windowed_norm, witness_state)
 from bqlab.spectral import Domain, dispersion, free_flow_rotation
@@ -56,7 +56,7 @@ def test_non_finite_times_refused(bad):
     with pytest.raises(ValueError, match="finite t_end"):
         stepper.integrate(state, bad)
     with pytest.raises(ValueError, match="finite t_end"):
-        inflation_experiment(-0.6, [8], t_end=bad)
+        _inflate([8], t_end=bad)
 
 
 def test_default_dt_resolves_top_mode():
@@ -536,8 +536,13 @@ def test_probe_shares_ladder_solves():
 
 # -- inflation ---------------------------------------------------------------------------
 
+def _inflate(N_list, s_list=(-0.6,), delta=1e-2, t_end=0.5):
+    return inflation_experiment(s_list, N_list, p=2, delta=delta,
+                                t_end=t_end, sign=1)
+
+
 def test_inflation_positive_control():
-    result = inflation_experiment(-0.6, [8, 16], p=2, t_end=0.5)
+    (result,) = _inflate([8, 16])
     sups = result.sup_norms()
     assert len(sups) == 2
     assert all(s > 0 for s in sups)
@@ -550,21 +555,20 @@ def test_inflation_positive_control():
 
 def test_inflation_validation():
     with pytest.raises(ValueError):
-        inflation_experiment(-0.6, [8], delta=-1.0)
+        _inflate([8], delta=-1.0)
     with pytest.raises(ValueError):
-        inflation_experiment(-0.6, [8], t_end=0.0)
+        _inflate([8], t_end=0.0)
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite delta"):
-            inflation_experiment(-0.6, [8], delta=bad)
+            _inflate([8], delta=bad)
 
 
 def test_inflation_runs_as_rows_match_separate_runs():
     # criterion 8 integrates its two s as the rows of one state per N:
-    # each row keeps the bits of its own inflation_experiment
-    both = _inflation_runs((-0.6, 0.0), [8, 16], p=2, delta=1e-2,
-                           t_end=0.5, sign=1)
+    # each row keeps the bits of its own one-row run
+    both = _inflate([8, 16], s_list=(-0.6, 0.0))
     for s, result in zip((-0.6, 0.0), both):
-        alone = inflation_experiment(s, [8, 16], p=2, t_end=0.5)
+        (alone,) = _inflate([8, 16], s_list=(s,))
         assert (result.p, result.s, result.delta, result.t_end) == (
             alone.p, alone.s, alone.delta, alone.t_end)
         assert [vars(r) for r in result.rows] == [vars(r)

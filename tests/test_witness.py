@@ -4,8 +4,8 @@ import pytest
 
 from bqlab.spectral import Domain, dispersion, free_flow_rotation, write_json
 from bqlab.witness import (WitnessConfig, WitnessPair, attainable_triplet_range,
-                           build_witness, data_norm, frequency_set,
-                           output_window, triplet_count)
+                           build_witness, checked_n_list, data_norm,
+                           frequency_set, output_window, triplet_count)
 
 
 def _mode_map(data):
@@ -25,6 +25,22 @@ def test_config_sigma_default_and_validation():
         WitnessConfig(Domain.TORUS, 2, 0, s=-1.0)                # N < 1
     with pytest.raises(ValueError):
         WitnessConfig(Domain.TORUS, 2.5, 16, s=-1.0)             # fractional p
+    for s, sigma in ((float("nan"), None), (-1.0, float("nan")),
+                     (-1.0, float("inf")), (float("-inf"), 0.0)):
+        with pytest.raises(ValueError, match="finite s and sigma"):
+            WitnessConfig(Domain.TORUS, 2, 16, s=s, sigma=sigma)
+
+
+def test_checked_n_list():
+    assert checked_n_list([64, 16.0, 32]) == [16, 32, 64]
+    assert checked_n_list((16, 32), 2) == [16, 32]
+    for N_list, least, message in (
+            ([], 1, "empty list"), ([16, 16.5], 1, "16.5 is not an integer"),
+            ([0, 16], 1, r"N >= 1, got \[0\]"),
+            ([32, 16, 32], 1, r"repeats \[32\]"),
+            ([16], 2, r"at least 2 N values, got \[16\]")):
+        with pytest.raises(ValueError, match=message):
+            checked_n_list(N_list, least)
 
 
 # -- frequency sets and windows --------------------------------------------------
