@@ -389,9 +389,9 @@ def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
     sigma follows WitnessConfig's rule (None means s + 1, sigma <= s is
     refused). N_list must pass checked_n_list with at least two N, since
     one N has no slope. seed is the line quadrature's Monte Carlo seed. A data
-    norm, an N^(p sigma) factor or a ratio that is not finite and positive
-    (t = 0, say, or t so small that the profile underflows) is refused:
-    the ratio would have no logarithm.
+    norm (refused by build_witness), an N^(p sigma) factor or a ratio that
+    is not finite and positive (t = 0, say, or t so small that the profile
+    underflows) is refused: the ratio would have no logarithm.
     """
     N_list = checked_n_list(N_list, 2)
     records = []
@@ -404,10 +404,9 @@ def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
             n_factor = float(N) ** (p * cfg.sigma)
         except OverflowError:
             n_factor = math.inf
-        for name, x in (("data norm", dn), ("N^(p sigma) factor", n_factor)):
-            if not 0.0 < x < math.inf:
-                raise ValueError(f"{name} {x} at N={N} is not finite and "
-                                 f"positive")
+        if not 0.0 < n_factor < math.inf:
+            raise ValueError(f"N^(p sigma) factor {n_factor} at N={N} is not "
+                             f"finite and positive")
         if domain == Domain.TORUS:
             prof = flow_derivative_torus(pair, p, t, sign=sign)
         else:

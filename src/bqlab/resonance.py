@@ -74,7 +74,8 @@ class Representation:
         """Exact beta (torus only)."""
         if self.domain != Domain.TORUS:
             raise ValueError("use beta_range for line representations")
-        return float(-sum(s * dispersion(v) for s, v in self.slots))
+        lam = dispersion([v for _, v in self.slots]).tolist()
+        return float(-sum(s * a for (s, _), a in zip(self.slots, lam)))
 
 
 # -- enumeration -----------------------------------------------------------
@@ -177,8 +178,8 @@ def enumerate_representations(target, p: int, A: FrequencySet):
 
 def _plain_beta_range(rep: Representation) -> BetaRange:
     lo = hi = 0.0
-    for sgn, (lo_v, hi_v) in rep.slots:
-        a, b = dispersion(lo_v), dispersion(hi_v)
+    lam = dispersion([payload for _, payload in rep.slots]).tolist()
+    for (sgn, _), (a, b) in zip(rep.slots, lam):
         if sgn > 0:   # contributes -lambda(a_j)
             lo -= b
             hi -= a
@@ -212,45 +213,65 @@ def _slot_groups(rep: Representation):
     return [(sgn, m, lo, hi) for ((lo, hi), sgn), m in sorted(groups.items())]
 
 
+def _cell_shares(sgn, m, lo, hi, n_cells: int):
+    """One slot group's share of the signed sum's bounds and of beta's, per
+    group-sum cell: (sum lo, sum hi, beta lo, beta hi), n_cells each."""
+    edges = np.linspace(m * lo, m * hi, n_cells + 1)
+    lam_min = _sum_lambda_min(edges[:-1], m)
+    lam_max = _sum_lambda_max(edges[1:], m, lo, hi)
+    if sgn > 0:   # beta gets -Lambda_group
+        return edges[:-1], edges[1:], -lam_max, -lam_min
+    return -edges[1:], -edges[:-1], lam_min, lam_max
+
+
 def _constrained_beta_range(items, window, n_cells: int):
     """Enclose beta over slot tuples whose signed sum lies in the window.
 
     items are the slot groups of one representation (_slot_groups); for
     each group only the group sum S matters: sum-of-lambda over the group
     is bounded by Jensen from below and by the majorization vertex from
-    above, both monotone increasing in S. Scanning a grid of n_cells
-    group-sum cells per group and keeping those that can meet the window
-    yields a rigorous outer enclosure that tightens as the grid refines.
-    Returns None when no cell is feasible.
-    """
-    g = len(items)
-    edges = [np.linspace(m * lo, m * hi, n_cells + 1)
-             for (_, m, lo, hi) in items]
-    grids_lo = np.meshgrid(*[e[:-1] for e in edges], indexing="ij")
-    grids_hi = np.meshgrid(*[e[1:] for e in edges], indexing="ij")
-    S_lo = [a.ravel() for a in grids_lo]
-    S_hi = [a.ravel() for a in grids_hi]
+    above, both monotone increasing in S. Cutting each group's sum range
+    into n_cells cells and keeping the cell tuples that can meet the window
+    yields a rigorous outer enclosure that tightens as the cells refine.
 
-    tot_lo = sum(S_lo[i] if items[i][0] > 0 else -S_hi[i] for i in range(g))
-    tot_hi = sum(S_hi[i] if items[i][0] > 0 else -S_lo[i] for i in range(g))
+    The n_cells^g grid of cell tuples is never formed: the bounds are
+    summed over every tuple of the first g - 1 groups, and each such tuple
+    meets the last group only in the band of cells that a searchsorted on
+    the last group's monotone shares puts in the window, widened by 2
+    cells against rounding and re-tested with the exact sums. Groups are
+    added in order, so each feasible tuple sees the same float operations
+    as in a scan of the whole grid and the enclosure is that scan's to the
+    bit. Returns None when no cell is feasible.
+    """
     wlo, whi = window
-    feasible = (tot_hi >= wlo) & (tot_lo <= whi)
+    shares = [_cell_shares(*item, n_cells) for item in items]
+    sum_lo = sum_hi = beta_lo = beta_hi = np.zeros(1)
+    for s_lo, s_hi, b_lo, b_hi in shares[:-1]:   # C order over the tuples
+        sum_lo = (sum_lo[:, None] + s_lo).ravel()
+        sum_hi = (sum_hi[:, None] + s_hi).ravel()
+        beta_lo = (beta_lo[:, None] + b_lo).ravel()
+        beta_hi = (beta_hi[:, None] + b_hi).ravel()
+
+    s_lo, s_hi, b_lo, b_hi = shares[-1]
+    if items[-1][0] > 0:   # the last group's shares rise with its cell
+        start = np.searchsorted(s_hi, wlo - sum_hi)
+        stop = np.searchsorted(s_lo, whi - sum_lo, side="right")
+    else:
+        start = np.searchsorted(-s_lo, sum_lo - whi)
+        stop = np.searchsorted(-s_hi, sum_hi - wlo, side="right")
+    start = np.maximum(start - 2, 0)
+    width = np.maximum(np.minimum(stop + 2, n_cells) - start, 0)
+    # one candidate per (head tuple, last-group cell) in the widened bands
+    head = np.repeat(np.arange(sum_lo.size), width)
+    last = np.arange(head.size) - np.repeat(np.cumsum(width) - width - start,
+                                            width)
+    feasible = ((sum_hi[head] + s_hi[last] >= wlo)
+                & (sum_lo[head] + s_lo[last] <= whi))
     if not np.any(feasible):
         return None
-
-    beta_lo = np.zeros(int(feasible.sum()))
-    beta_hi = np.zeros_like(beta_lo)
-    for i, (sgn, m, lo, hi) in enumerate(items):
-        sl, sh = S_lo[i][feasible], S_hi[i][feasible]
-        lam_min = _sum_lambda_min(sl, m)
-        lam_max = _sum_lambda_max(sh, m, lo, hi)
-        if sgn > 0:   # beta gets -Lambda_group
-            beta_lo -= lam_max
-            beta_hi -= lam_min
-        else:
-            beta_lo += lam_min
-            beta_hi += lam_max
-    return BetaRange(float(beta_lo.min()), float(beta_hi.max()))
+    head, last = head[feasible], last[feasible]
+    return BetaRange(float((beta_lo[head] + b_lo[last]).min()),
+                     float((beta_hi[head] + b_hi[last]).max()))
 
 
 def beta_range(rep: Representation, *, window=None):
@@ -369,12 +390,15 @@ def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
     Reports |beta|/N (even p) or |beta|/N^2 (odd p) windows per N in
     N_list, every violation found, and N0: one past the largest N in a
     dense scan 1..max(N_list) that still shows a violation (1 if none do).
-    N_list follows checked_n_list's rule (_audit_one_N would skip an
-    N < 1 as degenerate), and scan_max < 1 and p < 2 are refused.
+    N_list follows checked_n_list's rule, and a requested N whose witness
+    set is degenerate (odd p on the torus at N = 1) is refused, where the
+    dense scan skips it; so are scan_max < 1 and p < 2.
     """
     if p < 2 or int(p) != p:    # the scan would skip every N as degenerate
         raise ValueError("p must be an integer >= 2")
     wanted = set(_witness.checked_n_list(N_list))
+    for N in wanted:   # _audit_one_N would drop it without a word
+        _witness.frequency_set(_witness.WitnessConfig(domain, p, N, s=0.0))
     if scan_max is not None and scan_max < 1:   # N0 = 1 would read as clean
         raise ValueError(f"need scan_max >= 1, got {scan_max}")
     scan_hi = int(scan_max if scan_max is not None else max(wanted))

@@ -133,6 +133,9 @@ def frequency_set(cfg: WitnessConfig) -> FrequencySet:
     """The witness support +-A, stored as its positive half A."""
     p, N = cfg.p, cfg.N
     if cfg.domain == Domain.TORUS:
+        if p % 2 and N == 1:
+            raise ValueError("the odd-p torus witness needs N >= 2: at N=1 "
+                             "its modes N + 1 and 2N coincide")
         comps = (N, N + 1) if p % 2 == 0 else (N, N + 1, 2 * N)
         return FrequencySet(Domain.TORUS, comps)
     if p % 2 == 0:
@@ -165,17 +168,28 @@ def build_witness(cfg: WitnessConfig) -> WitnessPair:
 
     u0_hat = N^-sigma on A and on -A; u1_hat = -i N^-sigma lambda on A and
     +i N^-sigma lambda on -A. Both correspond to real physical fields (u0
-    even, u1 odd).
+    even, u1 odd). An amplitude N^-sigma that overflows, or a data norm at
+    s that is not finite and positive, is refused.
     """
-    amp = float(cfg.N) ** (-cfg.sigma)
+    try:
+        amp = float(cfg.N) ** (-cfg.sigma)
+    except OverflowError:
+        raise ValueError(f"amplitude N^-sigma at N={cfg.N}, "
+                         f"sigma={cfg.sigma:g} overflows") from None
     support = frequency_set(cfg)
-    u0 = SpectralData.sampled(
-        support, lambda x: np.full(x.shape, amp, dtype=complex),
-        cfg.N, cfg.sigma)
-    u1 = SpectralData.sampled(
-        support, lambda x: -1j * amp * dispersion(x) * np.sign(x),
-        cfg.N, cfg.sigma)
-    return WitnessPair(cfg, u0, u1)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        u0 = SpectralData.sampled(
+            support, lambda x: np.full(x.shape, amp, dtype=complex),
+            cfg.N, cfg.sigma)
+        u1 = SpectralData.sampled(
+            support, lambda x: -1j * amp * dispersion(x) * np.sign(x),
+            cfg.N, cfg.sigma)
+        pair = WitnessPair(cfg, u0, u1)
+        norm = data_norm(pair, cfg.s)
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"data norm {norm} at N={cfg.N} is not finite and "
+                         f"positive")
+    return pair
 
 
 def data_norm(pair: WitnessPair, s: float) -> float:

@@ -242,12 +242,23 @@ def test_repeated_n_refused(tmp_path, capsys, argv):
       "--n-list", "16,32"], "N^(p sigma) factor inf at N=16 is not finite"),
     (["growth", "--p", "9", "--s", "-41", "--sigma", "-40",
       "--n-list", "16,32"], "N^(p sigma) factor 0.0 at N=16 is not finite"),
+    (["witness", "--s", "-401", "--sigma", "-400"],
+     "amplitude N^-sigma at N=16, sigma=-400 overflows"),
+    (["growth", "--s", "-401", "--sigma", "-400", "--n-list", "16,32"],
+     "amplitude N^-sigma at N=16, sigma=-400 overflows"),
+    (["growth", "--s", "-200", "--sigma", "-199", "--n-list", "16,32"],
+     "data norm nan at N=16 is not finite"),
+    (["simulate", "--s", "-200", "--sigma", "-199"],
+     "data norm nan at N=16 is not finite"),
 ], ids=["witness-sigma-inf", "simulate-s-nan", "simulate-sigma-nan",
         "growth-sigma-inf", "growth-sigma-400", "growth-factor-overflow",
-        "growth-factor-underflow"])
+        "growth-factor-underflow", "witness-amplitude-overflow",
+        "growth-amplitude-overflow", "growth-norm-overflow",
+        "simulate-norm-overflow"])
 def test_bad_witness_exponents_refused(capsys, argv, message):
     # these printed a zero data norm, ended as "simulation blew up", or
-    # ended in a ZeroDivisionError or OverflowError traceback
+    # ended in a ZeroDivisionError or OverflowError traceback or after a
+    # numpy RuntimeWarning (an error here: pytest turns warnings into errors)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -290,6 +301,28 @@ def test_resonance_refuses_n_below_one(tmp_path, capsys, n_list):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "need every N >= 1" in captured.err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "--p", "3", "--n", "1"],
+    ["simulate", "--p", "3", "--n", "1"],
+    ["growth", "--p", "3", "--n-list", "1,16"],
+    ["inflate", "--p", "3", "--n-list", "1,16", "--t-end", "0.05"],
+    ["resonance", "--p", "3", "--n-list", "1"],
+    ["resonance", "--p", "3", "--n-list", "1,16"],
+], ids=["witness", "simulate", "growth", "inflate", "resonance-1",
+        "resonance-1-16"])
+def test_degenerate_torus_n_refused(tmp_path, capsys, argv):
+    # odd p on the torus at N = 1 has 2N = N + 1: the witness commands said
+    # "duplicate torus components", and resonance dropped the N without a
+    # word ("--n-list 1" printed N0=1, 0 violations, and exited 0)
+    out = str(tmp_path / "o")
+    assert main(argv + ["--out", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "odd-p torus witness needs N >= 2" in captured.err
     assert not os.path.exists(out)
 
 

@@ -6,8 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from bqlab import resonance
+from bqlab.acceptance import AUDIT_N
 from bqlab.errors import ResourceBudgetError
-from bqlab.resonance import (BetaRange, beta_range, closed_form_profiles,
+from bqlab.resonance import (_CELLS_BY_GROUPS, _CELLS_BY_GROUPS_SCAN,
+                             BetaRange, _beta_range, _sum_lambda_max,
+                             _sum_lambda_min, beta_range, closed_form_profiles,
                              construct_representation,
                              enumerate_representations, solve_diophantine,
                              verify_resonance_bounds)
@@ -195,6 +199,132 @@ def test_beta_range_soundness_random_tuples():
     assert tested > 100
 
 
+@pytest.mark.parametrize("p", range(2, 10))
+def test_refined_enclosures_hold_sampled_tuples(p):
+    # free slots drawn uniformly, the widest slot solved from a uniform
+    # target in the window and kept when it lands in its interval: beta
+    # must lie in the enclosure at both grids. The oracle does not touch
+    # the group-sum cells; N = 1 is where the 3- and 4-group enclosures
+    # of odd p arise
+    rng = np.random.default_rng(p)
+    tested = Counter()
+    for N in (1, 2, 3, 5, 16, 64):
+        cfg = WitnessConfig(Domain.LINE, p, N, s=0.0)
+        window = output_window(cfg)
+        for rep in enumerate_representations(window, p, frequency_set(cfg)):
+            signs = np.array([sgn for sgn, _ in rep.slots], dtype=float)
+            lo, hi = np.array([payload for _, payload in rep.slots]).T
+            d = int(np.argmax(hi - lo))
+            x = rng.uniform(lo, hi, size=(4000, p))
+            rest = signs @ x.T - signs[d] * x[:, d]
+            x[:, d] = signs[d] * (rng.uniform(*window, size=4000) - rest)
+            x = x[(lo[d] <= x[:, d]) & (x[:, d] <= hi[d])]
+            beta = -(dispersion(x) @ signs)
+            tol = 1e-12 * dispersion(hi).sum()
+            for cells in (_CELLS_BY_GROUPS, _CELLS_BY_GROUPS_SCAN):
+                br = _beta_range(rep, window, cells)
+                if br is None:
+                    assert len(x) == 0, "sampled a tuple in a pruned pattern"
+                    continue
+                assert np.all(br.lo - tol <= beta) and np.all(beta <= br.hi + tol)
+            tested[N] += len(x)
+    assert len(tested) == 6 and min(tested.values()) > 100
+
+
+def _dense_constrained_beta_range(items, window, n_cells: int):
+    """Reference: the scan of the whole n_cells^g group-sum grid that
+    _constrained_beta_range must reproduce to the bit."""
+    g = len(items)
+    edges = [np.linspace(m * lo, m * hi, n_cells + 1)
+             for (_, m, lo, hi) in items]
+    grids_lo = np.meshgrid(*[e[:-1] for e in edges], indexing="ij")
+    grids_hi = np.meshgrid(*[e[1:] for e in edges], indexing="ij")
+    S_lo = [a.ravel() for a in grids_lo]
+    S_hi = [a.ravel() for a in grids_hi]
+
+    tot_lo = sum(S_lo[i] if items[i][0] > 0 else -S_hi[i] for i in range(g))
+    tot_hi = sum(S_hi[i] if items[i][0] > 0 else -S_lo[i] for i in range(g))
+    wlo, whi = window
+    feasible = (tot_hi >= wlo) & (tot_lo <= whi)
+    if not np.any(feasible):
+        return None
+
+    beta_lo = np.zeros(int(feasible.sum()))
+    beta_hi = np.zeros_like(beta_lo)
+    for i, (sgn, m, lo, hi) in enumerate(items):
+        sl, sh = S_lo[i][feasible], S_hi[i][feasible]
+        lam_min = _sum_lambda_min(sl, m)
+        lam_max = _sum_lambda_max(sh, m, lo, hi)
+        if sgn > 0:   # beta gets -Lambda_group
+            beta_lo -= lam_max
+            beta_hi -= lam_min
+        else:
+            beta_lo += lam_min
+            beta_hi += lam_max
+    return BetaRange(float(beta_lo.min()), float(beta_hi.max()))
+
+
+def test_constrained_enclosure_matches_dense_grid_on_audits(monkeypatch):
+    # every refined call of criterion 4's audits, at both grids, equals the
+    # dense scan exactly (== on lo and hi, None where it is None)
+    seen = set()
+    banded = resonance._constrained_beta_range
+
+    def checked(items, window, n_cells):
+        got = banded(items, window, n_cells)
+        assert got == _dense_constrained_beta_range(items, window, n_cells)
+        seen.add((len(items), n_cells))
+        return got
+
+    monkeypatch.setattr(resonance, "_constrained_beta_range", checked)
+    for p in range(2, 10):
+        for domain in (Domain.TORUS, Domain.LINE):
+            verify_resonance_bounds(p, domain, AUDIT_N)
+    assert seen == {(2, 512), (2, 128), (3, 32), (4, 16)}
+
+
+def _cell_sum(items, cells, n_cells, upper):
+    """The signed-sum bound of one cell tuple, added in group order."""
+    total = 0
+    for (sgn, m, lo, hi), c in zip(items, cells):
+        e = np.linspace(m * lo, m * hi, n_cells + 1)
+        total = total + (e[c + upper] if sgn > 0 else -e[c + 1 - upper])
+    return float(total)
+
+
+@pytest.mark.parametrize("n_cells", [7, 16, 24, 64, 128])
+def test_constrained_enclosure_matches_dense_grid_random(n_cells):
+    # random groups; windows (a quarter of them of width 0) drawn at random
+    # or with one end placed exactly on a cell tuple's sum bound, where
+    # rounding decides feasibility
+    rng = np.random.default_rng(n_cells)
+    most_groups = {7: 4, 16: 4, 24: 3, 64: 2, 128: 2}[n_cells]
+    outcomes = Counter()
+    for trial in range(120):
+        g = int(rng.integers(1, most_groups + 1))
+        items = []
+        for _ in range(g):
+            lo = float(rng.uniform(0.2, 60.0))
+            items.append((int(rng.choice([-1, 1])), int(rng.integers(1, 5)),
+                          lo, lo + float(rng.uniform(0.01, 3.0))))
+        width = float(rng.exponential(2.0)) * (trial % 4 != 0)
+        cells = rng.integers(0, n_cells, size=g)
+        if trial % 3 == 0:
+            wlo = _cell_sum(items, cells, n_cells, upper=1)
+            window = (wlo, wlo + width)
+        elif trial % 3 == 1:
+            whi = _cell_sum(items, cells, n_cells, upper=0)
+            window = (whi - width, whi)
+        else:
+            reach = sum(m * (hi if s > 0 else lo) * s for s, m, lo, hi in items)
+            mid = float(rng.uniform(-abs(reach), abs(reach)))
+            window = (mid - width, mid + width)
+        got = resonance._constrained_beta_range(items, window, n_cells)
+        assert got == _dense_constrained_beta_range(items, window, n_cells)
+        outcomes[got is None] += 1
+    assert outcomes[False] > 60 and outcomes[True] > 0
+
+
 def test_beta_range_rejects_inverted():
     with pytest.raises(ValueError):
         BetaRange(1.0, 0.0)
@@ -335,6 +465,16 @@ def test_resonance_audit_refuses_n_below_one(N_list):
     # N <= 0 has no witness set, so the audit would drop it without a word
     with pytest.raises(ValueError, match="need every N >= 1"):
         verify_resonance_bounds(2, Domain.TORUS, N_list)
+
+
+@pytest.mark.parametrize("N_list", [[1], [1, 16]])
+def test_resonance_audit_refuses_degenerate_n(N_list):
+    # odd p on the torus at N = 1 has 2N = N + 1: the audit dropped the
+    # entry without a word; the dense scan still skips it
+    with pytest.raises(ValueError, match="needs N >= 2"):
+        verify_resonance_bounds(3, Domain.TORUS, N_list)
+    report = verify_resonance_bounds(3, Domain.TORUS, [2], scan_max=3)
+    assert [e["N"] for e in report.per_N] == [2]
 
 
 @pytest.mark.parametrize("scan_max", [0, -5])
