@@ -102,7 +102,8 @@ _PARAMS = {
         ("n", int, 16, "witness frequency scale N"),
         ("s", float, -1.0, "data regularity index"),
         ("sigma", float, None, "amplitude exponent, default s+1"),
-        ("k", int, None, "mode cutoff, default 4*(max support frequency)"),
+        ("k", int, None, "mode cutoff, at least the output mode; default "
+         "max(4*(max support frequency), output mode)"),
         ("dt", float, None, "time step, default 0.5/lambda(K)"),
         ("t_end", float, 1.0, "final time"),
         ("sign", int, 1, "nonlinearity sign; 0 disables the nonlinearity"),
@@ -261,8 +262,14 @@ def cmd_simulate(params):
         inputs.append(params["init"])
     else:
         pair = build_witness(_witness_config(params))
-    max_freq = pair.u0.support.max_frequency()
-    K = params["k"] if params["k"] is not None else 4 * int(round(max_freq))
+    if pair.config.domain != Domain.TORUS:
+        raise ValueError("only torus witnesses can be simulated")
+    mode = pair.output_window
+    K = params["k"]
+    if K is None:
+        K = max(4 * int(round(pair.u0.support.max_frequency())), mode)
+    elif K < mode:
+        raise ValueError(f"K={K} below the output mode {mode}")
     state = witness_state(pair, K)
     if params["scale"] != 1.0:
         state.u *= params["scale"]

@@ -406,17 +406,20 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
     can differ from a solve at -a. Even p has no such symmetry (-u solves
     the equation of the opposite sign) and integrates every amplitude.
 
-    Step rule: dt = 2 / lambda(max support frequency). The integrating
-    factor rotates every linear phase exactly, so dt only has to resolve
-    the phases of the witness modes, not lambda(K). The ladder is solved
-    at dt and at 2 dt, and both ladders are parts of one lockstep run
-    (_integrate_lockstep): while the 2 dt ladder has full steps left, both
-    ladders' rows go through one step call, each with its own dt, and each
-    ladder gets the bits of integrating it alone. IF-RK4 is fourth order,
-    so with v(h) the
-    Richardson value in eps at step h, |v(dt) - v(2dt)| / 15 estimates the
-    time error of v(dt), and the reported value is the Richardson value in
-    time, v(dt) + (v(dt) - v(2dt)) / 15, whose error is smaller still.
+    Step rule: dt = 2 / lambda(max support frequency), capped at t / 4.
+    The integrating factor rotates every linear phase exactly, so dt only
+    has to resolve the phases of the witness modes, not lambda(K). The cap
+    gives the 2 dt ladder at least two full steps: for t < 2 dt both
+    ladders would take one identical remainder step of size t, and the
+    time-error estimate below would read 0 whatever the error. The ladder
+    is solved at dt and at 2 dt, and both ladders are parts of one
+    lockstep run (_integrate_lockstep): while the 2 dt ladder has full
+    steps left, both ladders' rows go through one step call, each with its
+    own dt, and each ladder gets the bits of integrating it alone. IF-RK4
+    is fourth order, so with v(h) the Richardson value in eps at step h,
+    |v(dt) - v(2dt)| / 15 estimates the time error of v(dt), and the
+    reported value is the Richardson value in time,
+    v(dt) + (v(dt) - v(2dt)) / 15, whose error is smaller still.
 
     meta["dt_err_est"] is that time-error estimate relative to the value.
     The result is converged when it and the relative spread between the
@@ -425,12 +428,15 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
     symmetry; meta["n_steps"] counts the row steps actually integrated over
     both ladders, half as many for odd p as for a full ladder.
 
-    The cutoff K = 2 * (max support frequency) is enough: products are
-    dealiased by padding, so modes beyond K influence the output-mode
-    coefficient of order eps^p only through eps^{p+2} terms, which the
-    stencil suppresses to the same eps^2 level as its own truncation error
-    (verified directly: K at 1.5x, 2x, 4x the support give identical
-    estimates to ~1e-9 relative).
+    The cutoff K = max(max support frequency, output mode) keeps the p-th
+    amplitude derivative exact. That derivative of the output coefficient
+    is the p-th Picard iterate, built only from the free waves on the
+    support and the output-mode coefficient of their p-fold product, which
+    the zero padding computes without aliasing. So the cutoff moves only
+    the Taylor orders p+1 and up; the central stencil's error holds only
+    even powers of eps, so order p+1 cancels, and order p+2 is the eps^2
+    term that the Richardson step in eps removes (Boyd, Chebyshev and
+    Fourier Spectral Methods, 2nd ed., 2001, ch. 11).
     """
     if p != pair.config.p:
         raise ValueError(f"p={p} does not match witness p={pair.config.p}")
@@ -438,8 +444,8 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
         raise ValueError(f"need t > 0, got t={t}")
     mode = int(pair.output_window)
     max_freq = pair.u0.support.max_frequency()
-    K = 2 * int(round(max_freq))
-    dt = 2.0 / dispersion(float(max_freq))
+    K = max(int(round(max_freq)), mode)
+    dt = min(2.0 / dispersion(float(max_freq)), t / 4.0)
     base = witness_state(pair, K)
     offsets, weights = _stencil_weights(p)
     # the zero amplitude solves to zero and drops out of the stencil

@@ -168,8 +168,9 @@ def build_witness(cfg: WitnessConfig) -> WitnessPair:
 
     u0_hat = N^-sigma on A and on -A; u1_hat = -i N^-sigma lambda on A and
     +i N^-sigma lambda on -A. Both correspond to real physical fields (u0
-    even, u1 odd). An amplitude N^-sigma that overflows, or a data norm at
-    s that is not finite and positive, is refused.
+    even, u1 odd). An amplitude N^-sigma that overflows, u1 samples that
+    overflow, or a data norm at s that is not finite and positive, is
+    refused.
     """
     try:
         amp = float(cfg.N) ** (-cfg.sigma)
@@ -184,6 +185,9 @@ def build_witness(cfg: WitnessConfig) -> WitnessPair:
         u1 = SpectralData.sampled(
             support, lambda x: -1j * amp * dispersion(x) * np.sign(x),
             cfg.N, cfg.sigma)
+        if not np.isfinite(u1.values).all():
+            raise ValueError(f"u1 samples N^-sigma lambda at N={cfg.N}, "
+                             f"sigma={cfg.sigma:g} overflow")
         pair = WitnessPair(cfg, u0, u1)
         norm = data_norm(pair, cfg.s)
     if not 0.0 < norm < math.inf:

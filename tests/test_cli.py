@@ -250,11 +250,18 @@ def test_repeated_n_refused(tmp_path, capsys, argv):
      "data norm nan at N=16 is not finite"),
     (["simulate", "--s", "-200", "--sigma", "-199"],
      "data norm nan at N=16 is not finite"),
+    (["witness", "--s", "-256", "--sigma", "-255"],
+     "u1 samples N^-sigma lambda at N=16, sigma=-255 overflow"),
+    (["growth", "--s", "-256", "--sigma", "-255", "--n-list", "16,32"],
+     "u1 samples N^-sigma lambda at N=16, sigma=-255 overflow"),
+    (["simulate", "--s", "-256", "--sigma", "-255"],
+     "u1 samples N^-sigma lambda at N=16, sigma=-255 overflow"),
 ], ids=["witness-sigma-inf", "simulate-s-nan", "simulate-sigma-nan",
         "growth-sigma-inf", "growth-sigma-400", "growth-factor-overflow",
         "growth-factor-underflow", "witness-amplitude-overflow",
         "growth-amplitude-overflow", "growth-norm-overflow",
-        "simulate-norm-overflow"])
+        "simulate-norm-overflow", "witness-velocity-overflow",
+        "growth-velocity-overflow", "simulate-velocity-overflow"])
 def test_bad_witness_exponents_refused(capsys, argv, message):
     # these printed a zero data norm, ended as "simulation blew up", or
     # ended in a ZeroDivisionError or OverflowError traceback or after a
@@ -435,6 +442,28 @@ def test_simulate_refuses_observe_every_below_one(tmp_path, capsys, every):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "observe_every" in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv,mode", [
+    (["--p", "8", "--n", "1", "--k", "2"], 4),
+    (["--p", "20", "--n", "1", "--k", "9"], 10),
+])
+def test_simulate_refuses_cutoff_below_output_mode(tmp_path, capsys, argv,
+                                                   mode):
+    # the window norm used to end in an IndexError traceback
+    out = tmp_path / "traj.csv"
+    assert main(["simulate"] + argv + ["--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (f"error: K={argv[-1]} below the output mode "
+                            f"{mode}\n")
+
+
+def test_simulate_default_cutoff_covers_output_mode(capsys):
+    # 4 * support = 8 lies below the output mode 10 of p = 20 at N = 1
+    assert main(["simulate", "--p", "20", "--n", "1", "--scale", "0.1",
+                 "--t-end", "0.1"]) == 0
+    assert "p=20 K=10 " in capsys.readouterr().out
 
 
 def _witness_file(tmp_path, edit):

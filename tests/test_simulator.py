@@ -455,17 +455,28 @@ def test_probe_time_error_estimate():
     assert err_dt / 3.0 <= est <= 3.0 * err_dt
     assert abs(res.value - exact) <= est * abs(exact)
     assert res.converged
+    # at N = 1 the uncapped dt exceeds t / 2, where both ladders took one
+    # identical remainder step and the estimate read 0 over errors up to
+    # 0.84; capped at t / 4, the estimate and the ladder spread bound the
+    # error, or the probe says it did not converge
+    for p, converged in ((2, True), (4, True), (8, True), (12, False)):
+        pair = _witness(p=p, N=1)
+        exact = flow_derivative_torus(pair, p, t).values[0]
+        res = fd_derivative_probe(pair, p, t)
+        err = abs(res.value - exact) / abs(exact)
+        assert res.meta["dt"] == t / 4.0
+        assert res.converged == converged
+        assert err <= res.meta["dt_err_est"] + res.rel_spread or not converged
 
 
-def _full_ladder_probe(pair, p, t, sign, eps_list=(2.5e-3, 1.25e-3)):
+def _full_ladder_probe(pair, p, t, sign, meta, eps_list=(2.5e-3, 1.25e-3)):
     """fd_derivative_probe with every amplitude of the ladder integrated,
-    negative ones included, as a reference for the odd-p half ladder.
+    negative ones included, as a reference for the odd-p half ladder; the
+    cutoff K and the step dt are the probe's own, read from its meta.
     Returns the value, the estimates, the relative spread, the converged
     flag, the time-error estimate and the row steps integrated."""
     mode = int(pair.output_window)
-    max_freq = pair.u0.support.max_frequency()
-    K = 2 * int(round(max_freq))
-    dt = 2.0 / dispersion(float(max_freq))
+    K, dt = meta["K"], meta["dt"]
     base = witness_state(pair, K)
     offsets, weights = _stencil_weights(p)
     stencil = [(off, w) for off, w in zip(offsets, weights)
@@ -514,7 +525,7 @@ def test_probe_matches_full_ladder(p, N, sign):
     pair = _witness(p=p, N=N)
     res = fd_derivative_probe(pair, p, 0.35, sign=sign)
     value, estimates, rel_spread, converged, dt_err_est, row_steps = \
-        _full_ladder_probe(pair, p, 0.35, sign)
+        _full_ladder_probe(pair, p, 0.35, sign, res.meta)
     assert res.value == value
     assert res.estimates == estimates
     assert res.rel_spread == rel_spread
@@ -525,6 +536,19 @@ def test_probe_matches_full_ladder(p, N, sign):
     if (p, N) == (3, 16):
         assert (res.meta["n_solves"], res.meta["n_steps"]) == (6, 810)
         assert row_steps == 1620
+
+
+@pytest.mark.parametrize("p,N", [(p, N) for p in range(2, 6) for N in (6, 16)]
+                         + [(10, 1), (14, 2)])
+def test_probe_cutoff_covers_support_and_output_mode(p, N):
+    # the p-th iterate needs the support and the output mode, no more; at
+    # p = 10, N = 1 and p = 14, N = 2 the mode lies beyond twice the
+    # support, where a cutoff of 2 * support ended in an IndexError
+    pair = _witness(p=p, N=N)
+    res = fd_derivative_probe(pair, p, 0.35)
+    support = int(round(pair.u0.support.max_frequency()))
+    assert res.meta["K"] == max(support, pair.output_window)
+    assert np.isfinite(res.value)
 
 
 def test_probe_shares_ladder_solves():
