@@ -20,11 +20,13 @@ A state may carry leading batch axes (modes on the last axis): every row is
 advanced by the same steps, and each row's result is bit-identical to
 integrating that row alone. Rows with different step sizes can share the
 steps too: _integrate_lockstep advances several (stepper, state) parts of
-one equation to one time, stacking the rows of every part that still has
-full steps left into one Stepper._step call, with the rotations and dt
-given per row. The probe integrates its dt and 2 dt amplitude ladders as
-two parts of one lockstep run, and criterion 8 its two s runs at each N as
-the two rows of one state.
+one equation to one time. The rows of every part that still has full
+steps left are stacked with (u, v) into one (2, R, K+1) array, and a
+_Workspace built once for that stack holds the per-row coefficients, dt
+and every stage buffer, so a step allocates nothing but its new state.
+The probe integrates its dt and 2 dt amplitude ladders as two parts of
+one lockstep run, and criterion 8 its two s runs at each N as the two
+rows of one state.
 """
 from __future__ import annotations
 
@@ -126,15 +128,15 @@ class Stepper:
     leading batch shape are advanced row by row in one set of array calls;
     windowed_norm and full_norm take one-row states only.
 
-    The per-mode coefficients (sign k^2 and the rotation entries) are real
-    but stored as complex128. numpy multiplies a real array into a complex
-    one as (c + 0j) * z anyway, so the bits are the same, and storing them
-    complex saves that float-to-complex cast in every coefficient multiply.
-    _step takes the rotation arrays in any shape that broadcasts against
-    the state, and dt as a scalar or a per-row column. An integration of
-    a batched state broadcasts the rotations to the state's shape once, as
-    contiguous arrays, so its steps do not broadcast (K+1,) arrays in every
-    multiply; a stacked lockstep step concatenates them per row.
+    _step advances a stacked state W = (u, v) of shape (2, R, K+1) through
+    a _Workspace built for that shape. Each numpy operation of the scheme
+    is made once on stacked operands and writes into a workspace buffer,
+    the four FFTs included; the one fresh array of a step is the new W, so
+    a state shown to an observer stays as it was shown. The per-mode
+    coefficients, dt factors and the grid size M are real but stored as
+    complex128: numpy multiplies a real number into a complex one as
+    (c + 0j) * z anyway, so the bits are the same, and storing them
+    complex saves that cast in every operation.
     """
 
     def __init__(self, config: SimConfig):
@@ -150,55 +152,88 @@ class Stepper:
                    else 0.5 / dispersion(float(self.K)))
         # zero padding: products of p copies stay alias-free
         self.M = _fft_good_size((self.p + 1) * self.K + 1)
-        self._rot_dt = self._rotations(self.dt)
+        self._M = np.asarray(self.M, dtype=complex)
+        self._fft_buffers = {}      # nonlinear's scratch, per input shape
 
-    def _rotations(self, tau: float):
-        """The step-invariant arrays of a step of size tau: the free-flow
-        rotation entries at tau and tau/2 and the products _step needs,
-        formed real and stored complex."""
+    def _coefficients(self, tau: float) -> np.ndarray:
+        """_step's 13 coefficient rows for a step of size tau, from the
+        free-flow rotation at tau (c1, s1, ls1) and tau/2 (c2, s2): times u,
+        times v, times (g3, v + tau/2 g1), times g1 and times g2 + g3."""
         (c1, s1, ls1), (c2, s2, _) = [free_flow_rotation(self.lam, h)
                                       for h in (tau, tau / 2.0)]
-        return tuple(a.astype(complex) for a in (
-            c1, s1, -ls1, c2, s2, 2.0 * c2, 2.0 * s2, tau * s2))
+        return np.array([c2, c1, -ls1, c2, s2, s1, c1, tau * s2, s2,
+                         s1, c1, 2.0 * s2, 2.0 * c2], dtype=complex)
 
-    def nonlinear(self, u_hat: np.ndarray) -> np.ndarray:
+    def nonlinear(self, u_hat: np.ndarray, out=None) -> np.ndarray:
         """g(u) = sign * k^2 * (u^p)_k on the retained modes (last axis),
         row by row over any leading axes, each row bit-identical to its
         solo call; _step relies on that to evaluate two stages as one
-        stack. irfft zero-pads modes K+1..M/2 itself. u^p is formed by
+        stack. Written into out when given; the padded grids are scratch
+        buffers kept per input shape, so a stepper serves one thread at a
+        time. irfft zero-pads modes K+1..M/2 itself. u^p is formed by
         repeated products, which stays within a few ulps of pow and is
         exact (a square) at p = 2."""
+        if out is None:
+            out = np.empty(u_hat.shape, dtype=complex)
         if self.sign == 0:
-            return np.zeros_like(u_hat)
-        phys = np.fft.irfft(u_hat * self.M, n=self.M, axis=-1)
-        power = phys * phys
+            out.fill(0)
+            return out
+        bufs = self._fft_buffers.get(u_hat.shape)
+        if bufs is None:
+            grid = u_hat.shape[:-1] + (self.M,)
+            spec = np.empty(grid[:-1] + (self.M // 2 + 1,), dtype=complex)
+            bufs = self._fft_buffers[u_hat.shape] = (
+                np.empty(u_hat.shape, dtype=complex), np.empty(grid),
+                np.empty(grid), spec, spec[..., : self.K + 1])
+        scaled, phys, power, spec, kept = bufs
+        np.multiply(u_hat, self._M, out=scaled)
+        np.fft.irfft(scaled, n=self.M, axis=-1, out=phys)
+        np.multiply(phys, phys, out=power)
         for _ in range(self.p - 2):
-            power *= phys
-        w = np.fft.rfft(power, axis=-1)[..., : self.K + 1] / self.M
-        return self._sign_k2 * w
+            np.multiply(power, phys, out=power)
+        np.fft.rfft(power, axis=-1, out=spec)
+        np.divide(kept, self._M, out=out)
+        return np.multiply(self._sign_k2, out, out=out)
 
-    def _step(self, u, v, rotations, dt):
-        """One IF-RK4 step of size dt. The stage inputs are
+    def _step(self, W, ws: "_Workspace") -> np.ndarray:
+        """One IF-RK4 step of the stacked state W, returned as a new
+        array. The stage inputs are
             g1: u,                  g2: c2 u + s2 (v + dt/2 g1),
             g3: c2 u + s2 v,        g4: c1 u + s1 v + dt s2 g3,
         so g1 and g3 depend on the state alone and g2, g4 on (g1, g3):
         two rounds of one stacked nonlinear call each, bit-identical to
-        four sequential calls."""
-        c1, s1, neg_ls1, c2, s2, two_c2, two_s2, dt_s2 = rotations
-        c2_u = c2 * u
-        g1, g3 = self.nonlinear(np.array((u, c2_u + s2 * v)))
-        u_full = c1 * u + s1 * v
-        g2, g4 = self.nonlinear(np.array((c2_u + s2 * (v + 0.5 * dt * g1),
-                                          u_full + dt_s2 * g3)))
-        v_full = neg_ls1 * u + c1 * v
-        g23 = g2 + g3
-        u_new = u_full + dt / 6.0 * (s1 * g1 + two_s2 * g23)
-        v_new = v_full + dt / 6.0 * (c1 * g1 + two_c2 * g23 + g4)
-        return u_new, v_new
+        four sequential calls. Every product and sum keeps its operands
+        and their order; only the layout is stacked."""
+        u, v = W[0], W[1]
+        np.multiply(ws.times_u, u, out=ws.cu)     # c2 u, c1 u, -ls1 u, c2 u
+        np.multiply(ws.times_v, v, out=ws.cv)     # s2 v, s1 v, c1 v
+        np.add(ws.sums, ws.cv, out=ws.sums)       # u_half, u_full, v_full
+        np.copyto(ws.u, u)
+        self.nonlinear(ws.round_1, out=ws.g13)    # g1, g3
+        np.multiply(ws.half_dt, ws.g1, out=ws.mid)
+        np.add(v, ws.mid, out=ws.mid)             # v + dt/2 g1
+        np.multiply(ws.times_mid, ws.g3_mid, out=ws.round_2)
+        np.add(ws.bases, ws.round_2, out=ws.round_2)  # the g4, g2 inputs
+        self.nonlinear(ws.round_2, out=ws.g42)    # g4, g2
+        np.add(ws.g2, ws.g3, out=ws.g23)
+        np.multiply(ws.times_g1, ws.g1, out=ws.update)   # s1 g1, c1 g1
+        np.multiply(ws.times_g23, ws.g23, out=ws.update_g23)
+        np.add(ws.update, ws.update_g23, out=ws.update)
+        np.add(ws.update_v, ws.g4, out=ws.update_v)
+        np.multiply(ws.sixth_dt, ws.update, out=ws.update)
+        return np.add(ws.full, ws.update)
+
+    def _step_once(self, W, tau: float) -> np.ndarray:
+        """One step of size tau of a (2, *shape) state, with a workspace
+        of its own."""
+        rows = W.reshape(2, -1, self.K + 1)
+        ws = _Workspace(self, [(tau, rows.shape[1])])
+        return self._step(rows, ws).reshape(W.shape)
 
     def step(self, state: SimState) -> SimState:
-        u, v = self._step(state.u, state.v, self._rot_dt, self.dt)
-        return SimState(state.t + self.dt, u, v)
+        W = self._step_once(np.array((state.u, state.v), dtype=complex),
+                            self.dt)
+        return SimState(state.t + self.dt, W[0], W[1])
 
     def integrate(self, state: SimState, t_end: float, *,
                   observer=None) -> SimState:
@@ -209,11 +244,40 @@ class Stepper:
         return final
 
 
+class _Workspace:
+    """What the steps of a (2, R, K+1) stack reuse: _step's coefficient
+    rows at (R, K+1) each, 0.5 dt and dt/6 (scalars, or per-row columns
+    when blocks, (tau, row count) in row order, has more than one), and
+    the stage buffers with every view _step takes of them."""
+
+    def __init__(self, stepper: Stepper, blocks):
+        width = stepper.K + 1
+        coef = np.concatenate(
+            [np.broadcast_to(stepper._coefficients(tau)[:, None],
+                             (13, n, width)) for tau, n in blocks], axis=1)
+        (self.times_u, self.times_v, self.times_mid, self.times_g1,
+         self.times_g23) = np.split(coef, [4, 7, 9, 11])
+        dt = (blocks[0][0] if len(blocks) == 1 else
+              np.concatenate([np.full((n, 1), tau) for tau, n in blocks]))
+        self.half_dt, self.sixth_dt = (np.asarray(a, dtype=complex)
+                                       for a in (0.5 * dt, dt / 6.0))
+        buf = np.empty((20, coef.shape[1], width), dtype=complex)
+        (x, self.cv, g, self.round_2, self.g42, self.update,
+         self.update_g23, (self.g23,)) = np.split(
+            buf, [5, 8, 11, 13, 15, 17, 19])
+        # x = [u, u_half, u_full, v_full, c2 u], g = [g1, g3, v + dt/2 g1]
+        self.u, self.cu, self.sums, self.round_1 = x[0], x[1:], x[1:4], x[:2]
+        self.bases, self.full = x[2::2], x[2:4]
+        self.g13, self.g1, self.g3, self.mid = g[:2], g[0], g[1], g[2]
+        self.g3_mid = g[1:]
+        self.g4, self.g2 = self.g42
+        self.update_v = self.update[1]
+
+
 class _Part:
     """One part of a lockstep integration: its stepper and observer, its
-    count of full steps and its own clock, its current arrays and its last
-    checked state. A batched state's rotations are broadcast to its shape
-    once, as contiguous arrays, so no step broadcasts them again."""
+    count of full steps and its own clock, its current state as one array
+    W = (u, v) and its last checked state."""
 
     def __init__(self, stepper: Stepper, state: SimState, observer,
                  t_end: float):
@@ -227,13 +291,9 @@ class _Part:
         self.dt = stepper.dt
         self.n_full = int(math.floor((t_end - state.t) / self.dt + 1e-12))
         self.t, self.i = state.t, 0     # the time after i full steps
-        self.shape = state.u.shape
+        self.W = np.array((state.u, state.v), dtype=complex)
         self.n_rows = state.u.size // state.u.shape[-1]
-        self.u, self.v = state.u, state.v
-        self.rot = (stepper._rot_dt if state.u.ndim == 1 else
-                    tuple(np.broadcast_to(a, self.shape).copy()
-                          for a in stepper._rot_dt))
-        self.last_good = state.copy()
+        self.last_good = state
         self.steps = self.n_full
 
     def time_after(self, i: int) -> float:
@@ -244,34 +304,32 @@ class _Part:
             self.i += 1
         return self.t
 
-    def check(self, t: float, u, v):
-        if not (np.isfinite(u).all() and np.isfinite(v).all()):
+    def check(self, t: float, W):
+        if not np.isfinite(W).all():
             raise SimulationBlowup(f"non-finite spectrum at t={t:.6g}",
                                    self.last_good.t, self.last_good)
 
-    def after_step(self, i: int, u, v):
+    def after_step(self, i: int, W):
         """Check the state after full step i every NAN_CHECK_EVERY steps,
         and show it to the observer."""
         t = self.time_after(i)
         if i % NAN_CHECK_EVERY == 0:
-            self.check(t, u, v)
-            self.last_good = SimState(t, u.copy(), v.copy())
+            self.check(t, W)
+            self.last_good = SimState(t, W[0].copy(), W[1].copy())
         if self.observer is not None:
-            self.observer(SimState(t, u, v))
+            self.observer(SimState(t, W[0], W[1]))
 
     def finish(self, t_end: float) -> SimState:
         """The remainder step, if any, and the final check."""
-        state = SimState(self.time_after(self.n_full), self.u, self.v)
-        rem = t_end - state.t
+        t, W = self.time_after(self.n_full), self.W
+        rem = t_end - t
         if rem > 1e-12 * max(1.0, self.dt):
-            u, v = self.stepper._step(state.u, state.v,
-                                      self.stepper._rotations(rem), rem)
-            state = SimState(t_end, u, v)
+            t, W = t_end, self.stepper._step_once(W, rem)
             self.steps += 1
             if self.observer is not None:
-                self.observer(state)
-        self.check(state.t, state.u, state.v)
-        return state
+                self.observer(SimState(t, W[0], W[1]))
+        self.check(t, W)
+        return SimState(t, W[0], W[1])
 
 
 def _integrate_lockstep(parts, t_end: float):
@@ -281,58 +339,44 @@ def _integrate_lockstep(parts, t_end: float):
 
     The steppers share p, K and sign; each has its own dt, so each part
     has its own full steps, time sum, remainder step, finiteness check
-    every NAN_CHECK_EVERY full steps and last good state. While two or
-    more parts have full steps left, their rows are stacked and go through
-    one Stepper._step call, the rotations concatenated per row and dt a
-    per-row column. Rows are advanced independently, so every part gets
-    the bits of integrating it alone."""
+    every NAN_CHECK_EVERY full steps and last good state. The parts with
+    full steps left form a group: their rows are stacked into one
+    (2, R, K+1) state, a _Workspace is built as the group forms, and each
+    step is one Stepper._step call. Rows are advanced independently, so
+    every part gets the bits of integrating it alone. Overflow on the way
+    to a blow-up is not warned about; the checks raise SimulationBlowup."""
     if not math.isfinite(t_end):
         raise ValueError(f"need a finite t_end, got {t_end}")
     if len({(st.p, st.K, st.sign) for st, _s, _o in parts}) != 1:
         raise ValueError("lockstep parts must share p, K and sign")
     parts = [_Part(stepper, state, observer, t_end)
              for stepper, state, observer in parts]
+    stepper = parts[0].stepper
+    width = stepper.K + 1
     done = 0
-    while True:
-        group = [q for q in parts if q.n_full > done]
-        if not group:
-            break
-        stop = min(q.n_full for q in group)
-        observing = any(q.observer is not None for q in group)
-        if len(group) == 1:
-            (only,) = group
-            u, v, rot, dt = only.u, only.v, only.rot, only.dt
-            after_step = only.after_step
-
-            def split(u, v):
-                return ((only, u, v),)
-        else:
-            width = group[0].stepper.K + 1
-            u, v = (np.concatenate([getattr(q, a).reshape(-1, width)
-                                    for q in group]) for a in "uv")
-            rot = tuple(np.concatenate([r.reshape(-1, width) for r in rs])
-                        for rs in zip(*(q.rot for q in group)))
-            dt = np.concatenate([np.full((q.n_rows, 1), q.dt) for q in group])
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            group = [q for q in parts if q.n_full > done]
+            if not group:
+                break
+            stop = min(q.n_full for q in group)
+            observing = any(q.observer is not None for q in group)
+            W = np.concatenate([q.W.reshape(2, -1, width) for q in group],
+                               axis=1)
+            ws = _Workspace(stepper, [(q.dt, q.n_rows) for q in group])
             edges = list(itertools.accumulate(
                 (q.n_rows for q in group), initial=0))
-
-            def split(u, v):
-                """Each part's rows of the stacked arrays, in its shape."""
-                return [(q, u[a:b].reshape(q.shape), v[a:b].reshape(q.shape))
-                        for q, a, b in zip(group, edges, edges[1:])]
-
-            def after_step(i, u, v):
-                for q, q_u, q_v in split(u, v):
-                    q.after_step(i, q_u, q_v)
-        step = group[0].stepper._step
-        for i in range(done + 1, stop + 1):
-            u, v = step(u, v, rot, dt)
-            if observing or i % NAN_CHECK_EVERY == 0:
-                after_step(i, u, v)
-        for q, q_u, q_v in split(u, v):
-            q.u, q.v = q_u, q_v
-        done = stop
-    finals = [q.finish(t_end) for q in parts]
+            rows = [(q, slice(a, b)) for q, a, b in zip(group, edges,
+                                                        edges[1:])]
+            for i in range(done + 1, stop + 1):
+                W = stepper._step(W, ws)
+                if observing or i % NAN_CHECK_EVERY == 0:
+                    for q, r in rows:
+                        q.after_step(i, W[:, r].reshape(q.W.shape))
+            for q, r in rows:
+                q.W = W[:, r].reshape(q.W.shape)
+            done = stop
+        finals = [q.finish(t_end) for q in parts]
     return finals, [q.steps for q in parts]
 
 

@@ -434,6 +434,21 @@ def test_non_finite_data_sizes_refused(capsys, argv):
     assert "finite" in captured.err and "blew up" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p", "20", "--n", "1", "--t-end", "0.5"],
+    ["inflate", "--n-list", "16", "--delta", "1000", "--t-end", "0.5"],
+], ids=["simulate", "inflate"])
+def test_blowup_ends_with_one_error_line(capsys, argv):
+    # these printed numpy RuntimeWarnings (an error here: pytest turns
+    # warnings into errors) from the observer and the stepper before the
+    # blow-up was reported
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: simulation blew up")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("every", ["0", "-3"])
 def test_simulate_refuses_observe_every_below_one(tmp_path, capsys, every):
     out = tmp_path / "traj.csv"

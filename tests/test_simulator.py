@@ -315,9 +315,10 @@ def test_odd_flow_is_exactly_odd(p):
     assert np.abs(finals[1] - finals[0]).max() > 1e-6
 
 
-def _integrate_sequential(stepper, state, t_end):
+def _integrate_sequential(stepper, state, t_end, observer=None):
     """Stepper.integrate's step sequence with the IF-RK4 stages evaluated
-    one nonlinear call at a time, in dependency order, as a reference."""
+    one nonlinear call at a time, in dependency order, as a reference;
+    observer(t, u, v), when given, sees the state after every step."""
 
     def step(u, v, dt):
         (c1, s1, ls1), (c2, s2, ls2) = [free_flow_rotation(stepper.lam, h)
@@ -333,13 +334,16 @@ def _integrate_sequential(stepper, state, t_end):
         v_new = v_full + dt / 6.0 * (c1 * g1 + 2.0 * c2 * (g2 + g3) + g4)
         return u_new, v_new
 
+    observer = observer or (lambda t, u, v: None)
     t, u, v = state.t, state.u, state.v
     for _ in range(int(math.floor((t_end - t) / stepper.dt + 1e-12))):
         u, v = step(u, v, stepper.dt)
         t += stepper.dt
+        observer(t, u, v)
     rem = t_end - t
     if rem > 1e-12 * max(1.0, stepper.dt):
         u, v = step(u, v, rem)
+        observer(t_end, u, v)
     return u, v
 
 
@@ -362,6 +366,63 @@ def test_paired_stages_match_sequential_step(p, K):
             assert got.u.shape == shape
             assert np.array_equal(got.u, ref_u)
             assert np.array_equal(got.v, ref_v)
+
+
+@pytest.mark.parametrize("sign", [-1, 0, 1])
+@pytest.mark.parametrize("p", [2, 3])
+def test_lockstep_matches_sequential_reference(p, sign):
+    # the stacked lockstep loop against the one-call-per-stage reference:
+    # dt and 2 dt parts of 4 rows each, t_end = 25.85 dt, so both parts
+    # take a remainder step
+    t_end = 0.0517
+    parts = _lockstep_parts(p, sign, ((4, 25), (4, 25)), (0.2, 0.2))
+    finals, steps = _integrate_lockstep(parts, t_end)
+    assert steps == [26, 13]
+    for (stepper, state, _), final in zip(parts, finals):
+        ref_u, ref_v = _integrate_sequential(stepper, state, t_end)
+        assert np.array_equal(final.u, ref_u)
+        assert np.array_equal(final.v, ref_v)
+
+
+def test_observed_states_are_never_overwritten():
+    # every state an observer is shown stays as it was shown: a reused
+    # stage buffer must not leak into a state that was handed out
+    t_end = 0.0517
+    parts = _lockstep_parts(3, 1, ((25,), (4, 25)), (0.2, 0.2))
+    seen = [[], []]
+    observed = [(stepper, state, lambda st, out=out: out.append(st))
+                for (stepper, state, _), out in zip(parts, seen)]
+    _integrate_lockstep(observed, t_end)
+    for (stepper, state, _), shown in zip(parts, seen):
+        ref = [(state.t, state.u, state.v)]
+        _integrate_sequential(stepper, state, t_end,
+                              lambda t, u, v: ref.append((t, u, v)))
+        assert len(shown) == len(ref)
+        for st, (t, u, v) in zip(shown, ref):
+            assert st.t == t
+            assert np.array_equal(st.u, u) and np.array_equal(st.v, v)
+
+
+def test_two_nonlinear_calls_per_step(monkeypatch):
+    # the four stages are two stacked calls, through Stepper.nonlinear
+    calls = []
+    nonlinear = Stepper.nonlinear
+
+    def counting(self, u_hat, out=None):
+        calls.append(u_hat.shape)
+        return nonlinear(self, u_hat, out)
+    monkeypatch.setattr(Stepper, "nonlinear", counting)
+    stepper = Stepper(SimConfig(p=2, K=24, dt=2e-3, sign=1))
+    state = _lockstep_parts(2, 1, ((25,), (25,)), (0.2, 0.2))[0][1]
+    stepper.integrate(state, 0.0517)            # 25 full steps, remainder
+    assert len(calls) == 2 * 25 + 2
+    # stacked steps count once: 12 shared, 13 of the dt part alone and
+    # one remainder step per part
+    calls.clear()
+    _integrate_lockstep(_lockstep_parts(2, 1, ((25,), (3, 25)),
+                                        (0.2, 0.2)), 0.0517)
+    assert len(calls) == 2 * (12 + 13 + 2)
+    assert calls[0] == (2, 4, 25)
 
 
 def _nonlinear_by_pow(stepper, u_hat):
