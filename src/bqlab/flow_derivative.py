@@ -21,12 +21,17 @@ taken from a single tangent of its half. It assembles the profile exactly
 on the torus and by tensor-product midpoint quadrature or plain Monte Carlo
 (innermost variable clipped exactly in both) on the line, at resolutions
 that are module constants, not options (LINE_XI_NODES, LINE_NODES,
-LINE_MC_SAMPLES). It measures the profile's Sobolev mass on the output
-window and builds the N-sweep growth tables whose log-log slopes are the
-measured blow-up exponents.
+LINE_MC_SAMPLES). The tensor rule folds the slot symmetries of its grid:
+the integrand sees the outer slots only through their sum and phase sum,
+and is even under swapping the inner and determined slots when they share
+an interval, so each distinct node is evaluated once with its multiplicity.
+It measures the profile's Sobolev mass on the output window and builds the
+N-sweep growth tables whose log-log slopes are the measured blow-up
+exponents.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -143,11 +148,25 @@ def _validate_eval(pair: WitnessPair, p: int, t: float, domain: Domain,
         raise ValueError(f"t={t} outside [0, {DEFAULT_HORIZON}]")
 
 
-def _prefactor(pair: WitnessPair, p: int, xi, sign: int):
+def _prefactors(pair: WitnessPair, p: int, xi, sign: int) -> np.ndarray:
+    """sign p! xi^2 / (N^(p sigma) lambda(xi)) at each output node xi.
+
+    Formed before any enumeration, so that a p whose p! (p > 170) or
+    whose product with xi^2 overflows is refused at once, naming p and N.
+    """
     cfg = pair.config
-    lam = dispersion(xi)
-    return (sign * math.factorial(p) * np.asarray(xi) ** 2
-            / (float(cfg.N) ** (p * cfg.sigma) * lam))
+    try:
+        fact = float(sign * math.factorial(p))
+    except OverflowError:
+        fact = sign * math.inf
+    xi = np.asarray(xi, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pref = (fact * xi ** 2
+                / (float(cfg.N) ** (p * cfg.sigma) * dispersion(xi)))
+    if not np.isfinite(pref).all():
+        raise ValueError(f"prefactor p! xi^2 / (N^(p sigma) lambda(xi)) at "
+                         f"p={p}, N={cfg.N} is not finite")
+    return pref
 
 
 def flow_derivative_torus(pair: WitnessPair, p: int, t: float, *,
@@ -161,13 +180,14 @@ def flow_derivative_torus(pair: WitnessPair, p: int, t: float, *,
     _validate_eval(pair, p, t, Domain.TORUS, sign)
     cfg = pair.config
     xi = int(pair.output_window)
+    pref = _prefactors(pair, p, [float(xi)], sign)[0]
     A = frequency_set(cfg)
     reps = enumerate_representations(xi, p, A)
     alpha = dispersion(xi)
     betas = np.array([r.beta() for r in reps], dtype=float)
     mults = np.array([r.multiplicity for r in reps], dtype=float)
     total = complex(np.sum(mults * time_integral(alpha, betas, t)))
-    value = complex(_prefactor(pair, p, float(xi), sign) * total)
+    value = complex(pref * total)
     meta = {"n_representations": len(reps), "alpha": alpha,
             "method": "exact-sum", "warnings": []}
     return DerivativeProfile(Domain.TORUS, p, t, np.array([float(xi)]),
@@ -216,18 +236,54 @@ def _outer_sums(pts, n: int):
     return S_out, P_out
 
 
-def _tensor_mesh(outer, nn: int):
-    """Midpoint mesh of the outer slots with nn nodes each, as (S_out,
-    P_out, cell volume); one row when there is no outer slot."""
+def _multinomial(tup) -> int:
+    """Orderings of a sorted tuple: len! / prod(run length!)."""
+    return math.factorial(len(tup)) // math.prod(
+        math.factorial(len(list(g))) for _, g in itertools.groupby(tup))
+
+
+def _tensor_rule(slots, nn: int):
+    """The clipped midpoint rule of one pattern with nn nodes per
+    dimension, each distinct node of its grid evaluated once.
+
+    The integrand sees the outer slots (slots[0:-2]) only through S_out and
+    P_out, so on a run of r equal outer intervals (adjacent, as
+    _representative_slots sorts them) only the non-decreasing index tuples
+    are kept, each weighted by its number of orderings; the runs combine
+    as a Cartesian product. When the inner and determined slots share one
+    interval, the clipped inner interval is symmetric about (xi - S_out)/2
+    and beta is even about it, so only the first ceil(nn/2) inner
+    midpoints are evaluated, at twice the weight; the centre node of an
+    odd nn counts once. The inner cell width stays (clipped length)/nn.
+
+    Returns (S_out, P_out, inner offsets of shape (1, evaluated midpoints),
+    the weight of each evaluated node: cell volume x orderings x its inner
+    weight 2 or 1, of shape (rows, evaluated midpoints)).
+    """
+    outer = slots[:-2]
     mids = [np.linspace(lo, hi, nn, endpoint=False) + (hi - lo) / (2 * nn)
             for lo, hi in outer]
-    pts = [m.ravel() for m in np.meshgrid(*mids, indexing="ij")]
-    return _outer_sums(pts, 1) + (math.prod((hi - lo) / nn
-                                            for lo, hi in outer),)
+    index = np.zeros((1, 0), dtype=int)
+    count = np.ones(1)
+    for _, run in itertools.groupby(outer):
+        tuples = list(itertools.combinations_with_replacement(
+            range(nn), len(list(run))))
+        index = np.hstack([np.repeat(index, len(tuples), axis=0),
+                           np.tile(tuples, (len(index), 1))])
+        count = np.outer(count, [_multinomial(u) for u in tuples]).ravel()
+    pts = [m[index[:, j]] for j, m in enumerate(mids)]
+    S_out, P_out = _outer_sums(pts, 1)
+    weight = math.prod((hi - lo) / nn for lo, hi in outer) * count
+    mirror = slots[-2] == slots[-1]
+    inner = np.ones((nn + 1) // 2 if mirror else nn)
+    if mirror:
+        inner[:nn // 2] = 2.0
+    offsets = (np.arange(len(inner)) + 0.5)[None, :]
+    return S_out, P_out, offsets, np.outer(weight, inner)
 
 
 def _pattern_integrand(slots, xi: float, alpha: float, t: float, S_out,
-                       P_out, offsets, weight: float):
+                       P_out, offsets, m: int, weight):
     """Clipped-innermost integrand of one pattern over its slot box.
 
     Integration variables are slots[0:-1]; the last slot is determined as
@@ -237,7 +293,8 @@ def _pattern_integrand(slots, xi: float, alpha: float, t: float, S_out,
     interval where the determined slot stays inside its component, so the
     constraint introduces no indicator discontinuity. Each row places its
     inner points at lo + offsets * h, h = clipped length / m, where
-    offsets has shape (rows or 1, m).
+    offsets has shape (rows or 1, at most m). weight is a float or the
+    weight of each inner point, of shape (rows, offsets.shape[1]).
 
     Returns (indices of the non-empty rows, weight * h * K at their inner
     points); empty rows contribute nothing.
@@ -249,9 +306,8 @@ def _pattern_integrand(slots, xi: float, alpha: float, t: float, S_out,
     hi_f = np.minimum(in_hi, rest - det_lo)
     idx = np.flatnonzero(hi_f > lo_f)
     lo_f = lo_f[idx]
-    m = offsets.shape[1]
     h = (hi_f[idx] - lo_f) / m
-    if len(offsets) > 1:         # per-row offsets; a (1, m) row broadcasts
+    if len(offsets) > 1:         # per-row offsets; a single row broadcasts
         offsets = offsets[idx]
     y = offsets * h[:, None]
     y += lo_f[:, None]
@@ -260,7 +316,9 @@ def _pattern_integrand(slots, xi: float, alpha: float, t: float, S_out,
     beta = np.subtract(P_out[idx, None], _signed_dispersion(y), out=y)
     beta -= _signed_dispersion(d)
     f = time_integral(alpha, beta, t)
-    f *= (weight * h)[:, None]
+    if np.ndim(weight):
+        weight = weight[idx]
+    f *= weight * h[:, None]
     return idx, f
 
 
@@ -276,10 +334,16 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
     rule on a midpoint mesh of the outer slots with n inner midpoints per
     row, Monte Carlo on plain uniform outer draws (rng.random, no strata)
     with one uniform inner point per row. The tensor rule builds each
-    pattern's outer mesh once and reuses it at every xi node. Monte Carlo
-    takes one block of uniforms per (xi, pattern), xi nodes in order and
-    patterns in turn within each: LINE_MC_SAMPLES draws for each outer slot
-    in order, then as many for the inner point.
+    pattern's outer mesh once and reuses it at every xi node, and evaluates
+    every distinct node of its grid once with its multiplicity (see
+    _tensor_rule): equal outer slots as sorted index tuples, and half the
+    inner midpoints when the inner and determined slots share an interval.
+    Its nodes and weights are those of the full grid; only the summation
+    order differs. Monte Carlo takes one block of uniforms per (xi,
+    pattern), xi nodes in order and patterns in turn within each:
+    LINE_MC_SAMPLES draws for each outer slot in order, then as many for
+    the inner point. meta["n_points"] counts the integrand nodes passed to
+    the kernel, summed over xi nodes and patterns.
     """
     _validate_eval(pair, p, t, Domain.LINE, sign)
     cfg = pair.config
@@ -288,10 +352,11 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
     method = "mc" if nodes is None else "tensor"
     n_xi, mc_samples = LINE_XI_NODES, LINE_MC_SAMPLES
 
-    A = frequency_set(cfg)
-    patterns = enumerate_representations((wlo, whi), p, A)
     h_xi = (whi - wlo) / n_xi
     xis = wlo + (np.arange(n_xi) + 0.5) * h_xi
+    prefs = _prefactors(pair, p, xis, sign)
+    A = frequency_set(cfg)
+    patterns = enumerate_representations((wlo, whi), p, A)
     weights = np.full(n_xi, h_xi)
     slot_lists = [_representative_slots(r) for r in patterns]
     mults = [r.multiplicity for r in patterns]
@@ -299,17 +364,18 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
 
     values = np.zeros(n_xi, dtype=complex)
     variances = np.zeros(n_xi)
+    n_points = 0
     if method == "tensor":   # the outer mesh does not depend on xi
-        offsets = (np.arange(nodes) + 0.5)[None, :]
-        meshes = [_tensor_mesh(slots[:-2], nodes) for slots in slot_lists]
+        rules = [_tensor_rule(slots, nodes) for slots in slot_lists]
     for i, xi in enumerate(xis.tolist()):
         alpha = dispersion(xi)
         total = 0.0 + 0.0j
         for k, (slots, mult) in enumerate(zip(slot_lists, mults)):
             if method == "tensor":
-                S_out, P_out, weight = meshes[k]
+                S_out, P_out, offsets, weight = rules[k]
                 _, f = _pattern_integrand(slots, xi, alpha, t, S_out,
-                                          P_out, offsets, weight)
+                                          P_out, offsets, nodes, weight)
+                n_points += f.size
                 total += mult * complex(np.sum(f))
                 continue
             outer = slots[:-2]
@@ -319,7 +385,8 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
                 r += lo
             S_out, P_out = _outer_sums(draws[:-1], mc_samples)
             idx, f = _pattern_integrand(slots, xi, alpha, t, S_out, P_out,
-                                        draws[-1][:, None], 1.0)
+                                        draws[-1][:, None], 1, 1.0)
+            n_points += f.size
             # the mean runs over every draw, empty rows as 0
             f_all = np.zeros(mc_samples, dtype=complex)
             f_all[idx] = f[:, 0]
@@ -328,15 +395,14 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
                 vol ** 2 / mc_samples
                 * float(np.var(f_all.real) + np.var(f_all.imag)))
             total += mult * (vol * complex(f_all.mean()))
-        values[i] = _prefactor(pair, p, xi, sign) * total
+        values[i] = prefs[i] * total
 
     meta = {"method": method, "n_patterns": len(patterns),
             "nodes_per_dim": nodes,
             "mc_samples": mc_samples if method == "mc" else None,
-            "warnings": []}
+            "n_points": n_points, "warnings": []}
     if method == "mc":
-        pref = np.abs(_prefactor(pair, p, xis, sign))
-        half = 1.96 * pref * np.sqrt(variances)
+        half = 1.96 * np.abs(prefs) * np.sqrt(variances)
         meta["mc_halfwidth_max"] = float(half.max())
         scale = float(np.abs(values).max())
         if scale > 0 and half.max() > 0.05 * scale:

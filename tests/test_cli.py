@@ -449,6 +449,23 @@ def test_blowup_ends_with_one_error_line(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,p", [
+    (["growth", "--p", "172", "--n-list", "16,32"], 172),
+    (["growth", "--domain", "line", "--p", "171", "--n-list", "16,32"], 171),
+    (["growth", "--p", "170", "--n-list", "16,32"], 170),
+], ids=["torus-172", "line-171", "torus-170"])
+def test_growth_refuses_overflowing_prefactor(capsys, argv, p):
+    # p! overflows a double from p = 171 on (an OverflowError traceback),
+    # and 170! xi^2 overflowed with a numpy RuntimeWarning (an error here:
+    # pytest turns warnings into errors) after seconds of enumeration
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: prefactor")
+    assert captured.err.count("\n") == 1
+    assert f"p={p}, N=16 is not finite" in captured.err
+
+
 @pytest.mark.parametrize("every", ["0", "-3"])
 def test_simulate_refuses_observe_every_below_one(tmp_path, capsys, every):
     out = tmp_path / "traj.csv"

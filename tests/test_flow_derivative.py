@@ -11,7 +11,7 @@ from scipy.integrate import quad
 from bqlab import flow_derivative
 from bqlab.acceptance import NEAR_RESONANCE, _mp_kernel
 from bqlab.flow_derivative import (KERNEL_BLOCK, DerivativeProfile,
-                                   _prefactor, _representative_slots,
+                                   _representative_slots,
                                    flow_derivative_line,
                                    flow_derivative_torus, growth_table,
                                    predicted_growth_slope, time_integral,
@@ -391,6 +391,12 @@ def test_line_mc_agrees_with_tensor(monkeypatch):
     assert worst < max(4.0 * mc.meta["mc_halfwidth_max"], 1e-3 * scale)
 
 
+def _reference_prefactor(pair, p, xi):
+    cfg = pair.config
+    return (math.factorial(p) * np.asarray(xi) ** 2
+            / (float(cfg.N) ** (p * cfg.sigma) * dispersion(xi)))
+
+
 def _reference_phase(v):
     return -v * np.sqrt(1.0 + v * v)
 
@@ -418,9 +424,10 @@ def _reference_integrand(slots, xi, alpha, t, outer, offsets, weight):
 
 
 def _reference_line(pair, p, t, method, nodes, n_xi, mc_samples, seed):
-    """flow_derivative_line as a direct loop: the tensor mesh rebuilt at
-    every xi node, and one rng.uniform call per outer slot, then one for
-    the inner points."""
+    """flow_derivative_line as a direct loop: the full nodes^(p-1) tensor
+    grid rebuilt at every xi node, each node evaluated once per grid
+    point (no slot symmetry folded), and one rng.uniform call per outer
+    slot, then one for the inner points."""
     wlo, whi = pair.output_window
     patterns = enumerate_representations((wlo, whi), p,
                                          frequency_set(pair.config))
@@ -429,6 +436,7 @@ def _reference_line(pair, p, t, method, nodes, n_xi, mc_samples, seed):
     rng = np.random.default_rng(seed)
     values = np.zeros(n_xi, dtype=complex)
     variances = np.zeros(n_xi)
+    n_points = 0
     for i, xi in enumerate(xis.tolist()):
         alpha = dispersion(xi)
         total = 0.0 + 0.0j
@@ -448,6 +456,7 @@ def _reference_line(pair, p, t, method, nodes, n_xi, mc_samples, seed):
                 weight = 1.0
             rows, f = _reference_integrand(slots, xi, alpha, t, pts,
                                            offsets, weight)
+            n_points += f.size
             if method == "tensor":
                 contrib = complex(np.sum(f))
             else:
@@ -459,14 +468,15 @@ def _reference_line(pair, p, t, method, nodes, n_xi, mc_samples, seed):
                     vol ** 2 / mc_samples
                     * float(np.var(f_all.real) + np.var(f_all.imag)))
             total += rep.multiplicity * contrib
-        values[i] = _prefactor(pair, p, xi, 1) * total
+        values[i] = _reference_prefactor(pair, p, xi) * total
 
     meta = {"method": method, "n_patterns": len(patterns),
             "nodes_per_dim": nodes if method == "tensor" else None,
             "mc_samples": mc_samples if method == "mc" else None,
-            "warnings": []}
+            "n_points": n_points, "warnings": []}
     if method == "mc":
-        half = 1.96 * np.abs(_prefactor(pair, p, xis, 1)) * np.sqrt(variances)
+        half = (1.96 * np.abs(_reference_prefactor(pair, p, xis))
+                * np.sqrt(variances))
         meta["mc_halfwidth_max"] = float(half.max())
         scale = float(np.abs(values).max())
         if scale > 0 and half.max() > 0.05 * scale:
@@ -476,12 +486,48 @@ def _reference_line(pair, p, t, method, nodes, n_xi, mc_samples, seed):
     return xis, values, meta
 
 
+def _assert_folded_matches_reference(prof, xis, values, meta, rel=1e-14):
+    """A tensor profile that folds slot symmetries against the full-grid
+    reference: same nodes and weights, summed in another order, so within
+    rel of the profile peak, on fewer kernel points."""
+    assert np.array_equal(prof.xi, xis)
+    scale = np.abs(values).max()
+    assert scale > 0.0
+    assert np.abs(prof.values - values).max() <= rel * scale
+    assert prof.meta["n_points"] < meta["n_points"]
+    assert ({k: v for k, v in prof.meta.items() if k != "n_points"}
+            == {k: v for k, v in meta.items() if k != "n_points"})
+
+
+def _fold_rounding_bound(pair, p, t):
+    """Relative change that folding may cause in a forced tensor profile.
+
+    beta = P_out - lambda(y) - lambda(d) combines p signed dispersions, each
+    at most Lam, the largest dispersion on the pattern slots. Folding sums
+    the outer ones in another order and takes a mirror image's y and d
+    from the other end of the clipped interval, so each of the p terms and
+    the final subtraction rounds differently, by about u Lam (u the unit
+    roundoff): |delta beta| ~ (p + 1) u Lam to first order. K moves by at
+    most t |delta beta| int_0^t |sin(alpha (t - tau))| dtau, t |delta beta|
+    times the bound on |K| itself, since dK/dbeta = i int_0^t tau
+    sin(alpha (t - tau)) e^{i beta tau} dtau.
+    """
+    ends = [abs(x) for r in enumerate_representations(
+        pair.output_window, p, frequency_set(pair.config))
+        for iv in _representative_slots(r) for x in iv]
+    return t * (p + 1) * (np.finfo(float).eps / 2) * dispersion(max(ends))
+
+
 @pytest.mark.parametrize("p", range(2, 10))
 @pytest.mark.parametrize("N", [16, 64])
 def test_line_bitwise_against_reference(monkeypatch, p, N):
-    # every float operation and every draw in the reference's order: the
-    # tensor rule at each p (4 nodes/dim from p = 6 on) and Monte Carlo at
-    # two seeds
+    # every float operation and every draw in the reference's order for
+    # Monte Carlo at two seeds and the p = 2 tensor rule (no slot symmetry
+    # to fold); from p = 3 on (4 nodes/dim from p = 6 on) the tensor rule
+    # folds its grid's slot symmetries, which moves the summation order
+    # and the rounding of beta: within 1e-14 of the peak for p <= 5, and
+    # within _fold_rounding_bound for the forced p = 6..9 runs, where up to
+    # 9 dispersions of size up to about (2N)^2 enter beta
     pair = build_witness(WitnessConfig(Domain.LINE, p, N, s=-1.0))
     nodes = 64 if p <= 3 else (16 if p <= 5 else 4)
     monkeypatch.setattr(flow_derivative, "LINE_XI_NODES", 9)
@@ -493,9 +539,70 @@ def test_line_bitwise_against_reference(monkeypatch, p, N):
         prof = flow_derivative_line(pair, p, 0.9, seed=run["seed"])
         xis, values, meta = _reference_line(pair, p, 0.9, nodes=nodes,
                                             n_xi=9, mc_samples=8192, **run)
+        if run["method"] == "tensor" and p > 2:
+            rel = 1e-14 if p <= 5 else _fold_rounding_bound(pair, p, 0.9)
+            _assert_folded_matches_reference(prof, xis, values, meta, rel)
+            continue
         assert np.array_equal(prof.xi, xis)
         assert np.array_equal(prof.values, values), run
         assert prof.meta == meta, run
+
+
+def _outer_runs(slots):
+    return [len(list(g)) for _, g in itertools.groupby(slots[:-2])]
+
+
+@pytest.mark.parametrize("p,nodes,corner", [
+    (4, 5, "odd-centre"),      # the centre inner node weighted once
+    (5, 7, "odd-centre"),
+    (6, 4, "three-equal-outer"),
+    (2, 64, "no-mirror"),      # inner and determined slots differ
+])
+def test_line_symmetric_rule_corners(monkeypatch, p, nodes, corner):
+    pair = build_witness(WitnessConfig(Domain.LINE, p, 16, s=-1.0))
+    slot_lists = [_representative_slots(r) for r in enumerate_representations(
+        pair.output_window, p, frequency_set(pair.config))]
+    mirrors = [s[-2] == s[-1] for s in slot_lists]
+    if corner == "odd-centre":
+        assert all(mirrors)
+    elif corner == "three-equal-outer":
+        assert any(3 in _outer_runs(s) for s in slot_lists)
+    else:
+        assert not any(mirrors)
+    monkeypatch.setattr(flow_derivative, "LINE_XI_NODES", 7)
+    monkeypatch.setattr(flow_derivative, "LINE_NODES", {p: nodes})
+    prof = flow_derivative_line(pair, p, 0.9)
+    xis, values, meta = _reference_line(pair, p, 0.9, "tensor", nodes, 7,
+                                        None, 0)
+    if p == 2:
+        assert np.array_equal(prof.values, values) and prof.meta == meta
+    else:
+        _assert_folded_matches_reference(prof, xis, values, meta)
+
+
+def test_line_n_points_counts_kernel_points(monkeypatch):
+    # p = 2 has one row per pattern and no mirror: every xi node and
+    # pattern passes its 5 inner midpoints to the kernel
+    monkeypatch.setattr(flow_derivative, "LINE_XI_NODES", 3)
+    monkeypatch.setattr(flow_derivative, "LINE_NODES", {2: 5, 3: 5, 5: 3})
+    pair = build_witness(WitnessConfig(Domain.LINE, 2, 16, s=-1.0))
+    prof = flow_derivative_line(pair, 2, 1.0)
+    assert prof.meta["n_points"] == 3 * prof.meta["n_patterns"] * 5
+    # folded rules (p = 3, 5) and Monte Carlo (p = 6): the count equals
+    # the betas the kernel is handed
+    monkeypatch.setattr(flow_derivative, "LINE_MC_SAMPLES", 512)
+    kernel = flow_derivative.time_integral
+    for p in (3, 5, 6):
+        seen = []
+
+        def counted(alpha, beta, t):
+            seen.append(np.size(beta))
+            return kernel(alpha, beta, t)
+
+        monkeypatch.setattr(flow_derivative, "time_integral", counted)
+        pair = build_witness(WitnessConfig(Domain.LINE, p, 16, s=-1.0))
+        prof = flow_derivative_line(pair, p, 1.0)
+        assert 0 < prof.meta["n_points"] == sum(seen), p
 
 
 def test_line_mc_deterministic_per_seed(monkeypatch):
