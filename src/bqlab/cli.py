@@ -270,13 +270,19 @@ def cmd_simulate(params):
         K = max(4 * int(round(pair.u0.support.max_frequency())), mode)
     elif K < mode:
         raise ValueError(f"K={K} below the output mode {mode}")
+    norm_s = params["norm_s"] or [pair.config.s]
+    for s in norm_s:
+        try:   # the observer's largest H^s weight
+            (1.0 + K * K) ** s
+        except OverflowError:
+            raise ValueError(f"norm_s={s:g}: the H^s weight (1 + K^2)^s at "
+                             f"K={K} is not finite") from None
     state = witness_state(pair, K)
     if params["scale"] != 1.0:
         state.u *= params["scale"]
         state.v *= params["scale"]
     stepper = Stepper(SimConfig(p=params["p"], K=K, dt=params["dt"],
                                 sign=params["sign"]))
-    norm_s = params["norm_s"] or [pair.config.s]
     window = (pair.output_window,)
     if not math.isfinite(params["t_end"]):
         raise ValueError(f"need a finite t_end, got {params['t_end']}")

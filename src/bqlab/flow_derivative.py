@@ -127,13 +127,20 @@ def window_sobolev_mass(profile: DerivativeProfile, s: float) -> float:
     """H^s mass of the profile on its window: sqrt(sum w (1+xi^2)^s |v|^2).
 
     On the torus the window is the single output mode (weight 1); on the
-    line the weights are the xi-grid widths.
+    line the weights are the xi-grid widths. A mass that overflows (a
+    profile above about 1e154) is refused.
     """
     if profile.xi.size == 0:
         raise ValueError("empty output window")
     x = profile.xi
-    mass = profile.weights * (1.0 + x * x) ** s * np.abs(profile.values) ** 2
-    return float(np.sqrt(mass.sum()))
+    with np.errstate(over="ignore"):   # refused below
+        mass = (profile.weights * (1.0 + x * x) ** s
+                * np.abs(profile.values) ** 2)
+        total = float(np.sqrt(mass.sum()))
+    if not math.isfinite(total):
+        raise ValueError(f"H^{s:g} window mass of the p={profile.p} profile "
+                         f"at t={profile.t:g} is not finite")
+    return total
 
 
 def _validate_eval(pair: WitnessPair, p: int, t: float, domain: Domain,
@@ -169,6 +176,16 @@ def _prefactors(pair: WitnessPair, p: int, xi, sign: int) -> np.ndarray:
     return pref
 
 
+def _finite_values(prefs, totals, p: int, N: int) -> np.ndarray:
+    """prefs * totals, refused naming p and N when a product overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        values = prefs * totals
+    if not np.isfinite(values).all():
+        raise ValueError(f"prefactor x representation sum at p={p}, N={N} "
+                         f"is not finite")
+    return values
+
+
 def flow_derivative_torus(pair: WitnessPair, p: int, t: float, *,
                           sign: int = 1) -> DerivativeProfile:
     """Exact evaluation at the single torus output mode.
@@ -187,11 +204,11 @@ def flow_derivative_torus(pair: WitnessPair, p: int, t: float, *,
     betas = np.array([r.beta() for r in reps], dtype=float)
     mults = np.array([r.multiplicity for r in reps], dtype=float)
     total = complex(np.sum(mults * time_integral(alpha, betas, t)))
-    value = complex(pref * total)
+    value = _finite_values(pref, np.array([total]), p, cfg.N)
     meta = {"n_representations": len(reps), "alpha": alpha,
             "method": "exact-sum", "warnings": []}
     return DerivativeProfile(Domain.TORUS, p, t, np.array([float(xi)]),
-                             np.array([value]), np.array([1.0]), meta)
+                             value, np.array([1.0]), meta)
 
 
 # -- line quadrature ---------------------------------------------------------
@@ -362,7 +379,7 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
     mults = [r.multiplicity for r in patterns]
     rng = np.random.default_rng(seed)
 
-    values = np.zeros(n_xi, dtype=complex)
+    totals = np.zeros(n_xi, dtype=complex)
     variances = np.zeros(n_xi)
     n_points = 0
     if method == "tensor":   # the outer mesh does not depend on xi
@@ -395,7 +412,8 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
                 vol ** 2 / mc_samples
                 * float(np.var(f_all.real) + np.var(f_all.imag)))
             total += mult * (vol * complex(f_all.mean()))
-        values[i] = prefs[i] * total
+        totals[i] = total
+    values = _finite_values(prefs, totals, p, cfg.N)
 
     meta = {"method": method, "n_patterns": len(patterns),
             "nodes_per_dim": nodes,

@@ -14,6 +14,9 @@ a definite sign. This module enumerates representations exhaustively
 encloses beta rigorously, audits the sign-definiteness claims over N
 sweeps, and solves the count bookkeeping system for odd p.
 
+On the line, beta is separable in its slot groups, so KKT reduces its exact
+extremes over the window to a short list of candidates, rounded outward.
+
 Slots are tallied into four counts (n1, n2, n3, n4): plus/minus slots in
 the near-N classes, then plus/minus slots in the far (near-2N) class.
 """
@@ -32,11 +35,6 @@ from .spectral import Domain, FrequencySet, dispersion
 from . import witness as _witness
 
 ENUMERATION_BUDGET = 10 ** 8
-
-# group-sum grid resolution for window-constrained beta enclosures,
-# keyed by the number of (class, sign) groups in the pattern
-_CELLS_BY_GROUPS = {1: 4096, 2: 512, 3: 64, 4: 24}
-_CELLS_BY_GROUPS_SCAN = {1: 1024, 2: 128, 3: 32, 4: 16}
 
 
 @dataclass(frozen=True)
@@ -189,23 +187,6 @@ def _plain_beta_range(rep: Representation) -> BetaRange:
     return BetaRange(lo, hi)
 
 
-def _sum_lambda_min(S, m):
-    # Jensen: lambda is convex (lambda''(a) = a(3+2a^2)/(1+a^2)^{3/2} > 0),
-    # so the min of a fixed-total sum over a box sits at the equal split
-    return m * dispersion(S / m)
-
-
-def _sum_lambda_max(S, m, lo, hi):
-    # convex sums over {sum = S} cap a box are maximized at vertices:
-    # k slots at hi, one at the remainder, the rest at lo
-    span = hi - lo
-    if span <= 0.0:
-        return m * dispersion(lo) + 0.0 * S
-    k = np.clip(np.floor((S - m * lo) / span), 0, m - 1)
-    r = S - k * hi - (m - 1 - k) * lo
-    return k * dispersion(hi) + dispersion(r) + (m - 1 - k) * dispersion(lo)
-
-
 def _slot_groups(rep: Representation):
     """(sign, slot count, lo, hi) per (payload, sign) group of slots, in
     (payload, sign) order: components are sorted, so this is class order."""
@@ -213,82 +194,80 @@ def _slot_groups(rep: Representation):
     return [(sgn, m, lo, hi) for ((lo, hi), sgn), m in sorted(groups.items())]
 
 
-def _cell_shares(sgn, m, lo, hi, n_cells: int):
-    """One slot group's share of the signed sum's bounds and of beta's, per
-    group-sum cell: (sum lo, sum hi, beta lo, beta hi), n_cells each."""
-    edges = np.linspace(m * lo, m * hi, n_cells + 1)
-    lam_min = _sum_lambda_min(edges[:-1], m)
-    lam_max = _sum_lambda_max(edges[1:], m, lo, hi)
-    if sgn > 0:   # beta gets -Lambda_group
-        return edges[:-1], edges[1:], -lam_max, -lam_min
-    return -edges[1:], -edges[:-1], lam_min, lam_max
+@lru_cache(maxsize=None)
+def _candidates(shape):
+    """KKT candidates for max sum_k r_k lambda(x_k) over slot tuples whose
+    signed sum lies in a window, per group (role r, slot count m).
 
-
-def _constrained_beta_range(items, window, n_cells: int):
-    """Enclose beta over slot tuples whose signed sum lies in the window.
-
-    items are the slot groups of one representation (_slot_groups); for
-    each group only the group sum S matters: sum-of-lambda over the group
-    is bounded by Jensen from below and by the majorization vertex from
-    above, both monotone increasing in S. Cutting each group's sum range
-    into n_cells cells and keeping the cell tuples that can meet the window
-    yields a rigorous outer enclosure that tightens as the cells refine.
-
-    The n_cells^g grid of cell tuples is never formed: the bounds are
-    summed over every tuple of the first g - 1 groups, and each such tuple
-    meets the last group only in the band of cells that a searchsorted on
-    the last group's monotone shares puts in the window, widened by 2
-    cells against rounding and re-tested with the exact sums. Groups are
-    added in order, so each feasible tuple sees the same float operations
-    as in a scan of the whole grid and the enclosure is that scan's to the
-    bit. Returns None when no cell is feasible.
+    lambda is strictly convex on positive values, so the convex-role
+    (r = +1) slots sit at a vertex of the box cut by the window, each at an
+    interval end but for one free slot in all, and each concave-role
+    (r = -1) group splits equally (Jensen) at lo, at hi or at the shared
+    value x. Three (n_candidates, g) int arrays count each group's slots at
+    lo, at hi and at x. Cached per shape; callers must not mutate.
     """
-    wlo, whi = window
-    shares = [_cell_shares(*item, n_cells) for item in items]
-    sum_lo = sum_hi = beta_lo = beta_hi = np.zeros(1)
-    for s_lo, s_hi, b_lo, b_hi in shares[:-1]:   # C order over the tuples
-        sum_lo = (sum_lo[:, None] + s_lo).ravel()
-        sum_hi = (sum_hi[:, None] + s_hi).ravel()
-        beta_lo = (beta_lo[:, None] + b_lo).ravel()
-        beta_hi = (beta_hi[:, None] + b_hi).ravel()
+    options = [[(m - k - f, k, f) for f in (0, 1) for k in range(m + 1 - f)]
+               if r > 0 else [(m, 0, 0), (0, m, 0), (0, 0, m)]
+               for r, m in shape]
+    rows = [row for row in itertools.product(*options)
+            if sum(f for (r, _), (_, _, f) in zip(shape, row) if r > 0) <= 1]
+    table = np.array(rows, dtype=np.int64)
+    return table[..., 0], table[..., 1], table[..., 2]
 
-    s_lo, s_hi, b_lo, b_hi = shares[-1]
-    if items[-1][0] > 0:   # the last group's shares rise with its cell
-        start = np.searchsorted(s_hi, wlo - sum_hi)
-        stop = np.searchsorted(s_lo, whi - sum_lo, side="right")
-    else:
-        start = np.searchsorted(-s_lo, sum_lo - whi)
-        stop = np.searchsorted(-s_hi, sum_hi - wlo, side="right")
-    start = np.maximum(start - 2, 0)
-    width = np.maximum(np.minimum(stop + 2, n_cells) - start, 0)
-    # one candidate per (head tuple, last-group cell) in the widened bands
-    head = np.repeat(np.arange(sum_lo.size), width)
-    last = np.arange(head.size) - np.repeat(np.cumsum(width) - width - start,
-                                            width)
-    feasible = ((sum_hi[head] + s_hi[last] >= wlo)
-                & (sum_lo[head] + s_lo[last] <= whi))
-    if not np.any(feasible):
-        return None
-    head, last = head[feasible], last[feasible]
-    return BetaRange(float((beta_lo[head] + b_lo[last]).min()),
-                     float((beta_hi[head] + b_hi[last]).max()))
+
+def _constrained_beta_range(items, window):
+    """Exact enclosure of beta over slot tuples whose signed sum lies in
+    the window (Boyd & Vandenberghe, Convex Optimization, 5.5).
+
+    items are the slot groups (_slot_groups). beta_hi maximises sum_minus
+    lambda - sum_plus lambda, and -beta_lo the same with the roles swapped.
+    At an interior slot lambda'(x_k) = +-mu, the window's multiplier, and
+    lambda' is strictly increasing on positive values, so the free slot and
+    the interior groups share one x, which a binding window edge fixes by
+    one linear equation. Sums and x meet the window and the intervals to
+    4 p ulps of sum m hi; each end moves out by 8 p (p + 2) ulps of
+    sum m lambda(hi), a bound on a candidate's rounding. Returns None when
+    no candidate reaches the window.
+    """
+    sgn, m, lo, hi = (np.array(col) for col in zip(*items))
+    lam_lo, lam_hi = dispersion(lo), dispersion(hi)
+    p, u = int(m.sum()), math.ulp(1.0)
+    tol = 4 * p * u * float(m @ hi)
+    slack = 8 * p * (p + 2) * u * float(m @ lam_hi)
+    ends = []
+    for roles in (-sgn, sgn):
+        n_lo, n_hi, n_x = _candidates(tuple(zip(roles.tolist(), m.tolist())))
+        t0 = (n_lo * lo + n_hi * hi) @ sgn    # signed sum of the end slots
+        f0 = (n_lo * lam_lo + n_hi * lam_hi) @ roles
+        c = n_x @ sgn
+        vertex = ~n_x.any(axis=1)
+        values = [f0[vertex & (t0 >= window[0] - tol)
+                     & (t0 <= window[1] + tol)]]
+        # at c == 0 the value is constant in x and another candidate's
+        shared = c != 0
+        n_x, t0, f0, c = n_x[shared], t0[shared], f0[shared], c[shared]
+        for w in window:
+            x = (w - t0) / c
+            inside = np.all((n_x == 0) | ((lo - tol <= x[:, None])
+                                          & (x[:, None] <= hi + tol)), axis=1)
+            values.append(f0[inside] + (n_x[inside] @ roles)
+                          * dispersion(x[inside]))
+        values = np.concatenate(values)
+        if values.size == 0:
+            return None
+        ends.append(float(values.max()) + slack)
+    return BetaRange(-ends[1], ends[0])
 
 
 def beta_range(rep: Representation, *, window=None):
     """Enclose beta for one representation.
 
     Torus: exact point enclosure. Line: interval arithmetic over the slot
-    classes; when the output window is supplied, the enclosure is refined
-    to the window-constrained attainable set (see _constrained_beta_range).
-    May return None in the windowed case when the refinement proves the
-    pattern cannot reach the window at all.
+    classes; when the output window is supplied and that enclosure is not
+    already sign-definite, it is cut to the exact window-constrained range
+    (_constrained_beta_range). May return None in the windowed case when
+    no slot tuple of the pattern reaches the window.
     """
-    return _beta_range(rep, window, _CELLS_BY_GROUPS)
-
-
-def _beta_range(rep: Representation, window, cells_by_groups: dict):
-    # beta_range, with the group-sum grid resolution looked up by the
-    # number of slot groups in cells_by_groups
     if rep.domain == Domain.TORUS:
         b = rep.beta()
         return BetaRange(b, b)
@@ -297,9 +276,7 @@ def _beta_range(rep: Representation, window, cells_by_groups: dict):
         # unconstrained IA is tight for the sign-definite patterns (the
         # class widths are tiny against |beta|), so skip the refinement
         return plain
-    items = _slot_groups(rep)
-    refined = _constrained_beta_range(items, window,
-                                      cells_by_groups.get(len(items), 12))
+    refined = _constrained_beta_range(_slot_groups(rep), window)
     if refined is None:
         return None
     # the refinement can only shrink the plain enclosure
@@ -334,9 +311,9 @@ def _abs_range(br: BetaRange):
     return 0.0, max(-br.lo, br.hi)
 
 
-def _audit_one_N(p, domain, N, cells_by_groups):
+def _audit_one_N(p, domain, N):
     """Representations reaching the witness window at this N, with beta
-    verdicts (line enclosures refined on the cells_by_groups grid).
+    verdicts.
 
     Returns (entry dict, had_violation). Skips N where the witness set is
     degenerate (e.g. torus odd p with 2N == N+1).
@@ -352,7 +329,7 @@ def _audit_one_N(p, domain, N, cells_by_groups):
     ratios_lo, ratios_hi, violations = [], [], []
     n_reaching = 0
     for rep in enumerate_representations(window, p, A):
-        br = _beta_range(rep, window, cells_by_groups)
+        br = beta_range(rep, window=window)
         if br is None:
             continue
         n_reaching += 1
@@ -407,13 +384,10 @@ def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
     per_N = []
     # requested N beyond the dense-scan ceiling are still audited
     for N in sorted(set(range(1, scan_hi + 1)) | wanted):
-        in_list = N in wanted
-        entry, bad = _audit_one_N(p, domain, N,
-                                  _CELLS_BY_GROUPS if in_list
-                                  else _CELLS_BY_GROUPS_SCAN)
+        entry, bad = _audit_one_N(p, domain, N)
         if bad and N <= scan_hi:
             last_bad = N
-        if in_list and entry is not None:
+        if N in wanted and entry is not None:
             per_N.append(entry)
     return ResonanceReport(p, domain, last_bad + 1,
                            1 if p % 2 == 0 else 2, per_N)

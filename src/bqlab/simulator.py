@@ -323,7 +323,7 @@ class _Part:
         """The remainder step, if any, and the final check."""
         t, W = self.time_after(self.n_full), self.W
         rem = t_end - t
-        if rem > 1e-12 * max(1.0, self.dt):
+        if rem > 1e-12 * max(1.0, abs(t_end)):   # the clock's rounding
             t, W = t_end, self.stepper._step_once(W, rem)
             self.steps += 1
             if self.observer is not None:

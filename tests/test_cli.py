@@ -425,6 +425,9 @@ def test_non_finite_times_refused(capsys, argv):
     ["simulate", "--norm-s", "nan"],
     ["simulate", "--norm-s", "inf"],
     ["simulate", "--norm-s=-1,-inf"],
+    # (1 + K^2)^s overflows: nan and inf columns, an OverflowError traceback
+    ["simulate", "--norm-s", "400", "--out", os.devnull],
+    ["simulate", "--norm-s", "1e308", "--out", os.devnull],
 ])
 def test_non_finite_data_sizes_refused(capsys, argv):
     assert main(argv) == 1       # warnings are errors in this suite
@@ -453,17 +456,32 @@ def test_blowup_ends_with_one_error_line(capsys, argv):
     (["growth", "--p", "172", "--n-list", "16,32"], 172),
     (["growth", "--domain", "line", "--p", "171", "--n-list", "16,32"], 171),
     (["growth", "--p", "170", "--n-list", "16,32"], 170),
-], ids=["torus-172", "line-171", "torus-170"])
-def test_growth_refuses_overflowing_prefactor(capsys, argv, p):
+    (["growth", "--p", "160", "--n-list", "16,32"], 160),
+    (["growth", "--domain", "line", "--p", "170", "--n-list", "16,32"], 170),
+], ids=["torus-172", "line-171", "torus-170", "torus-160", "line-170"])
+def test_growth_refuses_overflowing_prefactor(monkeypatch, capsys, argv, p):
     # p! overflows a double from p = 171 on (an OverflowError traceback),
     # and 170! xi^2 overflowed with a numpy RuntimeWarning (an error here:
-    # pytest turns warnings into errors) after seconds of enumeration
+    # pytest turns warnings into errors) after seconds of enumeration; at
+    # torus p = 160 and line p = 170 the prefactor is finite and its product
+    # with the representation sum overflowed (fewer Monte Carlo draws on
+    # the line keep the run short)
+    monkeypatch.setattr("bqlab.flow_derivative.LINE_MC_SAMPLES", 64)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: prefactor")
     assert captured.err.count("\n") == 1
     assert f"p={p}, N=16 is not finite" in captured.err
+
+
+def test_growth_refuses_overflowing_window_mass(capsys):
+    # a finite profile above about 1e154 overflowed |v|^2 in the H^s mass
+    assert main(["growth", "--p", "100", "--n-list", "16,32"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: H^-1 window mass of the p=100 profile "
+                            "at t=1 is not finite\n")
 
 
 @pytest.mark.parametrize("every", ["0", "-3"])

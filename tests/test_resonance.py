@@ -9,9 +9,7 @@ import pytest
 from bqlab import resonance
 from bqlab.acceptance import AUDIT_N
 from bqlab.errors import ResourceBudgetError
-from bqlab.resonance import (_CELLS_BY_GROUPS, _CELLS_BY_GROUPS_SCAN,
-                             BetaRange, _beta_range, _sum_lambda_max,
-                             _sum_lambda_min, beta_range, closed_form_profiles,
+from bqlab.resonance import (BetaRange, beta_range, closed_form_profiles,
                              construct_representation,
                              enumerate_representations, solve_diophantine,
                              verify_resonance_bounds)
@@ -203,9 +201,8 @@ def test_beta_range_soundness_random_tuples():
 def test_refined_enclosures_hold_sampled_tuples(p):
     # free slots drawn uniformly, the widest slot solved from a uniform
     # target in the window and kept when it lands in its interval: beta
-    # must lie in the enclosure at both grids. The oracle does not touch
-    # the group-sum cells; N = 1 is where the 3- and 4-group enclosures
-    # of odd p arise
+    # must lie in the enclosure. N = 1 is where the 3- and 4-group
+    # enclosures of odd p arise
     rng = np.random.default_rng(p)
     tested = Counter()
     for N in (1, 2, 3, 5, 16, 64):
@@ -221,19 +218,80 @@ def test_refined_enclosures_hold_sampled_tuples(p):
             x = x[(lo[d] <= x[:, d]) & (x[:, d] <= hi[d])]
             beta = -(dispersion(x) @ signs)
             tol = 1e-12 * dispersion(hi).sum()
-            for cells in (_CELLS_BY_GROUPS, _CELLS_BY_GROUPS_SCAN):
-                br = _beta_range(rep, window, cells)
-                if br is None:
-                    assert len(x) == 0, "sampled a tuple in a pruned pattern"
-                    continue
-                assert np.all(br.lo - tol <= beta) and np.all(beta <= br.hi + tol)
+            br = beta_range(rep, window=window)
+            if br is None:
+                assert len(x) == 0, "sampled a tuple in a pruned pattern"
+                continue
+            assert np.all(br.lo - tol <= beta) and np.all(beta <= br.hi + tol)
             tested[N] += len(x)
     assert len(tested) == 6 and min(tested.values()) > 100
 
 
+def _attained_betas(rep, window, rng, n_draws=2000):
+    """Inner oracle: betas of slot tuples in the window. Each slot in turn
+    is solved from a window edge, the others at their bounds (every
+    combination) or at a bound or a uniform draw each; a tuple is kept
+    when the solved slot lands in its interval."""
+    p = len(rep.slots)
+    signs = np.array([sgn for sgn, _ in rep.slots], dtype=float)
+    lo, hi = np.array([payload for _, payload in rep.slots]).T
+    corners = np.array(list(itertools.product((0, 1), repeat=p)))
+    draws = rng.integers(0, 3, size=(n_draws, p))
+    choice = np.concatenate([corners, draws])
+    x = np.where(choice == 0, lo, np.where(choice == 1, hi,
+                                            rng.uniform(lo, hi, choice.shape)))
+    betas = []
+    for d in range(p):
+        rest = x @ signs - signs[d] * x[:, d]
+        for w in window:
+            y = x.copy()
+            y[:, d] = signs[d] * (w - rest)
+            y = y[(lo[d] <= y[:, d]) & (y[:, d] <= hi[d])]
+            betas.append(-(dispersion(y) @ signs))
+    return np.concatenate(betas)
+
+
+@pytest.mark.parametrize("p", range(2, 10))
+def test_enclosures_hold_and_reach_attained_betas(p):
+    # every attained beta lies in the enclosure; at p = 2 the extremes sit
+    # where one slot is at a bound, so the oracle reaches both edges
+    rng = np.random.default_rng(100 + p)
+    reached = []
+    for N in (1, 2, 3, 5, 16, 64):
+        cfg = WitnessConfig(Domain.LINE, p, N, s=0.0)
+        window = output_window(cfg)
+        for rep in enumerate_representations(window, p, frequency_set(cfg)):
+            br = beta_range(rep, window=window)
+            beta = _attained_betas(rep, window, rng)
+            assert br is not None and beta.size
+            hi = np.array([payload[1] for _, payload in rep.slots])
+            tol = 1e-12 * dispersion(hi).sum()
+            assert br.lo - tol <= beta.min() and beta.max() <= br.hi + tol
+            width = br.hi - br.lo
+            reached.append(max(beta.min() - br.lo, br.hi - beta.max()) / width)
+    if p == 2:
+        assert max(reached) <= 1e-6
+
+
+def _sum_lambda_min(S, m):
+    # Jensen: the least sum of m lambdas with total S is the equal split
+    return m * dispersion(S / m)
+
+
+def _sum_lambda_max(S, m, lo, hi):
+    # majorisation: the most is k slots at hi, one at the rest, others lo
+    span = hi - lo
+    if span <= 0.0:
+        return m * dispersion(lo) + 0.0 * S
+    k = np.clip(np.floor((S - m * lo) / span), 0, m - 1)
+    r = S - k * hi - (m - 1 - k) * lo
+    return k * dispersion(hi) + dispersion(r) + (m - 1 - k) * dispersion(lo)
+
+
 def _dense_constrained_beta_range(items, window, n_cells: int):
-    """Reference: the scan of the whole n_cells^g group-sum grid that
-    _constrained_beta_range must reproduce to the bit."""
+    """Outer bound: cut each group's sum range into n_cells cells, keep the
+    cell tuples that can meet the window, and bound each group's sum of
+    lambdas over its cell by Jensen below and majorisation above."""
     g = len(items)
     edges = [np.linspace(m * lo, m * hi, n_cells + 1)
              for (_, m, lo, hi) in items]
@@ -264,23 +322,48 @@ def _dense_constrained_beta_range(items, window, n_cells: int):
     return BetaRange(float(beta_lo.min()), float(beta_hi.max()))
 
 
-def test_constrained_enclosure_matches_dense_grid_on_audits(monkeypatch):
-    # every refined call of criterion 4's audits, at both grids, equals the
-    # dense scan exactly (== on lo and hi, None where it is None)
-    seen = set()
-    banded = resonance._constrained_beta_range
+def _within(inner, outer, slack=0.0):
+    # None is the empty enclosure; inner may stick out by the slack
+    return inner is None or (outer is not None and outer.lo <= inner.lo + slack
+                             and inner.hi - slack <= outer.hi)
 
-    def checked(items, window, n_cells):
-        got = banded(items, window, n_cells)
-        assert got == _dense_constrained_beta_range(items, window, n_cells)
-        seen.add((len(items), n_cells))
+
+def _assert_sandwich(exact, items, window, n_cells):
+    """The exact enclosure within grid(n_cells) within grid(n_cells / 4).
+
+    The exact ends move out by the solver's rounding bound, 8 p (p + 2)
+    ulps of sum m lambda(hi), so they may stick out of a grid edge that is
+    attained by that much, plus the grid's own rounding: twice the bound
+    is allowed."""
+    p = sum(m for _, m, _, _ in items)
+    slack = 16 * p * (p + 2) * math.ulp(1.0) * sum(
+        m * dispersion(hi) for _, m, _, hi in items)
+    fine = _dense_constrained_beta_range(items, window, n_cells)
+    coarse = _dense_constrained_beta_range(items, window, n_cells // 4)
+    assert _within(exact, fine, slack) and _within(fine, coarse)
+
+
+_GRID_CELLS = {2: 128, 3: 32, 4: 16}   # by the number of groups
+
+
+def test_constrained_enclosure_matches_dense_grid_on_audits(monkeypatch):
+    # every refined call of criterion 4's audits: the exact enclosure lies
+    # inside the dense grid, which lies inside the grid 4 times coarser
+    seen = Counter()
+    exact = resonance._constrained_beta_range
+
+    def checked(items, window):
+        got = exact(items, window)
+        _assert_sandwich(got, items, window, _GRID_CELLS[len(items)])
+        seen[len(items)] += 1
         return got
 
     monkeypatch.setattr(resonance, "_constrained_beta_range", checked)
     for p in range(2, 10):
         for domain in (Domain.TORUS, Domain.LINE):
             verify_resonance_bounds(p, domain, AUDIT_N)
-    assert seen == {(2, 512), (2, 128), (3, 32), (4, 16)}
+    monkeypatch.undo()
+    assert set(seen) == {2, 3, 4} and sum(seen.values()) > 400
 
 
 def _cell_sum(items, cells, n_cells, upper):
@@ -295,8 +378,7 @@ def _cell_sum(items, cells, n_cells, upper):
 @pytest.mark.parametrize("n_cells", [7, 16, 24, 64, 128])
 def test_constrained_enclosure_matches_dense_grid_random(n_cells):
     # random groups; windows (a quarter of them of width 0) drawn at random
-    # or with one end placed exactly on a cell tuple's sum bound, where
-    # rounding decides feasibility
+    # or with one end placed exactly on a cell tuple's sum bound
     rng = np.random.default_rng(n_cells)
     most_groups = {7: 4, 16: 4, 24: 3, 64: 2, 128: 2}[n_cells]
     outcomes = Counter()
@@ -319,9 +401,9 @@ def test_constrained_enclosure_matches_dense_grid_random(n_cells):
             reach = sum(m * (hi if s > 0 else lo) * s for s, m, lo, hi in items)
             mid = float(rng.uniform(-abs(reach), abs(reach)))
             window = (mid - width, mid + width)
-        got = resonance._constrained_beta_range(items, window, n_cells)
-        assert got == _dense_constrained_beta_range(items, window, n_cells)
-        outcomes[got is None] += 1
+        exact = resonance._constrained_beta_range(items, window)
+        _assert_sandwich(exact, items, window, n_cells)
+        outcomes[exact is None] += 1
     assert outcomes[False] > 60 and outcomes[True] > 0
 
 

@@ -212,6 +212,22 @@ def test_integrate_observer_and_remainder():
         stepper.integrate(SimState(1.0, st.u, st.v), 0.5)
 
 
+@pytest.mark.parametrize("dt", [1.0, 1e300])
+def test_step_above_t_end_takes_one_remainder_step(dt):
+    # a remainder below 1e-12 * max(1, dt) was skipped, so dt = 1e300
+    # never moved the state and reported t = 0; both dt now take the
+    # same single step of 0.01
+    cfg = WitnessConfig(Domain.TORUS, 2, 8, s=-1.0, sigma=0.0)
+    state = witness_state(build_witness(cfg), 32)
+    stepper = Stepper(SimConfig(p=2, K=32, dt=dt))
+    times = []
+    final = stepper.integrate(state, 0.01,
+                              observer=lambda s: times.append(s.t))
+    ref = Stepper(SimConfig(p=2, K=32, dt=0.01)).integrate(state, 0.01)
+    assert times == [0.0, 0.01] and final.t == 0.01
+    assert np.array_equal(final.u, ref.u) and np.array_equal(final.v, ref.v)
+
+
 def test_batched_rows_match_single_solves():
     # a batched state is advanced row by row: bit-identical to solving
     # each row alone, remainder step included
