@@ -18,14 +18,22 @@ the pure phase e^{-i eps lambda(a) tau}, making K the only time dependence.
 This module evaluates K by one half-angle formula that holds through the
 resonance |beta| = lambda(xi), with the sine and cosine of the half angle
 taken from a single tangent of its half. It assembles the profile exactly
-on the torus and by tensor-product midpoint quadrature or plain Monte Carlo
-(innermost variable clipped exactly in both) on the line, at resolutions
-that are module constants, not options (LINE_XI_NODES, LINE_NODES,
-LINE_MC_SAMPLES). The tensor rule folds the slot symmetries of its grid:
-the integrand sees the outer slots only through their sum and phase sum,
-and is even under swapping the inner and determined slots when they share
-an interval, so each distinct node is evaluated once with its multiplicity.
-It measures the profile's Sobolev mass on the output window and builds the
+on the torus and, on the line, by tensor-product midpoint quadrature for
+the p that LINE_NODES lists and by a randomly shifted rank-1 lattice rule
+for every other p (innermost variable clipped exactly in both), at
+resolutions that are module constants, not options (LINE_XI_NODES,
+LINE_NODES, LINE_LATTICE_POINTS, LINE_LATTICE_SHIFTS). The tensor rule
+folds the slot symmetries of its grid: the integrand sees the outer slots
+only through their sum and phase sum, and is even under swapping the inner
+and determined slots when they share an interval, so each distinct node is
+evaluated once with its multiplicity. The lattice rule takes its generating
+vector component by component (Dick, Kuo & Sloan, Acta Numerica 22, 2013),
+folds its points by the tent transform so that a non-periodic integrand
+keeps the rule's accuracy (Hickernell, 2002), and reads its error from the
+spread of independent random shifts; the outer slot sums of a whole pool
+of shifts are formed once per pattern and shared by every xi node, each
+node taking its own run of LINE_LATTICE_SHIFTS shifts from the pool. It
+measures the profile's Sobolev mass on the output window and builds the
 N-sweep growth tables whose log-log slopes are the measured blow-up
 exponents.
 """
@@ -34,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +55,9 @@ DEFAULT_HORIZON = 2.0   # upper limit for measurement times
 KERNEL_BLOCK = 8192     # betas per block: the kernel's temporaries stay cached
 LINE_XI_NODES = 33      # midpoints of the line output window
 LINE_NODES = {2: 64, 3: 64, 4: 16, 5: 16}   # tensor nodes per dim, by p
-LINE_MC_SAMPLES = 8192  # Monte Carlo draws per (xi, pattern), unlisted p
+LINE_LATTICE_POINTS = 1021   # lattice points per shift (prime), unlisted p
+LINE_LATTICE_SHIFTS = 8      # random shifts averaged at each xi node
+CBC_BLOCK = 64          # candidates per block of the generating-vector search
 
 
 # -- the oscillatory time kernel --------------------------------------------
@@ -238,18 +249,18 @@ def _representative_slots(rep):
     return ivs
 
 
-def _outer_sums(pts, n: int):
-    """Per row, the sum of the outer slot values v and of their phase
+def _outer_sums(pts, shape):
+    """Per point, the sum of the outer slot values v and of their phase
     coefficients -sign(v) lambda(v).
 
-    Both sums start from n zeros (n = 1 broadcasts over a tensor mesh), so
-    with no outer slot they are n rows of zeros.
+    pts yields one array of the given shape per outer slot, added in place
+    to sums that start from zeros, so with no outer slot they are zeros.
     """
-    S_out = np.zeros(n)
-    P_out = np.zeros(n)
+    S_out = np.zeros(shape)
+    P_out = np.zeros(shape)
     for v in pts:
-        S_out = S_out + v
-        P_out = P_out - _signed_dispersion(v)
+        S_out += v
+        P_out -= _signed_dispersion(v)
     return S_out, P_out
 
 
@@ -288,8 +299,8 @@ def _tensor_rule(slots, nn: int):
         index = np.hstack([np.repeat(index, len(tuples), axis=0),
                            np.tile(tuples, (len(index), 1))])
         count = np.outer(count, [_multinomial(u) for u in tuples]).ravel()
-    pts = [m[index[:, j]] for j, m in enumerate(mids)]
-    S_out, P_out = _outer_sums(pts, 1)
+    pts = (m[index[:, j]] for j, m in enumerate(mids))
+    S_out, P_out = _outer_sums(pts, len(index))
     weight = math.prod((hi - lo) / nn for lo, hi in outer) * count
     mirror = slots[-2] == slots[-1]
     inner = np.ones((nn + 1) // 2 if mirror else nn)
@@ -339,35 +350,156 @@ def _pattern_integrand(slots, xi: float, alpha: float, t: float, S_out,
     return idx, f
 
 
+@lru_cache(maxsize=None)
+def _generating_vector(n: int, d: int) -> tuple:
+    """Generating vector z of an n-point rank-1 lattice rule in d
+    dimensions, built component by component (CBC).
+
+    z_1 = 1; each next z_j minimises the shift-averaged worst-case error
+    P_2 = -1 + (1/n) sum_k prod_i (1 + gamma_i 2 pi^2 B_2({k z_i / n}))
+    with product weights gamma_i = 1/i^2, B_2(x) = x^2 - x + 1/6, over the
+    candidates 1 <= c <= n/2 coprime to n (c and n - c give the same
+    error); a tie goes to the smallest c. The candidates are scored
+    CBC_BLOCK at a time, so no n x n table is formed. Cached per (n, d).
+    """
+    k = np.arange(n)
+    omega = 2.0 * math.pi ** 2 * ((k / n) ** 2 - k / n + 1.0 / 6.0)
+    cands = np.array([c for c in range(1, n // 2 + 1) if math.gcd(c, n) == 1])
+    z = [1]
+    prod = 1.0 + omega
+    for j in range(2, d + 1):
+        # the error is affine in sum_k prod_k B_2({k c / n}): minimise that
+        score = np.concatenate([
+            omega[np.multiply.outer(cands[i:i + CBC_BLOCK], k) % n] @ prod
+            for i in range(0, len(cands), CBC_BLOCK)])
+        z.append(int(cands[np.argmin(score)]))
+        prod *= 1.0 + omega[k * z[-1] % n] / j ** 2
+    return tuple(z)
+
+
+def _lattice_column(n: int, z: int, shifts):
+    """One coordinate of the tent-transformed shifted lattice: for each
+    shift (a row) and k = 0..n-1, phi({k z / n + shift}) with the tent
+    phi(x) = 1 - |2x - 1|, which keeps the uniform measure on [0, 1]."""
+    x = np.add.outer(shifts, np.arange(n) * z % n / n)
+    x %= 1.0
+    x *= 2.0
+    x -= 1.0
+    np.abs(x, out=x)
+    return np.subtract(1.0, x, out=x)
+
+
+def _t975(dof: int) -> float:
+    """The 97.5% quantile of Student's t with dof >= 1 degrees of freedom,
+    by bisection on the closed-form P(|T| < x) for integer dof
+    (Abramowitz & Stegun 26.7.3-4)."""
+    def central(x):
+        theta = math.atan(x / math.sqrt(dof))
+        c2 = math.cos(theta) ** 2
+        odd = dof % 2
+        term, acc = (math.cos(theta) if odd else 1.0), 0.0
+        for j in range(odd, dof - 1, 2):
+            acc += term
+            term *= (j + 1) / (j + 2) * c2
+        acc *= math.sin(theta)
+        return 2.0 / math.pi * (theta + acc) if odd else acc
+    lo, hi = 0.0, 1e3
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if central(mid) < 0.95 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def _tensor_totals(patterns, nodes: int, xi_alpha, t: float):
+    """Representation sum of the tensor rule at each xi node, and the
+    number of kernel points; each pattern's rule is built once."""
+    totals = np.zeros(len(xi_alpha), dtype=complex)
+    n_points = 0
+    for rep in patterns:
+        slots = _representative_slots(rep)
+        S_out, P_out, offsets, weight = _tensor_rule(slots, nodes)
+        for i, (xi, alpha) in enumerate(xi_alpha):
+            _, f = _pattern_integrand(slots, xi, alpha, t, S_out, P_out,
+                                      offsets, nodes, weight)
+            n_points += f.size
+            totals[i] += rep.multiplicity * complex(np.sum(f))
+    return totals, n_points
+
+
+def _lattice_totals(patterns, p: int, xi_alpha, t: float, seed: int):
+    """Representation sum of the lattice rule at each xi node for each of
+    its q = LINE_LATTICE_SHIFTS shifts, shape (xi nodes, q), and the
+    number of kernel points.
+
+    n = LINE_LATTICE_POINTS points in the p - 1 slot variables (outer
+    slots in slot order, the inner offset last) on the vector of
+    _generating_vector, tent-transformed (see _lattice_column). One pool
+    of S = max(xi nodes, q) shifts is drawn as rng.random((S, p - 1));
+    each pattern forms the outer sums of all S x n pool points once, and
+    xi node i integrates on the q consecutive shifts i, ..., i + q - 1
+    (mod S), so each node sees q distinct independent shifts. Each shift's
+    estimate is the mean over its n points (empty rows as 0) times the
+    outer slot volume.
+    """
+    n, q, n_xi = LINE_LATTICE_POINTS, LINE_LATTICE_SHIFTS, len(xi_alpha)
+    z = _generating_vector(n, p - 1)
+    shifts = np.random.default_rng(seed).random((max(n_xi, q), p - 1))
+    pool = (np.arange(n_xi)[:, None] + np.arange(q)) % len(shifts)
+    inner = _lattice_column(n, z[-1], shifts[:, -1])
+    per_shift = np.zeros((n_xi, q), dtype=complex)
+    f_all = np.empty(q * n, dtype=complex)
+    n_points = 0
+    for rep in patterns:
+        slots = _representative_slots(rep)
+        outer = slots[:-2]
+        S_out, P_out = _outer_sums(
+            (lo + (hi - lo) * _lattice_column(n, z[j], shifts[:, j])
+             for j, (lo, hi) in enumerate(outer)), (len(shifts), n))
+        scale = rep.multiplicity * math.prod(hi - lo for lo, hi in outer)
+        for i, (xi, alpha) in enumerate(xi_alpha):
+            rows = pool[i]
+            idx, f = _pattern_integrand(slots, xi, alpha, t,
+                                        S_out[rows].ravel(),
+                                        P_out[rows].ravel(),
+                                        inner[rows].reshape(-1, 1), 1, 1.0)
+            n_points += f.size
+            f_all.fill(0.0)
+            f_all[idx] = f[:, 0]
+            per_shift[i] += scale * f_all.reshape(q, n).mean(axis=1)
+    return per_shift, n_points
+
+
 def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
                          sign: int = 1, seed: int = 0) -> DerivativeProfile:
     """Quadrature evaluation of the profile on the line output window, at
     LINE_XI_NODES midpoints of the window.
 
-    Tensor-product clipped midpoint quadrature with LINE_NODES[p] nodes per
-    dimension, or, for a p that LINE_NODES does not list, plain Monte Carlo
-    with LINE_MC_SAMPLES draws and a reported 95% half-width. Both evaluate
-    the same integrand, its innermost variable clipped exactly: the tensor
-    rule on a midpoint mesh of the outer slots with n inner midpoints per
-    row, Monte Carlo on plain uniform outer draws (rng.random, no strata)
-    with one uniform inner point per row. The tensor rule builds each
-    pattern's outer mesh once and reuses it at every xi node, and evaluates
-    every distinct node of its grid once with its multiplicity (see
-    _tensor_rule): equal outer slots as sorted index tuples, and half the
-    inner midpoints when the inner and determined slots share an interval.
-    Its nodes and weights are those of the full grid; only the summation
-    order differs. Monte Carlo takes one block of uniforms per (xi,
-    pattern), xi nodes in order and patterns in turn within each:
-    LINE_MC_SAMPLES draws for each outer slot in order, then as many for
-    the inner point. meta["n_points"] counts the integrand nodes passed to
-    the kernel, summed over xi nodes and patterns.
+    Both rules evaluate the same integrand, its innermost variable clipped
+    exactly (see _pattern_integrand), and build each pattern's outer
+    points once for every xi node. For a p that LINE_NODES lists:
+    tensor-product clipped midpoint quadrature with LINE_NODES[p] nodes per
+    dimension, on a midpoint mesh of the outer slots with that many inner
+    midpoints per row, every distinct node of its grid evaluated once with
+    its multiplicity (see _tensor_rule): the nodes and weights of the full
+    grid, summed in another order. For every other p: a randomly shifted
+    rank-1 lattice rule whose shifts are drawn from seed (see
+    _lattice_totals); the value at xi is the mean of its
+    q = LINE_LATTICE_SHIFTS shift estimates.
+
+    meta: "method" ("tensor" or "lattice"), "n_patterns", "nodes_per_dim"
+    (tensor) and "n_points", the integrand nodes passed to the kernel,
+    summed over xi nodes and patterns. A lattice profile adds
+    "mc_samples" = LINE_LATTICE_POINTS x q, the points behind each
+    (xi, pattern) estimate; "err_est", the largest standard error of the q
+    shift estimates at an xi node, relative to the profile peak; and
+    "mc_halfwidth_max", the largest 95% half-width, that standard error
+    times the Student t quantile with q - 1 degrees of freedom.
     """
     _validate_eval(pair, p, t, Domain.LINE, sign)
     cfg = pair.config
     wlo, whi = pair.output_window
     nodes = LINE_NODES.get(p)
-    method = "mc" if nodes is None else "tensor"
-    n_xi, mc_samples = LINE_XI_NODES, LINE_MC_SAMPLES
+    n_xi = LINE_XI_NODES
 
     h_xi = (whi - wlo) / n_xi
     xis = wlo + (np.arange(n_xi) + 0.5) * h_xi
@@ -375,58 +507,27 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
     A = frequency_set(cfg)
     patterns = enumerate_representations((wlo, whi), p, A)
     weights = np.full(n_xi, h_xi)
-    slot_lists = [_representative_slots(r) for r in patterns]
-    mults = [r.multiplicity for r in patterns]
-    rng = np.random.default_rng(seed)
+    xi_alpha = [(xi, dispersion(xi)) for xi in xis.tolist()]
 
-    totals = np.zeros(n_xi, dtype=complex)
-    variances = np.zeros(n_xi)
-    n_points = 0
-    if method == "tensor":   # the outer mesh does not depend on xi
-        rules = [_tensor_rule(slots, nodes) for slots in slot_lists]
-    for i, xi in enumerate(xis.tolist()):
-        alpha = dispersion(xi)
-        total = 0.0 + 0.0j
-        for k, (slots, mult) in enumerate(zip(slot_lists, mults)):
-            if method == "tensor":
-                S_out, P_out, offsets, weight = rules[k]
-                _, f = _pattern_integrand(slots, xi, alpha, t, S_out,
-                                          P_out, offsets, nodes, weight)
-                n_points += f.size
-                total += mult * complex(np.sum(f))
-                continue
-            outer = slots[:-2]
-            draws = rng.random((len(outer) + 1, mc_samples))
-            for (lo, hi), r in zip(outer, draws):
-                r *= hi - lo        # lo + (hi - lo) u, as rng.uniform
-                r += lo
-            S_out, P_out = _outer_sums(draws[:-1], mc_samples)
-            idx, f = _pattern_integrand(slots, xi, alpha, t, S_out, P_out,
-                                        draws[-1][:, None], 1, 1.0)
-            n_points += f.size
-            # the mean runs over every draw, empty rows as 0
-            f_all = np.zeros(mc_samples, dtype=complex)
-            f_all[idx] = f[:, 0]
-            vol = math.prod(hi - lo for lo, hi in outer)
-            variances[i] += mult ** 2 * (
-                vol ** 2 / mc_samples
-                * float(np.var(f_all.real) + np.var(f_all.imag)))
-            total += mult * (vol * complex(f_all.mean()))
-        totals[i] = total
+    if nodes is None:
+        per_shift, n_points = _lattice_totals(patterns, p, xi_alpha, t, seed)
+        totals = per_shift.mean(axis=1)
+    else:
+        totals, n_points = _tensor_totals(patterns, nodes, xi_alpha, t)
     values = _finite_values(prefs, totals, p, cfg.N)
 
-    meta = {"method": method, "n_patterns": len(patterns),
-            "nodes_per_dim": nodes,
-            "mc_samples": mc_samples if method == "mc" else None,
-            "n_points": n_points, "warnings": []}
-    if method == "mc":
-        half = 1.96 * np.abs(prefs) * np.sqrt(variances)
-        meta["mc_halfwidth_max"] = float(half.max())
-        scale = float(np.abs(values).max())
-        if scale > 0 and half.max() > 0.05 * scale:
-            meta["warnings"].append(
-                f"monte-carlo 95% half-width {half.max():.3g} exceeds 5% of "
-                f"the profile peak {scale:.3g}")
+    meta = {"method": "lattice" if nodes is None else "tensor",
+            "n_patterns": len(patterns), "nodes_per_dim": nodes,
+            "mc_samples": None, "n_points": n_points, "warnings": []}
+    if nodes is None:
+        q = per_shift.shape[1]
+        err = np.abs(prefs) * np.sqrt(
+            (per_shift.real.var(axis=1, ddof=1)
+             + per_shift.imag.var(axis=1, ddof=1)) / q)
+        peak = float(np.abs(values).max())
+        meta.update(mc_samples=LINE_LATTICE_POINTS * q,
+                    err_est=float(err.max()) / peak if peak > 0 else 0.0,
+                    mc_halfwidth_max=_t975(q - 1) * float(err.max()))
     return DerivativeProfile(Domain.LINE, p, t, xis, values, weights, meta)
 
 
@@ -465,6 +566,19 @@ def predicted_growth_slope(p: int, s: float) -> float:
     return -(p * s + 1.0) if p % 2 == 0 else -(p * s + 2.0)
 
 
+def _positive_power(base: float, exponent, what: str, where: str) -> float:
+    """base ** exponent, refused naming what and where unless it is finite
+    and positive (float ** raises on overflow and returns 0 on underflow)."""
+    try:
+        value = base ** exponent
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} {value} at {where} is not finite and "
+                         f"positive")
+    return value
+
+
 def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
                  N_list, *, sign: int = 1, seed: int = 0) -> GrowthTable:
     """Sweep N, recording data norm, window derivative mass, and their
@@ -472,10 +586,11 @@ def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
 
     sigma follows WitnessConfig's rule (None means s + 1, sigma <= s is
     refused). N_list must pass checked_n_list with at least two N, since
-    one N has no slope. seed is the line quadrature's Monte Carlo seed. A data
-    norm (refused by build_witness), an N^(p sigma) factor or a ratio that
-    is not finite and positive (t = 0, say, or t so small that the profile
-    underflows) is refused: the ratio would have no logarithm.
+    one N has no slope. seed seeds the line lattice rule's shifts. A data
+    norm (refused by build_witness), an N^(p sigma) factor, a data norm^p
+    (checked after the profile, whose own refusals come first) or a ratio
+    that is not finite and positive (t = 0, say, or t so small that the
+    profile underflows) is refused: the ratio would have no logarithm.
     """
     N_list = checked_n_list(N_list, 2)
     records = []
@@ -484,19 +599,14 @@ def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
         cfg = WitnessConfig(domain, p, N, s, sigma)
         pair = build_witness(cfg)
         dn = data_norm(pair, s)
-        try:
-            n_factor = float(N) ** (p * cfg.sigma)
-        except OverflowError:
-            n_factor = math.inf
-        if not 0.0 < n_factor < math.inf:
-            raise ValueError(f"N^(p sigma) factor {n_factor} at N={N} is not "
-                             f"finite and positive")
+        _positive_power(float(N), p * cfg.sigma, "N^(p sigma) factor",
+                        f"N={N}")
         if domain == Domain.TORUS:
             prof = flow_derivative_torus(pair, p, t, sign=sign)
         else:
             prof = flow_derivative_line(pair, p, t, sign=sign, seed=seed)
         an = window_sobolev_mass(prof, s)
-        ratio = an / dn ** p
+        ratio = an / _positive_power(dn, p, "data norm^p", f"p={p}, N={N}")
         if not 0.0 < ratio < math.inf:   # no log, so no slope
             raise ValueError(f"growth ratio {ratio} at N={N}, t={t} is not "
                              f"finite and positive")

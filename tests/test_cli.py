@@ -464,15 +464,30 @@ def test_growth_refuses_overflowing_prefactor(monkeypatch, capsys, argv, p):
     # and 170! xi^2 overflowed with a numpy RuntimeWarning (an error here:
     # pytest turns warnings into errors) after seconds of enumeration; at
     # torus p = 160 and line p = 170 the prefactor is finite and its product
-    # with the representation sum overflowed (fewer Monte Carlo draws on
-    # the line keep the run short)
-    monkeypatch.setattr("bqlab.flow_derivative.LINE_MC_SAMPLES", 64)
+    # with the representation sum overflowed (a small lattice rule on the
+    # line keeps the run short)
+    monkeypatch.setattr("bqlab.flow_derivative.LINE_LATTICE_POINTS", 7)
+    monkeypatch.setattr("bqlab.flow_derivative.LINE_LATTICE_SHIFTS", 2)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: prefactor")
     assert captured.err.count("\n") == 1
     assert f"p={p}, N=16 is not finite" in captured.err
+
+
+def test_growth_refuses_underflowing_data_norm_power(monkeypatch, capsys):
+    # the data norm 2.6e-3 to the 155th power underflows to 0: this ended
+    # in a ZeroDivisionError traceback after the profile (a small lattice
+    # rule keeps its generating vector over 154 dimensions fast)
+    monkeypatch.setattr("bqlab.flow_derivative.LINE_LATTICE_POINTS", 7)
+    monkeypatch.setattr("bqlab.flow_derivative.LINE_LATTICE_SHIFTS", 2)
+    assert main(["growth", "--domain", "line", "--p", "155",
+                 "--n-list", "16,32"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: data norm^p 0.0 at p=155, N=16 is not "
+                            "finite and positive\n")
 
 
 def test_growth_refuses_overflowing_window_mass(capsys):

@@ -377,18 +377,44 @@ def test_line_odd_compensated_magnitude_stabilizes():
     assert abs(comp[-1] / comp[-2] - 1.0) < 0.1
 
 
-def test_line_mc_agrees_with_tensor(monkeypatch):
+def test_line_lattice_agrees_with_tensor(monkeypatch):
     pair = build_witness(WitnessConfig(Domain.LINE, 4, 16, s=-1.0, sigma=0.0))
     monkeypatch.setattr(flow_derivative, "LINE_XI_NODES", 9)
     monkeypatch.setattr(flow_derivative, "LINE_NODES", {4: 32})
     ref = flow_derivative_line(pair, 4, 1.0)
     monkeypatch.setattr(flow_derivative, "LINE_NODES", {})
-    monkeypatch.setattr(flow_derivative, "LINE_MC_SAMPLES", 16384)
-    mc = flow_derivative_line(pair, 4, 1.0, seed=3)
-    assert mc.meta["mc_halfwidth_max"] > 0.0
+    lat = flow_derivative_line(pair, 4, 1.0, seed=3)
+    assert lat.meta["method"] == "lattice"
+    assert lat.meta["mc_halfwidth_max"] > 0.0
     scale = np.abs(ref.values).max()
-    worst = np.abs(mc.values - ref.values).max()
-    assert worst < max(4.0 * mc.meta["mc_halfwidth_max"], 1e-3 * scale)
+    worst = np.abs(lat.values - ref.values).max()
+    assert worst < max(4.0 * lat.meta["mc_halfwidth_max"], 1e-3 * scale)
+
+
+def test_line_lattice_accuracy_oracle(monkeypatch):
+    # p = 6, N = 16 against tensor Richardson over 16 and 32 nodes. On
+    # these 9 xi nodes that reference agrees with a 16381-point x 16-shift
+    # lattice (standard error 1.7e-5 of the peak) to 1.3e-6 on the window
+    # mass and to 1.1e-4 of the peak pointwise, so 1.5e-4 is its bias
+    # here. The mass gate is below Monte Carlo's median error at p = 6
+    # (6.6e-4); the lattice read at most 2.3e-4 over seeds 0..9
+    monkeypatch.setattr(flow_derivative, "LINE_XI_NODES", 9)
+    pair = build_witness(WitnessConfig(Domain.LINE, 6, 16, s=-1.0))
+    tensor = []
+    for nodes in (16, 32):
+        monkeypatch.setattr(flow_derivative, "LINE_NODES", {6: nodes})
+        tensor.append(flow_derivative_line(pair, 6, 1.0))
+    coarse, ref = tensor     # the midpoint rule's error is O(h^2)
+    ref.values = ref.values + (ref.values - coarse.values) / 3.0
+    monkeypatch.setattr(flow_derivative, "LINE_NODES", {})
+    lat = flow_derivative_line(pair, 6, 1.0, seed=7)
+    assert lat.meta["method"] == "lattice"
+    mass, ref_mass = (window_sobolev_mass(pr, -1.0) for pr in (lat, ref))
+    assert abs(mass / ref_mass - 1.0) < 3e-4
+    peak = np.abs(ref.values).max()
+    assert (np.abs(lat.values - ref.values).max()
+            <= lat.meta["mc_halfwidth_max"] + 1.5e-4 * peak)
+    assert 0.0 < lat.meta["err_est"] < 1e-2
 
 
 def _reference_prefactor(pair, p, xi):
@@ -423,66 +449,36 @@ def _reference_integrand(slots, xi, alpha, t, outer, offsets, weight):
     return rows, weight * h[:, None] * _reference_kernel(alpha, beta, t)
 
 
-def _reference_line(pair, p, t, method, nodes, n_xi, mc_samples, seed):
-    """flow_derivative_line as a direct loop: the full nodes^(p-1) tensor
-    grid rebuilt at every xi node, each node evaluated once per grid
-    point (no slot symmetry folded), and one rng.uniform call per outer
-    slot, then one for the inner points."""
+def _reference_line(pair, p, t, nodes, n_xi):
+    """flow_derivative_line's tensor rule as a direct loop: the full
+    nodes^(p-1) grid rebuilt at every xi node, each node evaluated once per
+    grid point (no slot symmetry folded)."""
     wlo, whi = pair.output_window
     patterns = enumerate_representations((wlo, whi), p,
                                          frequency_set(pair.config))
     h_xi = (whi - wlo) / n_xi
     xis = wlo + (np.arange(n_xi) + 0.5) * h_xi
-    rng = np.random.default_rng(seed)
     values = np.zeros(n_xi, dtype=complex)
-    variances = np.zeros(n_xi)
     n_points = 0
     for i, xi in enumerate(xis.tolist()):
         alpha = dispersion(xi)
         total = 0.0 + 0.0j
         for rep in patterns:
             slots = _representative_slots(rep)
-            outer = slots[:-2]
-            if method == "tensor":
-                mids = [np.linspace(lo, hi, nodes, endpoint=False)
-                        + (hi - lo) / (2 * nodes) for lo, hi in outer]
-                pts = [m.ravel() for m in np.meshgrid(*mids, indexing="ij")]
-                offsets = (np.arange(nodes) + 0.5)[None, :]
-                weight = math.prod((hi - lo) / nodes for lo, hi in outer)
-            else:
-                pts = [rng.uniform(lo, hi, size=mc_samples)
-                       for lo, hi in outer]
-                offsets = rng.uniform(size=(mc_samples, 1))
-                weight = 1.0
-            rows, f = _reference_integrand(slots, xi, alpha, t, pts,
-                                           offsets, weight)
+            mids = [np.linspace(lo, hi, nodes, endpoint=False)
+                    + (hi - lo) / (2 * nodes) for lo, hi in slots[:-2]]
+            pts = [m.ravel() for m in np.meshgrid(*mids, indexing="ij")]
+            offsets = (np.arange(nodes) + 0.5)[None, :]
+            weight = math.prod((hi - lo) / nodes for lo, hi in slots[:-2])
+            _, f = _reference_integrand(slots, xi, alpha, t, pts, offsets,
+                                        weight)
             n_points += f.size
-            if method == "tensor":
-                contrib = complex(np.sum(f))
-            else:
-                f_all = np.zeros(mc_samples, dtype=complex)
-                f_all[rows] = f[:, 0]
-                vol = math.prod(hi - lo for lo, hi in outer)
-                contrib = vol * complex(f_all.mean())
-                variances[i] += rep.multiplicity ** 2 * (
-                    vol ** 2 / mc_samples
-                    * float(np.var(f_all.real) + np.var(f_all.imag)))
-            total += rep.multiplicity * contrib
+            total += rep.multiplicity * complex(np.sum(f))
         values[i] = _reference_prefactor(pair, p, xi) * total
 
-    meta = {"method": method, "n_patterns": len(patterns),
-            "nodes_per_dim": nodes if method == "tensor" else None,
-            "mc_samples": mc_samples if method == "mc" else None,
+    meta = {"method": "tensor", "n_patterns": len(patterns),
+            "nodes_per_dim": nodes, "mc_samples": None,
             "n_points": n_points, "warnings": []}
-    if method == "mc":
-        half = (1.96 * np.abs(_reference_prefactor(pair, p, xis))
-                * np.sqrt(variances))
-        meta["mc_halfwidth_max"] = float(half.max())
-        scale = float(np.abs(values).max())
-        if scale > 0 and half.max() > 0.05 * scale:
-            meta["warnings"].append(
-                f"monte-carlo 95% half-width {half.max():.3g} exceeds 5% of "
-                f"the profile peak {scale:.3g}")
     return xis, values, meta
 
 
@@ -521,31 +517,26 @@ def _fold_rounding_bound(pair, p, t):
 @pytest.mark.parametrize("p", range(2, 10))
 @pytest.mark.parametrize("N", [16, 64])
 def test_line_bitwise_against_reference(monkeypatch, p, N):
-    # every float operation and every draw in the reference's order for
-    # Monte Carlo at two seeds and the p = 2 tensor rule (no slot symmetry
-    # to fold); from p = 3 on (4 nodes/dim from p = 6 on) the tensor rule
-    # folds its grid's slot symmetries, which moves the summation order
-    # and the rounding of beta: within 1e-14 of the peak for p <= 5, and
-    # within _fold_rounding_bound for the forced p = 6..9 runs, where up to
-    # 9 dispersions of size up to about (2N)^2 enter beta
+    # every float operation in the reference's order for the p = 2 tensor
+    # rule (no slot symmetry to fold); from p = 3 on (4 nodes/dim from
+    # p = 6 on) the tensor rule folds its grid's slot symmetries, which
+    # moves the summation order and the rounding of beta: within 1e-14 of
+    # the peak for p <= 5, and within _fold_rounding_bound for the forced
+    # p = 6..9 runs, where up to 9 dispersions of size up to about (2N)^2
+    # enter beta
     pair = build_witness(WitnessConfig(Domain.LINE, p, N, s=-1.0))
     nodes = 64 if p <= 3 else (16 if p <= 5 else 4)
     monkeypatch.setattr(flow_derivative, "LINE_XI_NODES", 9)
-    runs = [dict(method="tensor", seed=0), dict(method="mc", seed=0),
-            dict(method="mc", seed=5)]
-    for run in runs:
-        monkeypatch.setattr(flow_derivative, "LINE_NODES",
-                            {p: nodes} if run["method"] == "tensor" else {})
-        prof = flow_derivative_line(pair, p, 0.9, seed=run["seed"])
-        xis, values, meta = _reference_line(pair, p, 0.9, nodes=nodes,
-                                            n_xi=9, mc_samples=8192, **run)
-        if run["method"] == "tensor" and p > 2:
-            rel = 1e-14 if p <= 5 else _fold_rounding_bound(pair, p, 0.9)
-            _assert_folded_matches_reference(prof, xis, values, meta, rel)
-            continue
-        assert np.array_equal(prof.xi, xis)
-        assert np.array_equal(prof.values, values), run
-        assert prof.meta == meta, run
+    monkeypatch.setattr(flow_derivative, "LINE_NODES", {p: nodes})
+    prof = flow_derivative_line(pair, p, 0.9)
+    xis, values, meta = _reference_line(pair, p, 0.9, nodes, 9)
+    if p > 2:
+        rel = 1e-14 if p <= 5 else _fold_rounding_bound(pair, p, 0.9)
+        _assert_folded_matches_reference(prof, xis, values, meta, rel)
+        return
+    assert np.array_equal(prof.xi, xis)
+    assert np.array_equal(prof.values, values)
+    assert prof.meta == meta
 
 
 def _outer_runs(slots):
@@ -572,8 +563,7 @@ def test_line_symmetric_rule_corners(monkeypatch, p, nodes, corner):
     monkeypatch.setattr(flow_derivative, "LINE_XI_NODES", 7)
     monkeypatch.setattr(flow_derivative, "LINE_NODES", {p: nodes})
     prof = flow_derivative_line(pair, p, 0.9)
-    xis, values, meta = _reference_line(pair, p, 0.9, "tensor", nodes, 7,
-                                        None, 0)
+    xis, values, meta = _reference_line(pair, p, 0.9, nodes, 7)
     if p == 2:
         assert np.array_equal(prof.values, values) and prof.meta == meta
     else:
@@ -588,9 +578,9 @@ def test_line_n_points_counts_kernel_points(monkeypatch):
     pair = build_witness(WitnessConfig(Domain.LINE, 2, 16, s=-1.0))
     prof = flow_derivative_line(pair, 2, 1.0)
     assert prof.meta["n_points"] == 3 * prof.meta["n_patterns"] * 5
-    # folded rules (p = 3, 5) and Monte Carlo (p = 6): the count equals
-    # the betas the kernel is handed
-    monkeypatch.setattr(flow_derivative, "LINE_MC_SAMPLES", 512)
+    # folded rules (p = 3, 5) and the lattice rule (p = 6): the count
+    # equals the betas the kernel is handed
+    monkeypatch.setattr(flow_derivative, "LINE_LATTICE_POINTS", 61)
     kernel = flow_derivative.time_integral
     for p in (3, 5, 6):
         seen = []
@@ -605,14 +595,92 @@ def test_line_n_points_counts_kernel_points(monkeypatch):
         assert 0 < prof.meta["n_points"] == sum(seen), p
 
 
-def test_line_mc_deterministic_per_seed(monkeypatch):
+def test_line_lattice_deterministic_per_seed(monkeypatch):
     pair = build_witness(WitnessConfig(Domain.LINE, 7, 12, s=-1.0))
     monkeypatch.setattr(flow_derivative, "LINE_XI_NODES", 5)
-    monkeypatch.setattr(flow_derivative, "LINE_MC_SAMPLES", 2048)
+    monkeypatch.setattr(flow_derivative, "LINE_LATTICE_POINTS", 251)
     a = flow_derivative_line(pair, 7, 0.8, seed=11)
     b = flow_derivative_line(pair, 7, 0.8, seed=11)
-    assert np.array_equal(a.values, b.values)
-    assert a.meta["method"] == "mc"
+    c = flow_derivative_line(pair, 7, 0.8, seed=12)
+    assert a.meta["method"] == "lattice"
+    assert np.array_equal(a.values, b.values) and a.meta == b.meta
+    assert (a.values != c.values).all()
+
+
+@pytest.mark.parametrize("n_xi", [5, 9])
+def test_line_lattice_shift_pool(monkeypatch, n_xi):
+    # S = max(n_xi, q) pool shifts, drawn as rng.random((S, p - 1)); xi
+    # node i takes shifts i, ..., i + q - 1 (mod S): q distinct ones even
+    # when there are fewer xi nodes than q
+    p, n, q, seed = 6, 31, flow_derivative.LINE_LATTICE_SHIFTS, 4
+    monkeypatch.setattr(flow_derivative, "LINE_XI_NODES", n_xi)
+    monkeypatch.setattr(flow_derivative, "LINE_LATTICE_POINTS", n)
+    pool = max(n_xi, q)
+    z = flow_derivative._generating_vector(n, p - 1)
+    shifts = np.random.default_rng(seed).random((pool, p - 1))
+    inner = flow_derivative._lattice_column(n, z[-1], shifts[:, -1])
+    integrand = flow_derivative._pattern_integrand
+    used = []
+
+    def spy(slots, xi, alpha, t, S_out, P_out, offsets, m, weight):
+        used.append([next(k for k in range(pool)
+                          if np.array_equal(row, inner[k]))
+                     for row in offsets.reshape(q, n)])
+        return integrand(slots, xi, alpha, t, S_out, P_out, offsets, m,
+                         weight)
+
+    monkeypatch.setattr(flow_derivative, "_pattern_integrand", spy)
+    pair = build_witness(WitnessConfig(Domain.LINE, p, 16, s=-1.0))
+    prof = flow_derivative_line(pair, p, 1.0, seed=seed)
+    assert len(used) == n_xi * prof.meta["n_patterns"]
+    for k, rows in enumerate(used):
+        i = k % n_xi
+        assert rows == [(i + j) % pool for j in range(q)]
+        assert len(set(rows)) == q
+    assert prof.meta["mc_samples"] == n * q
+
+
+def test_lattice_generating_vector():
+    # deterministic (rebuilt past the cache), z_1 = 1, each z_j in 1..n-1,
+    # and each z_j minimises the P_2 error given z_1..z_(j-1) among all
+    # n - 1 candidates, scored here on the full n x n table
+    n, d = 61, 6
+    z = flow_derivative._generating_vector(n, d)
+    assert z == flow_derivative._generating_vector.__wrapped__(n, d)
+    assert len(z) == d and z[0] == 1
+    assert all(1 <= zj <= n - 1 for zj in z)
+    x = np.outer(np.arange(1, n), np.arange(n)) % n / n
+    table = 1.0 + 2.0 * math.pi ** 2 * (x * x - x + 1.0 / 6.0)
+    prod = np.ones(n)
+    for j, zj in enumerate(z, start=1):
+        errs = ((1.0 + (table - 1.0) / j ** 2) * prod).mean(axis=1) - 1.0
+        assert errs[zj - 1] <= errs.min() * (1.0 + 1e-12)
+        prod *= 1.0 + (table[zj - 1] - 1.0) / j ** 2
+
+
+def test_lattice_integrates_smooth_product():
+    # prod_j g(x_j) with g(x) = e^x / (e - 1) integrates to 1 over the
+    # unit cube; it is not periodic, which the tent transform absorbs.
+    # Plain Monte Carlo on the same n q points would have a standard
+    # error of about 1e-2; the lattice must be 10x below it and within
+    # Student's 95% half-width of the truth
+    n, d, q = 1021, 8, 8
+    z = flow_derivative._generating_vector(n, d)
+    shifts = np.random.default_rng(2).random((q, d))
+    est = np.ones((q, n))
+    for j in range(d):
+        est *= np.exp(flow_derivative._lattice_column(n, z[j], shifts[:, j]))
+    est = est.mean(axis=1) / (math.e - 1.0) ** d
+    se = est.std(ddof=1) / math.sqrt(q)
+    assert 0.0 < se < 1e-3
+    assert abs(est.mean() - 1.0) <= flow_derivative._t975(q - 1) * se
+
+
+def test_student_t975_matches_scipy():
+    from scipy.stats import t as student
+    for dof in range(1, 33):
+        assert flow_derivative._t975(dof) == pytest.approx(
+            student.ppf(0.975, dof), rel=1e-12)
 
 
 # -- window mass --------------------------------------------------------------------

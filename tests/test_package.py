@@ -77,7 +77,8 @@ def test_no_unused_imports():
 
 def test_benchmark_entry_points_resolve():
     # the benchmark traces the LAYERS names and calls growth_table with a
-    # Monte Carlo seed; a renamed function or keyword would fail only there
+    # line quadrature seed; a renamed function or keyword would fail only
+    # there
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py"))
