@@ -160,13 +160,16 @@ def _resolve_params(args) -> dict:
                          f"{', '.join(map(repr, unknown))}")
     resolved = {}
     for key, cast, default, _help in _PARAMS[args.command]:
-        raw = getattr(args, key)
+        raw, source = getattr(args, key), "--" + key.replace("_", "-")
         if raw is None and key in config:
-            raw = config[key]
+            raw, source = config[key], f"{args.config}: {key}"
         if raw is None:
             resolved[key] = default
-        else:
+            continue
+        try:
             resolved[key] = cast(raw)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
     return resolved
 
 

@@ -19,17 +19,14 @@ This module evaluates K by one half-angle formula that holds through the
 resonance |beta| = lambda(xi), with the sine and cosine of the half angle
 taken from a single tangent of its half. It assembles the profile exactly
 on the torus and, on the line, by tensor-product midpoint quadrature for
-the p that LINE_NODES lists and by a randomly shifted rank-1 lattice rule
-for every other p (innermost variable clipped exactly in both), at
-resolutions that are module constants, not options (LINE_XI_NODES,
-LINE_NODES, LINE_LATTICE_POINTS, LINE_LATTICE_SHIFTS). The tensor rule
-folds the slot symmetries of its grid: the integrand sees the outer slots
-only through their sum and phase sum, and is even under swapping the inner
-and determined slots when they share an interval, so each distinct node is
-evaluated once with its multiplicity. The lattice rule takes its generating
-vector component by component (Dick, Kuo & Sloan, Acta Numerica 22, 2013),
-folds its points by the tent transform so that a non-periodic integrand
-keeps the rule's accuracy (Hickernell, 2002), and reads its error from the
+the p that LINE_NODES lists (p = 2 and 3, at most one outer slot) and by a
+randomly shifted rank-1 lattice rule for every other p (innermost variable
+clipped exactly in both), at resolutions that are module constants, not
+options (LINE_XI_NODES, LINE_NODES, LINE_LATTICE_POINTS,
+LINE_LATTICE_SHIFTS). The lattice rule takes its generating vector
+component by component (Dick, Kuo & Sloan, Acta Numerica 22, 2013), folds
+its points by the tent transform so that a non-periodic integrand keeps
+the rule's accuracy (Hickernell, 2002), and reads its error from the
 spread of independent random shifts; the outer slot sums of a whole pool
 of shifts are formed once per pattern and shared by every xi node, each
 node taking its own run of LINE_LATTICE_SHIFTS shifts from the pool. It
@@ -39,7 +36,6 @@ exponents.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,7 +50,7 @@ from .resonance import enumerate_representations
 DEFAULT_HORIZON = 2.0   # upper limit for measurement times
 KERNEL_BLOCK = 8192     # betas per block: the kernel's temporaries stay cached
 LINE_XI_NODES = 33      # midpoints of the line output window
-LINE_NODES = {2: 64, 3: 64, 4: 16, 5: 16}   # tensor nodes per dim, by p
+LINE_NODES = {2: 64, 3: 64}   # tensor nodes per dim, by p
 LINE_LATTICE_POINTS = 1021   # lattice points per shift (prime), unlisted p
 LINE_LATTICE_SHIFTS = 8      # random shifts averaged at each xi node
 CBC_BLOCK = 64          # candidates per block of the generating-vector search
@@ -264,54 +260,8 @@ def _outer_sums(pts, shape):
     return S_out, P_out
 
 
-def _multinomial(tup) -> int:
-    """Orderings of a sorted tuple: len! / prod(run length!)."""
-    return math.factorial(len(tup)) // math.prod(
-        math.factorial(len(list(g))) for _, g in itertools.groupby(tup))
-
-
-def _tensor_rule(slots, nn: int):
-    """The clipped midpoint rule of one pattern with nn nodes per
-    dimension, each distinct node of its grid evaluated once.
-
-    The integrand sees the outer slots (slots[0:-2]) only through S_out and
-    P_out, so on a run of r equal outer intervals (adjacent, as
-    _representative_slots sorts them) only the non-decreasing index tuples
-    are kept, each weighted by its number of orderings; the runs combine
-    as a Cartesian product. When the inner and determined slots share one
-    interval, the clipped inner interval is symmetric about (xi - S_out)/2
-    and beta is even about it, so only the first ceil(nn/2) inner
-    midpoints are evaluated, at twice the weight; the centre node of an
-    odd nn counts once. The inner cell width stays (clipped length)/nn.
-
-    Returns (S_out, P_out, inner offsets of shape (1, evaluated midpoints),
-    the weight of each evaluated node: cell volume x orderings x its inner
-    weight 2 or 1, of shape (rows, evaluated midpoints)).
-    """
-    outer = slots[:-2]
-    mids = [np.linspace(lo, hi, nn, endpoint=False) + (hi - lo) / (2 * nn)
-            for lo, hi in outer]
-    index = np.zeros((1, 0), dtype=int)
-    count = np.ones(1)
-    for _, run in itertools.groupby(outer):
-        tuples = list(itertools.combinations_with_replacement(
-            range(nn), len(list(run))))
-        index = np.hstack([np.repeat(index, len(tuples), axis=0),
-                           np.tile(tuples, (len(index), 1))])
-        count = np.outer(count, [_multinomial(u) for u in tuples]).ravel()
-    pts = (m[index[:, j]] for j, m in enumerate(mids))
-    S_out, P_out = _outer_sums(pts, len(index))
-    weight = math.prod((hi - lo) / nn for lo, hi in outer) * count
-    mirror = slots[-2] == slots[-1]
-    inner = np.ones((nn + 1) // 2 if mirror else nn)
-    if mirror:
-        inner[:nn // 2] = 2.0
-    offsets = (np.arange(len(inner)) + 0.5)[None, :]
-    return S_out, P_out, offsets, np.outer(weight, inner)
-
-
 def _pattern_integrand(slots, xi: float, alpha: float, t: float, S_out,
-                       P_out, offsets, m: int, weight):
+                       P_out, offsets, weight: float):
     """Clipped-innermost integrand of one pattern over its slot box.
 
     Integration variables are slots[0:-1]; the last slot is determined as
@@ -321,8 +271,7 @@ def _pattern_integrand(slots, xi: float, alpha: float, t: float, S_out,
     interval where the determined slot stays inside its component, so the
     constraint introduces no indicator discontinuity. Each row places its
     inner points at lo + offsets * h, h = clipped length / m, where
-    offsets has shape (rows or 1, at most m). weight is a float or the
-    weight of each inner point, of shape (rows, offsets.shape[1]).
+    offsets has shape (rows or 1, m).
 
     Returns (indices of the non-empty rows, weight * h * K at their inner
     points); empty rows contribute nothing.
@@ -334,8 +283,8 @@ def _pattern_integrand(slots, xi: float, alpha: float, t: float, S_out,
     hi_f = np.minimum(in_hi, rest - det_lo)
     idx = np.flatnonzero(hi_f > lo_f)
     lo_f = lo_f[idx]
-    h = (hi_f[idx] - lo_f) / m
-    if len(offsets) > 1:         # per-row offsets; a single row broadcasts
+    h = (hi_f[idx] - lo_f) / offsets.shape[1]
+    if len(offsets) > 1:         # per-row offsets; a (1, m) row broadcasts
         offsets = offsets[idx]
     y = offsets * h[:, None]
     y += lo_f[:, None]
@@ -344,8 +293,6 @@ def _pattern_integrand(slots, xi: float, alpha: float, t: float, S_out,
     beta = np.subtract(P_out[idx, None], _signed_dispersion(y), out=y)
     beta -= _signed_dispersion(d)
     f = time_integral(alpha, beta, t)
-    if np.ndim(weight):
-        weight = weight[idx]
     f *= weight * h[:, None]
     return idx, f
 
@@ -411,16 +358,27 @@ def _t975(dof: int) -> float:
 
 
 def _tensor_totals(patterns, nodes: int, xi_alpha, t: float):
-    """Representation sum of the tensor rule at each xi node, and the
-    number of kernel points; each pattern's rule is built once."""
+    """Representation sum of the clipped midpoint rule with nodes points
+    per dimension at each xi node, and the number of kernel points.
+
+    Each pattern's grid of outer midpoints, its cell volume and the nodes
+    inner midpoints per row are built once for every xi node.
+    """
     totals = np.zeros(len(xi_alpha), dtype=complex)
+    offsets = (np.arange(nodes) + 0.5)[None, :]
     n_points = 0
     for rep in patterns:
         slots = _representative_slots(rep)
-        S_out, P_out, offsets, weight = _tensor_rule(slots, nodes)
+        outer = slots[:-2]
+        mids = [np.linspace(lo, hi, nodes, endpoint=False)
+                + (hi - lo) / (2 * nodes) for lo, hi in outer]
+        S_out, P_out = _outer_sums(
+            (m.ravel() for m in np.meshgrid(*mids, indexing="ij")),
+            nodes ** len(outer))
+        volume = math.prod((hi - lo) / nodes for lo, hi in outer)
         for i, (xi, alpha) in enumerate(xi_alpha):
             _, f = _pattern_integrand(slots, xi, alpha, t, S_out, P_out,
-                                      offsets, nodes, weight)
+                                      offsets, volume)
             n_points += f.size
             totals[i] += rep.multiplicity * complex(np.sum(f))
     return totals, n_points
@@ -461,7 +419,7 @@ def _lattice_totals(patterns, p: int, xi_alpha, t: float, seed: int):
             idx, f = _pattern_integrand(slots, xi, alpha, t,
                                         S_out[rows].ravel(),
                                         P_out[rows].ravel(),
-                                        inner[rows].reshape(-1, 1), 1, 1.0)
+                                        inner[rows].reshape(-1, 1), 1.0)
             n_points += f.size
             f_all.fill(0.0)
             f_all[idx] = f[:, 0]
@@ -476,14 +434,12 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
 
     Both rules evaluate the same integrand, its innermost variable clipped
     exactly (see _pattern_integrand), and build each pattern's outer
-    points once for every xi node. For a p that LINE_NODES lists:
-    tensor-product clipped midpoint quadrature with LINE_NODES[p] nodes per
-    dimension, on a midpoint mesh of the outer slots with that many inner
-    midpoints per row, every distinct node of its grid evaluated once with
-    its multiplicity (see _tensor_rule): the nodes and weights of the full
-    grid, summed in another order. For every other p: a randomly shifted
-    rank-1 lattice rule whose shifts are drawn from seed (see
-    _lattice_totals); the value at xi is the mean of its
+    points once for every xi node. For a p that LINE_NODES lists (2 and
+    3): tensor-product clipped midpoint quadrature with LINE_NODES[p]
+    nodes per dimension, on a midpoint mesh of the outer slots with that
+    many inner midpoints per row (see _tensor_totals). For every other p:
+    a randomly shifted rank-1 lattice rule whose shifts are drawn from
+    seed (see _lattice_totals); the value at xi is the mean of its
     q = LINE_LATTICE_SHIFTS shift estimates.
 
     meta: "method" ("tensor" or "lattice"), "n_patterns", "nodes_per_dim"

@@ -157,6 +157,23 @@ def test_malformed_config(tmp_path):
     assert main(["diophantine", "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_bad_value_names_its_input(tmp_path, capsys, where):
+    # the cast's own text ("invalid literal for int() with base 10: 'x'")
+    # named neither the flag nor the config file and key
+    if where == "flag":
+        argv, prefix = ["growth", "--n-list", "16,x"], "--n-list: "
+    else:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("p=abc\n")
+        argv, prefix = ["growth", "--config", str(cfg)], f"{cfg}: p: "
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + prefix)
+    assert captured.err.count("\n") == 1
+
+
 def test_exit_code_validation_errors():
     assert main(["witness", "--domain", "klein-bottle"]) == 1
     assert main(["witness", "--s", "0", "--sigma", "-1"]) == 1
