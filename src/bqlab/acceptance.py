@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Domain, dispersion, write_json
+from .spectral import Domain, dispersion, write_output
 from .witness import WitnessConfig, build_witness, output_window
 from .resonance import (closed_form_profiles, construct_representation,
                         solve_diophantine, verify_resonance_bounds)
@@ -53,11 +53,7 @@ def _maybe_write(out_dir, name, payload):
     if out_dir is None:
         return
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    if name.endswith(".json"):
-        write_json(path, payload)
-    else:
-        payload.to_csv(path)
+    write_output(os.path.join(out_dir, name), payload)
 
 
 def criterion_1(out_dir=None) -> CriterionResult:
@@ -77,8 +73,8 @@ def criterion_1(out_dir=None) -> CriterionResult:
                     f"p=2 {domain.value} s={s} t={t}: slope "
                     f"{table.slope:+.3f} vs {target:+.3f}"
                     f"{'' if good else ' MISS'}")
-                _maybe_write(out_dir,
-                             f"growth_p2_{domain.value}_s{s}_t{t}.csv", table)
+                name = f"growth_p2_{domain.value}_s{s}_t{t}.csv"
+                _maybe_write(out_dir, name, table.to_csv)
             if hits < 2:
                 ok = False
                 details.append(f"p=2 {domain.value} s={s}: {hits}/3 within 0.15")
@@ -103,7 +99,8 @@ def criterion_2(out_dir=None) -> CriterionResult:
             details.append(
                 f"p=3 {domain.value} s={s}: slope {table.slope:+.3f} vs "
                 f"{target:+.3f} (tol {tol}){'' if good else ' MISS'}")
-            _maybe_write(out_dir, f"growth_p3_{domain.value}_s{s}.csv", table)
+            _maybe_write(out_dir, f"growth_p3_{domain.value}_s{s}.csv",
+                         table.to_csv)
     elapsed = done()
     if elapsed >= 600.0:
         ok = False

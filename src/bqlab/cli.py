@@ -3,9 +3,10 @@
 Subcommands: witness, resonance, diophantine, growth, simulate, inflate,
 reproduce-all. Parameter precedence is explicit flags, then KEY=VALUE pairs
 from --config (a key that no subcommand declares is refused), then built-in
-defaults. Every run that writes files also writes a manifest (command,
-resolved params, sha256 of file inputs, package version, wall time, output
-paths) next to them.
+defaults. Each subcommand returns what --out gets, and main alone writes
+it (reproduce-all: <out_dir>/criteria_summary.json) with a manifest
+(command, resolved params, sha256 of file inputs, package version, wall
+time, output path) beside it; without --out (--out-dir) no file is written.
 
 Exit codes: 0 success, 1 validation failure, unreadable input or output
 file, or failed checks, 2 enumeration budget exceeded (argparse also
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import __version__ as VERSION
 from .errors import ResourceBudgetError, SimulationBlowup
-from .spectral import Domain, write_json
+from .spectral import Domain, write_csv, write_json, write_output
 from .witness import WitnessConfig, WitnessPair, build_witness, data_norm
 from .resonance import (closed_form_profiles, solve_diophantine,
                         verify_resonance_bounds)
@@ -58,12 +59,9 @@ def _read_config(path: str) -> dict:
     return out
 
 
-def _n_list(text: str) -> list:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _float_list(text: str) -> list:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _comma_list(cast):
+    """A parser of comma-separated values, each through cast."""
+    return lambda text: [cast(x) for x in text.split(",") if x.strip()]
 
 
 # (name, cast, default, help); cast applies to config-file strings too
@@ -79,7 +77,8 @@ _PARAMS = {
     "resonance": [
         ("domain", str, "torus", "torus or line"),
         ("p", int, 2, "nonlinearity power"),
-        ("n_list", _n_list, [16, 32, 64, 128], "comma-separated N values"),
+        ("n_list", _comma_list(int), [16, 32, 64, 128],
+         "comma-separated N values"),
         ("scan_max", int, None, "dense-scan ceiling, default max(N)"),
         ("out", str, None, "output JSON path"),
     ],
@@ -93,7 +92,7 @@ _PARAMS = {
         ("s", float, -1.0, "data regularity index"),
         ("sigma", float, None, "amplitude exponent, default s+1"),
         ("t", float, 1.0, "measurement time"),
-        ("n_list", _n_list, [16, 32, 64, 128, 256, 512], "N sweep"),
+        ("n_list", _comma_list(int), [16, 32, 64, 128, 256, 512], "N sweep"),
         ("sign", int, 1, "nonlinearity sign, +1 or -1"),
         ("out", str, None, "output CSV path"),
     ],
@@ -109,7 +108,7 @@ _PARAMS = {
         ("sign", int, 1, "nonlinearity sign; 0 disables the nonlinearity"),
         ("scale", float, 1.0, "multiply the witness data by this factor"),
         ("init", str, None, "load the initial pair from this JSON file"),
-        ("norm_s", _float_list, None,
+        ("norm_s", _comma_list(float), None,
          "comma-separated s values for the norm columns, default the data s"),
         ("observe_every", int, None,
          "record every k-th step, default ~512 rows total"),
@@ -118,14 +117,14 @@ _PARAMS = {
     "inflate": [
         ("p", int, 2, "nonlinearity power"),
         ("s", float, -0.6, "data regularity index"),
-        ("n_list", _n_list, [16, 32, 64, 128], "N sweep"),
+        ("n_list", _comma_list(int), [16, 32, 64, 128], "N sweep"),
         ("delta", float, 1e-2, "data size"),
         ("t_end", float, 1.0, "time horizon"),
         ("sign", int, 1, "nonlinearity sign"),
         ("out", str, None, "output JSON path"),
     ],
     "reproduce-all": [
-        ("criteria", _n_list, list(range(1, 9)),
+        ("criteria", _comma_list(int), list(range(1, 9)),
          "comma-separated criterion numbers"),
         ("out_dir", str, None, "directory for tables and reports"),
     ],
@@ -186,7 +185,7 @@ def _witness_config(params, domain=Domain.TORUS) -> WitnessConfig:
                          params["sigma"])
 
 
-# -- subcommand bodies: return (output paths, exit code, input paths) -------
+# -- subcommand bodies: return (payload for --out, exit code, input paths) --
 
 def cmd_witness(params):
     cfg = _witness_config(params, _domain(params))
@@ -194,10 +193,7 @@ def cmd_witness(params):
     print(f"witness p={cfg.p} N={cfg.N} {cfg.domain.value}: "
           f"sigma={cfg.sigma:g}, window={pair.output_window}, "
           f"data norm (s={cfg.s:g}) = {data_norm(pair, cfg.s):.6e}")
-    if params["out"]:
-        write_json(params["out"], pair.to_dict())
-        return [params["out"]], 0, []
-    return [], 0, []
+    return pair.to_dict(), 0, []
 
 
 def cmd_resonance(params):
@@ -212,10 +208,7 @@ def cmd_resonance(params):
               f"|beta|/N^{report.scale_power} in "
               f"[{e['beta_over_scale_min']}, {e['beta_over_scale_max']}], "
               f"{len(e['violations'])} violations")
-    if params["out"]:
-        write_json(params["out"], report.to_dict())
-        return [params["out"]], 0, []
-    return [], 0, []
+    return report.to_dict(), 0, []
 
 
 def cmd_diophantine(params):
@@ -227,12 +220,8 @@ def cmd_diophantine(params):
           f"{'matches' if match else 'MISMATCH'}")
     for prof in brute:
         print(f"  (n1,n2,n3,n4) = {prof}")
-    if params["out"]:
-        write_json(params["out"], {"p": p,
-                                   "profiles": [list(x) for x in brute],
-                                   "closed_form_match": match})
-        return [params["out"]], 0 if match else 1, []
-    return [], 0 if match else 1, []
+    return ({"p": p, "profiles": [list(x) for x in brute],
+             "closed_form_match": match}, 0 if match else 1, [])
 
 
 def cmd_growth(params):
@@ -245,10 +234,7 @@ def cmd_growth(params):
     for r in table.records:
         print(f"  N={r.N}: ratio {r.ratio:.6e}, running slope "
               f"{r.slope_running:+.4f}")
-    if params["out"]:
-        table.to_csv(params["out"])
-        return [params["out"]], 0, []
-    return [], 0, []
+    return table.to_csv, 0, []
 
 
 def cmd_simulate(params):
@@ -281,9 +267,14 @@ def cmd_simulate(params):
             raise ValueError(f"norm_s={s:g}: the H^s weight (1 + K^2)^s at "
                              f"K={K} is not finite") from None
     state = witness_state(pair, K)
-    if params["scale"] != 1.0:
-        state.u *= params["scale"]
-        state.v *= params["scale"]
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below
+        if params["scale"] != 1.0:
+            state.u *= params["scale"]
+            state.v *= params["scale"]
+        e0 = linear_energy(state)
+    if not np.isfinite(e0).all():
+        raise ValueError(f"--scale {params['scale']:g}: the linear energy of "
+                         "the scaled data is not finite")
     stepper = Stepper(SimConfig(p=params["p"], K=K, dt=params["dt"],
                                 sign=params["sign"]))
     window = (pair.output_window,)
@@ -306,7 +297,6 @@ def cmd_simulate(params):
                         + [windowed_norm(st, window, s) for s in norm_s]
                         + [full_norm(st, s) for s in norm_s])
 
-    e0 = linear_energy(state)
     final = stepper.integrate(state, params["t_end"], observer=observe)
     e1 = linear_energy(final)
     mask = e0 > 0
@@ -315,15 +305,9 @@ def cmd_simulate(params):
           f"sign={params['sign']}: reached t={final.t:g} "
           f"({len(rows)} records, window mode {window[0]}), "
           f"linear-mode energy drift {drift:.3e}")
-    if params["out"]:
-        header = (["t"] + [f"window_h{s:g}" for s in norm_s]
-                  + [f"full_h{s:g}" for s in norm_s])
-        with open(params["out"], "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
-        return [params["out"]], 0, inputs
-    return [], 0, inputs
+    header = (["t"] + [f"window_h{s:g}" for s in norm_s]
+              + [f"full_h{s:g}" for s in norm_s])
+    return lambda path: write_csv(path, header, rows), 0, inputs
 
 
 def cmd_inflate(params):
@@ -336,28 +320,18 @@ def cmd_inflate(params):
     for row in result.rows:
         print(f"  N={row.N}: sup window norm {row.sup_window_norm:.6e} "
               f"at t={row.t_peak:.4f} (initial {row.initial_window_norm:.3e})")
-    if params["out"]:
-        payload = {"p": result.p, "s": result.s, "delta": result.delta,
-                   "t_end": result.t_end,
-                   "window_modes": list(INFLATION_WINDOW),
-                   "rows": [vars(r) for r in result.rows]}
-        write_json(params["out"], payload)
-        return [params["out"]], 0, []
-    return [], 0, []
+    return ({"p": result.p, "s": result.s, "delta": result.delta,
+             "t_end": result.t_end, "window_modes": list(INFLATION_WINDOW),
+             "rows": [vars(r) for r in result.rows]}, 0, [])
 
 
 def cmd_reproduce_all(params):
     results = run_criteria(params["criteria"], out_dir=params["out_dir"])
-    outputs = []
-    if params["out_dir"]:
-        summary = os.path.join(params["out_dir"], "criteria_summary.json")
-        write_json(summary, [{"number": r.number, "name": r.name,
-                              "passed": r.passed, "elapsed_s": r.elapsed,
-                              "details": r.details} for r in results])
-        outputs.append(summary)
     n_fail = sum(not r.passed for r in results)
     print(f"{len(results) - n_fail}/{len(results)} criteria passed")
-    return outputs, 0 if n_fail == 0 else 1, []
+    return ([{"number": r.number, "name": r.name, "passed": r.passed,
+              "elapsed_s": r.elapsed, "details": r.details} for r in results],
+            0 if n_fail == 0 else 1, [])
 
 
 _COMMANDS = {"witness": cmd_witness, "resonance": cmd_resonance,
@@ -366,20 +340,27 @@ _COMMANDS = {"witness": cmd_witness, "resonance": cmd_resonance,
              "reproduce-all": cmd_reproduce_all}
 
 
-def _manifest_path(params, outputs):
-    if params.get("out_dir"):
-        return os.path.join(params["out_dir"], "manifest.json")
-    if outputs:
-        return outputs[0] + ".manifest.json"
-    return None
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         params = _resolve_params(args)
-        outputs, code, inputs = _COMMANDS[args.command](params)
+        payload, code, inputs = _COMMANDS[args.command](params)
+        out = params.get("out")
+        manifest = out and out + ".manifest.json"
+        if params.get("out_dir"):
+            os.makedirs(params["out_dir"], exist_ok=True)
+            out = os.path.join(params["out_dir"], "criteria_summary.json")
+            manifest = os.path.join(params["out_dir"], "manifest.json")
+        if out:
+            write_output(out, payload)
+            inputs += [args.config] if args.config else []
+            write_json(manifest, {
+                "command": args.command, "params": params,
+                "inputs": {path: _sha256(path) for path in inputs},
+                "version": VERSION,
+                "wall_time_s": round(time.perf_counter() - t0, 3),
+                "outputs": [out]})
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -389,17 +370,6 @@ def main(argv=None) -> int:
     except ResourceBudgetError as exc:
         print(f"error: resource budget exceeded: {exc}", file=sys.stderr)
         return 2
-    if args.config:
-        inputs.append(args.config)
-    mpath = _manifest_path(params, outputs)
-    if mpath is not None:
-        manifest = {"command": args.command,
-                    "params": {k: v for k, v in params.items()},
-                    "inputs": {path: _sha256(path) for path in inputs},
-                    "version": VERSION,
-                    "wall_time_s": round(time.perf_counter() - t0, 3),
-                    "outputs": outputs}
-        write_json(mpath, manifest)
     return code
 
 

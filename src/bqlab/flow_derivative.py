@@ -37,12 +37,12 @@ exponents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Domain, dispersion
+from .spectral import Domain, dispersion, write_csv
 from .witness import (WitnessConfig, WitnessPair, build_witness,
                       checked_n_list, data_norm, frequency_set)
 from .resonance import enumerate_representations
@@ -53,7 +53,6 @@ LINE_XI_NODES = 33      # midpoints of the line output window
 LINE_NODES = {2: 64, 3: 64}   # tensor nodes per dim, by p
 LINE_LATTICE_POINTS = 1021   # lattice points per shift (prime), unlisted p
 LINE_LATTICE_SHIFTS = 8      # random shifts averaged at each xi node
-CBC_BLOCK = 64          # candidates per block of the generating-vector search
 
 
 # -- the oscillatory time kernel --------------------------------------------
@@ -306,20 +305,21 @@ def _generating_vector(n: int, d: int) -> tuple:
     P_2 = -1 + (1/n) sum_k prod_i (1 + gamma_i 2 pi^2 B_2({k z_i / n}))
     with product weights gamma_i = 1/i^2, B_2(x) = x^2 - x + 1/6, over the
     candidates 1 <= c <= n/2 coprime to n (c and n - c give the same
-    error); a tie goes to the smallest c. The candidates are scored
-    CBC_BLOCK at a time, so no n x n table is formed. Cached per (n, d).
+    error); a tie goes to the smallest c. The candidates' table
+    omega[k c mod n] is gathered once, and each component is scored by one
+    product with it. Cached per (n, d).
     """
     k = np.arange(n)
     omega = 2.0 * math.pi ** 2 * ((k / n) ** 2 - k / n + 1.0 / 6.0)
     cands = np.array([c for c in range(1, n // 2 + 1) if math.gcd(c, n) == 1])
+    table = np.empty((len(cands), n))
+    for row, c in zip(table, cands):   # no index array beside the table
+        np.take(omega, k * c % n, out=row)
     z = [1]
     prod = 1.0 + omega
     for j in range(2, d + 1):
         # the error is affine in sum_k prod_k B_2({k c / n}): minimise that
-        score = np.concatenate([
-            omega[np.multiply.outer(cands[i:i + CBC_BLOCK], k) % n] @ prod
-            for i in range(0, len(cands), CBC_BLOCK)])
-        z.append(int(cands[np.argmin(score)]))
+        z.append(int(cands[np.argmin(table @ prod)]))
         prod *= 1.0 + omega[k * z[-1] % n] / j ** 2
     return tuple(z)
 
@@ -510,11 +510,8 @@ class GrowthTable:
     predicted_slope: float
 
     def to_csv(self, path: str):
-        with open(path, "w", newline="") as fh:
-            fh.write("N,data_norm,ap_norm,ratio,slope_running\n")
-            for r in self.records:
-                fh.write(f"{r.N},{r.data_norm:.12g},{r.ap_norm:.12g},"
-                         f"{r.ratio:.12g},{r.slope_running:.12g}\n")
+        write_csv(path, [f.name for f in fields(GrowthRecord)],
+                  map(astuple, self.records))
 
 
 def predicted_growth_slope(p: int, s: float) -> float:

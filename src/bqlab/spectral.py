@@ -245,6 +245,24 @@ def write_json(path: str, payload):
         json.dump(payload, fh, indent=1)
 
 
+def write_csv(path: str, header, rows):
+    """The one CSV writer: a header row, then %.12g numbers, comma-separated
+    as docs/schemas.md specifies."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.12g}" for x in row) + "\n")
+
+
+def write_output(path: str, payload):
+    """payload to path: a writer such as GrowthTable.to_csv is called with
+    it (CSV), anything else is JSON."""
+    if callable(payload):
+        payload(path)
+    else:
+        write_json(path, payload)
+
+
 def json_field(d, key: str, parse):
     """parse(d[key]); a missing or ill-typed entry raises a ValueError that
     names the key, prefixed by the outer keys of nested calls."""

@@ -122,6 +122,37 @@ def test_inflate_json(tmp_path):
     assert all(r["sup_window_norm"] > 0 for r in payload["rows"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["witness", "--n", "8"],
+    ["resonance", "--n-list", "8,16"],
+    ["diophantine", "--p", "5"],
+    ["growth", "--n-list", "16,32"],
+    ["simulate", "--n", "8", "--t-end", "0.1"],
+    ["inflate", "--n-list", "8,16", "--t-end", "0.3"],
+    ["reproduce-all", "--criteria", "5"],
+], ids=lambda argv: argv[0])
+def test_output_contract(tmp_path, monkeypatch, argv):
+    # without --out (--out-dir) nothing is written; with it, exactly the
+    # result and a manifest that lists it
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 0
+    assert os.listdir(tmp_path) == []
+    if argv[0] == "reproduce-all":
+        # a new directory: criterion 5 writes no table that would create it
+        out_dir = str(tmp_path / "report")
+        argv = argv + ["--out-dir", out_dir]
+        out = os.path.join(out_dir, "criteria_summary.json")
+        manifest = os.path.join(out_dir, "manifest.json")
+    else:
+        out = str(tmp_path / "result")
+        argv = argv + ["--out", out]
+        manifest = out + ".manifest.json"
+    assert main(argv) == 0
+    assert sorted(str(f) for f in tmp_path.rglob("*") if f.is_file()) == [
+        out, manifest]
+    assert _load(manifest)["outputs"] == [out]
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# comment line\np = 7\n")
@@ -445,6 +476,10 @@ def test_non_finite_times_refused(capsys, argv):
     # (1 + K^2)^s overflows: nan and inf columns, an OverflowError traceback
     ["simulate", "--norm-s", "400", "--out", os.devnull],
     ["simulate", "--norm-s", "1e308", "--out", os.devnull],
+    # the scaled data's linear energy overflows: a numpy overflow warning
+    # from linear_energy (and at 1e155 from full_norm) came first
+    ["simulate", "--scale", "1e152"],
+    ["simulate", "--scale", "1e155"],
 ])
 def test_non_finite_data_sizes_refused(capsys, argv):
     assert main(argv) == 1       # warnings are errors in this suite

@@ -75,6 +75,39 @@ def test_no_unused_imports():
     assert [u for path in paths for u in _unused_imports(path)] == []
 
 
+def test_no_dead_definitions():
+    # every module-level function, class and assigned name of src/bqlab is
+    # read somewhere in src/bqlab, as a name or as an attribute; __init__.py
+    # only re-exports, so its own names are not scanned
+    src = os.path.dirname(bqlab.__file__)
+    trees = {}
+    for f in sorted(os.listdir(src)):
+        if f.endswith(".py"):
+            with open(os.path.join(src, f)) as fh:
+                trees[f] = ast.parse(fh.read(), f)
+    read = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    defined = []
+    for f, tree in trees.items():
+        if f == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f, node.lineno, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                defined += [(f, node.lineno, n.id) for t in targets
+                            for n in ast.walk(t) if isinstance(n, ast.Name)]
+    assert len(defined) > 50
+    assert [f"{f}:{line}: {name}" for f, line, name in defined
+            if name not in read] == []
+
+
 def test_benchmark_entry_points_resolve():
     # the benchmark traces the LAYERS names and calls growth_table with a
     # line quadrature seed; a renamed function or keyword would fail only
