@@ -251,7 +251,7 @@ def _check_kernel():
     ref = _gauss_legendre_kernel(alpha, beta, t, 2 * _GL_NODES)
     est = _relative(_gauss_legendre_kernel(alpha, beta, t, _GL_NODES),
                     ref).max()
-    kernel = [time_integral(*abt) for abt in
+    kernel = [time_integral(a, b, s) for a, b, s in
               zip(alpha.tolist(), beta.tolist(), t.tolist())]
     worst = _relative(np.array(kernel), ref).max()
     ok = good = worst < 1e-9 and est <= 1e-10

@@ -286,6 +286,8 @@ def cmd_simulate(params):
         every = max(1, n_steps // 512)
     elif every < 1:
         raise ValueError(f"need observe_every >= 1, got {every}")
+    header = (["t"] + [f"window_h{s:g}" for s in norm_s]
+              + [f"full_h{s:g}" for s in norm_s])
     rows = []
     counter = {"i": 0}
 
@@ -293,11 +295,20 @@ def cmd_simulate(params):
         i = counter["i"]
         counter["i"] = i + 1
         if i % every == 0 or st.t >= params["t_end"] - 1e-12:
-            rows.append([st.t]
-                        + [windowed_norm(st, window, s) for s in norm_s]
-                        + [full_norm(st, s) for s in norm_s])
+            with np.errstate(over="ignore", invalid="ignore"):   # see below
+                rows.append([st.t]
+                            + [windowed_norm(st, window, s) for s in norm_s]
+                            + [full_norm(st, s) for s in norm_s])
 
     final = stepper.integrate(state, params["t_end"], observer=observe)
+    # a blow-up has been refused by now: a norm weight and an amplitude
+    # that are each finite can still overflow when multiplied
+    finite = np.isfinite(np.array(rows)[:, 1:])
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ValueError(f"--norm-s {(2 * norm_s)[j]:g} at --scale "
+                         f"{params['scale']:g}: the {header[j + 1]} norm is "
+                         f"not finite at t={rows[i][0]:g}")
     e1 = linear_energy(final)
     mask = e0 > 0
     drift = float(np.abs(e1[mask] / e0[mask] - 1.0).max()) if mask.any() else 0.0
@@ -305,8 +316,6 @@ def cmd_simulate(params):
           f"sign={params['sign']}: reached t={final.t:g} "
           f"({len(rows)} records, window mode {window[0]}), "
           f"linear-mode energy drift {drift:.3e}")
-    header = (["t"] + [f"window_h{s:g}" for s in norm_s]
-              + [f"full_h{s:g}" for s in norm_s])
     return lambda path: write_csv(path, header, rows), 0, inputs
 
 

@@ -17,9 +17,11 @@ The one-sided-wave structure of the witness is what collapses each slot to
 the pure phase e^{-i eps lambda(a) tau}, making K the only time dependence.
 This module evaluates K by one half-angle formula that holds through the
 resonance |beta| = lambda(xi), with the sine and cosine of the half angle
-taken from a single tangent of its half. It assembles the profile exactly
-on the torus and, on the line, by tensor-product midpoint quadrature for
-the p that LINE_NODES lists (p = 2 and 3, at most one outer slot) and by a
+taken from a single tangent of its half; alpha may be given per row of
+beta, so that one call serves several xi nodes. It assembles the profile
+exactly on the torus and, on the line, by tensor-product midpoint
+quadrature for the p that LINE_NODES lists (p = 2 and 3, at most one outer
+slot; at p = 2 all xi nodes go to the kernel in one call) and by a
 randomly shifted rank-1 lattice rule for every other p (innermost variable
 clipped exactly in both), at resolutions that are module constants, not
 options (LINE_XI_NODES, LINE_NODES, LINE_LATTICE_POINTS,
@@ -57,7 +59,42 @@ LINE_LATTICE_SHIFTS = 8      # random shifts averaged at each xi node
 
 # -- the oscillatory time kernel --------------------------------------------
 
-def time_integral(alpha: float, beta, t: float):
+def _kernel_block(b, a, sin_at, cos_at, t: float, out):
+    """time_integral on one block: K at the betas b into the complex array
+    out of b's shape. a, sin_at and cos_at are alpha, sin(alpha t) and
+    cos(alpha t), scalars or one value per row of b, with alpha t > 0."""
+    # in place, each sum and product in the order of the formula
+    minus = np.abs(b)
+    plus = minus + a
+    minus -= a
+    y = minus * (0.5 * t)
+    y *= 0.5
+    h = np.tan(y, out=y)     # tan(Y/2)
+    h2 = h * h
+    tmp = h2 + 1.0
+    cos_y = np.subtract(1.0, h2, out=h2)
+    cos_y /= tmp
+    sin_y = np.add(h, h, out=h)
+    sin_y /= tmp
+    u = sin_y * cos_at
+    np.multiply(cos_y, sin_at, out=tmp)
+    u += tmp
+    u /= plus
+    cos_x = np.multiply(cos_y, cos_at, out=plus)
+    np.multiply(sin_y, sin_at, out=tmp)
+    cos_x -= tmp
+    w = tmp
+    w.fill(0.5 * t)
+    np.divide(sin_y, minus, out=w, where=minus != 0.0)
+    np.multiply(u, 2.0 * a, out=sin_y)
+    np.multiply(sin_y, w, out=out.real)
+    u *= cos_y
+    w *= cos_x
+    u -= w
+    np.multiply(np.sign(b, out=sin_y), u, out=out.imag)
+
+
+def time_integral(alpha, beta, t: float):
     """K(alpha, beta, t) = int_0^t sin(alpha(t - tau)) e^{i beta tau} dtau.
 
     One half-angle formula for every beta: with X = (|beta| + alpha) t/2,
@@ -67,51 +104,62 @@ def time_integral(alpha: float, beta, t: float):
     sin Y and cos Y come from one tangent h = tan(Y/2) as 2h/(1 + h^2) and
     (1 - h^2)/(1 + h^2); no double lies within 4e-19 of a pole of tan, so
     |h| < 3e18 and h^2 stays finite. sin X and cos X follow from them and
-    alpha t by angle addition. Vectorized over beta in blocks of
-    KERNEL_BLOCK; scalars in, scalar out.
+    alpha t by angle addition.
+
+    alpha is a scalar or an array that broadcasts against beta, such as
+    one value per row; sin and cos of alpha t are taken once per distinct
+    value. One alpha is evaluated in flat blocks of KERNEL_BLOCK betas.
+    Otherwise the broadcast shape is read as rows along which alpha is
+    constant, in blocks of whole rows of at most KERNEL_BLOCK betas (one
+    row's columns when a row is longer). Scalars in, scalar out.
     """
-    a = float(alpha)
-    if not (0.0 <= a < math.inf and 0.0 <= t < math.inf):   # nan fails too
-        raise ValueError(f"need finite alpha >= 0 and t >= 0, got "
-                         f"alpha={alpha} and t={t}")
+    a = np.asarray(alpha, dtype=float)
     b = np.asarray(beta, dtype=float)
-    out = np.zeros(b.shape, dtype=complex)
-    if a * t > 0.0:
-        sin_at, cos_at = math.sin(a * t), math.cos(a * t)
+    if a.size == 1:
+        lo = hi = a.item()
+    else:
+        lo, hi = a.min(initial=math.inf), a.max(initial=0.0)
+    if not (0.0 <= lo and hi < math.inf and 0.0 <= t < math.inf):   # or nan
+        raise ValueError(f"need finite alpha >= 0 and t >= 0, got alpha="
+                         f"{hi if 0.0 <= lo else lo} and t={t}")
+    out = np.zeros(b.shape if a.ndim == 0 else
+                   np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    if not (out.size and hi * t > 0.0):   # K is 0 where alpha t is
+        return complex(out) if out.ndim == 0 else out
+    if b.shape != out.shape:
+        b = np.broadcast_to(b, out.shape)
+    if lo == hi:         # one alpha
+        sin_at, cos_at = math.sin(lo * t), math.cos(lo * t)
         flat_b, flat_k = b.reshape(-1), out.reshape(-1)
         for i in range(0, flat_b.size, KERNEL_BLOCK):
             blk = slice(i, i + KERNEL_BLOCK)
-            # in place, each sum and product in the order of the formula
-            minus = np.abs(flat_b[blk])
-            plus = minus + a
-            minus -= a
-            y = minus * (0.5 * t)
-            y *= 0.5
-            h = np.tan(y, out=y)     # tan(Y/2)
-            h2 = h * h
-            tmp = h2 + 1.0
-            cos_y = np.subtract(1.0, h2, out=h2)
-            cos_y /= tmp
-            sin_y = np.add(h, h, out=h)
-            sin_y /= tmp
-            u = sin_y * cos_at
-            np.multiply(cos_y, sin_at, out=tmp)
-            u += tmp
-            u /= plus
-            cos_x = np.multiply(cos_y, cos_at, out=plus)
-            np.multiply(sin_y, sin_at, out=tmp)
-            cos_x -= tmp
-            w = tmp
-            w.fill(0.5 * t)
-            np.divide(sin_y, minus, out=w, where=minus != 0.0)
-            np.multiply(u, 2.0 * a, out=sin_y)
-            np.multiply(sin_y, w, out=flat_k.real[blk])
-            u *= cos_y
-            w *= cos_x
-            u -= w
-            np.multiply(np.sign(flat_b[blk], out=sin_y), u,
-                        out=flat_k.imag[blk])
-    return complex(out) if out.ndim == 0 else out
+            _kernel_block(flat_b[blk], lo, sin_at, cos_at, t, flat_k[blk])
+        return complex(out) if out.ndim == 0 else out
+    # rows: alpha is constant along the trailing axes where its shape is 1
+    a = a.reshape((1,) * (out.ndim - a.ndim) + a.shape)
+    lead = out.ndim
+    while a.shape[lead - 1] == 1:
+        lead -= 1
+    width = math.prod(out.shape[lead:])
+    a = np.broadcast_to(a, out.shape[:lead] + a.shape[lead:]).reshape(-1, 1)
+    rows_b, rows_k = b.reshape(-1, width), out.reshape(-1, width)
+    at = a * t
+    values, run = np.unique(at, return_inverse=True)
+    sin_at, cos_at = (np.array(col)[run].reshape(-1, 1) for col in zip(
+        *[(math.sin(x), math.cos(x)) for x in values.tolist()]))
+    # alpha = 1 where alpha t = 0 keeps 0/0 out of the formula; those rows
+    # are zeroed below
+    dead = at == 0.0
+    a = np.where(dead, 1.0, a)
+    n_rows, n_cols = max(1, KERNEL_BLOCK // width), min(width, KERNEL_BLOCK)
+    for r in range(0, len(rows_b), n_rows):
+        rows = slice(r, r + n_rows)
+        for c in range(0, width, n_cols):
+            blk = rows, slice(c, c + n_cols)
+            _kernel_block(rows_b[blk], a[rows], sin_at[rows], cos_at[rows],
+                          t, rows_k[blk])
+    rows_k[dead.ravel()] = 0.0
+    return out
 
 
 # -- evaluated profiles ------------------------------------------------------
@@ -259,12 +307,13 @@ def _outer_sums(pts, shape):
     return S_out, P_out
 
 
-def _pattern_integrand(slots, xi: float, alpha: float, t: float, S_out,
-                       P_out, offsets, weight: float):
+def _pattern_integrand(slots, xi, alpha, t: float, S_out, P_out, offsets,
+                       weight: float):
     """Clipped-innermost integrand of one pattern over its slot box.
 
     Integration variables are slots[0:-1]; the last slot is determined as
-    xi minus the rest. S_out and P_out hold, per row, the sum of the outer
+    xi minus the rest. xi and its alpha = lambda(xi) are scalars or hold
+    one value per row. S_out and P_out hold, per row, the sum of the outer
     slot values (slots[0:-2]) and of their phase coefficients (see
     _outer_sums); the innermost variable is clipped exactly to the
     interval where the determined slot stays inside its component, so the
@@ -281,6 +330,8 @@ def _pattern_integrand(slots, xi: float, alpha: float, t: float, S_out,
     lo_f = np.maximum(in_lo, rest - det_hi)
     hi_f = np.minimum(in_hi, rest - det_lo)
     idx = np.flatnonzero(hi_f > lo_f)
+    if isinstance(xi, np.ndarray):
+        xi, alpha = xi[idx, None], alpha[idx, None]
     lo_f = lo_f[idx]
     h = (hi_f[idx] - lo_f) / offsets.shape[1]
     if len(offsets) > 1:         # per-row offsets; a (1, m) row broadcasts
@@ -329,7 +380,7 @@ def _lattice_column(n: int, z: int, shifts):
     shift (a row) and k = 0..n-1, phi({k z / n + shift}) with the tent
     phi(x) = 1 - |2x - 1|, which keeps the uniform measure on [0, 1]."""
     x = np.add.outer(shifts, np.arange(n) * z % n / n)
-    x %= 1.0
+    x -= np.floor(x)     # exact on [0, 2), as x %= 1.0 is
     x *= 2.0
     x -= 1.0
     np.abs(x, out=x)
@@ -357,15 +408,24 @@ def _t975(dof: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def _tensor_totals(patterns, nodes: int, xi_alpha, t: float):
+def _tensor_totals(patterns, p: int, nodes: int, xi_alpha, t: float):
     """Representation sum of the clipped midpoint rule with nodes points
     per dimension at each xi node, and the number of kernel points.
 
     Each pattern's grid of outer midpoints, its cell volume and the nodes
-    inner midpoints per row are built once for every xi node.
+    inner midpoints per row are built once for every xi node. Whole xi
+    nodes go to the integrand and the kernel together, in groups of at
+    most KERNEL_BLOCK / 2 nominal points: all 33 nodes at p = 2, one at
+    p = 3, whose 4096 points already amortise a call (a two-node group's
+    arrays outgrow the allocator's reuse and page-fault on every call).
+    Each node's total is the sum over its own contiguous rows.
     """
-    totals = np.zeros(len(xi_alpha), dtype=complex)
+    n_xi = len(xi_alpha)
+    totals = np.zeros(n_xi, dtype=complex)
     offsets = (np.arange(nodes) + 0.5)[None, :]
+    rows = nodes ** (p - 2)      # outer midpoints per xi node
+    group = max(1, KERNEL_BLOCK // (2 * rows * nodes))
+    xis, alphas = np.array(xi_alpha).T
     n_points = 0
     for rep in patterns:
         slots = _representative_slots(rep)
@@ -373,14 +433,25 @@ def _tensor_totals(patterns, nodes: int, xi_alpha, t: float):
         mids = [np.linspace(lo, hi, nodes, endpoint=False)
                 + (hi - lo) / (2 * nodes) for lo, hi in outer]
         S_out, P_out = _outer_sums(
-            (m.ravel() for m in np.meshgrid(*mids, indexing="ij")),
-            nodes ** len(outer))
+            (m.ravel() for m in np.meshgrid(*mids, indexing="ij")), rows)
+        S_out, P_out = np.tile(S_out, group), np.tile(P_out, group)
         volume = math.prod((hi - lo) / nodes for lo, hi in outer)
-        for i, (xi, alpha) in enumerate(xi_alpha):
-            _, f = _pattern_integrand(slots, xi, alpha, t, S_out, P_out,
-                                      offsets, volume)
+        for g in range(0, n_xi, group):
+            n_g = min(group, n_xi - g)
+            if n_g == 1:     # one node: scalar xi and alpha
+                xi, alpha = xis[g], alphas[g]
+            else:
+                xi, alpha = (np.repeat(v[g:g + n_g], rows)
+                             for v in (xis, alphas))
+            idx, f = _pattern_integrand(slots, xi, alpha, t,
+                                        S_out[:n_g * rows],
+                                        P_out[:n_g * rows], offsets, volume)
             n_points += f.size
-            totals[i] += rep.multiplicity * complex(np.sum(f))
+            ends = [0, len(f)]
+            if n_g > 1:      # where each node's rows start in idx
+                ends[1:1] = np.searchsorted(idx, rows * np.arange(1, n_g))
+            for i, (lo, hi) in enumerate(zip(ends, ends[1:]), start=g):
+                totals[i] += rep.multiplicity * complex(np.sum(f[lo:hi]))
     return totals, n_points
 
 
@@ -469,7 +540,7 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
         per_shift, n_points = _lattice_totals(patterns, p, xi_alpha, t, seed)
         totals = per_shift.mean(axis=1)
     else:
-        totals, n_points = _tensor_totals(patterns, nodes, xi_alpha, t)
+        totals, n_points = _tensor_totals(patterns, p, nodes, xi_alpha, t)
     values = _finite_values(prefs, totals, p, cfg.N)
 
     meta = {"method": "lattice" if nodes is None else "tensor",

@@ -551,6 +551,20 @@ def test_growth_refuses_overflowing_window_mass(capsys):
                             "at t=1 is not finite\n")
 
 
+def test_simulate_refuses_overflowing_norm_column(tmp_path, capsys):
+    # the H^80 weight (about 1e120 at mode 17) and the scaled amplitude are
+    # each finite, but their product overflowed in full_norm: a numpy
+    # warning, inf in every full_h80 row, and exit 0
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--scale", "1e60", "--norm-s", "80", "--sign",
+                 "0", "--t-end", "0.01", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --norm-s 80 at --scale 1e+60: the "
+                            "full_h80 norm is not finite at t=0\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("every", ["0", "-3"])
 def test_simulate_refuses_observe_every_below_one(tmp_path, capsys, every):
     out = tmp_path / "traj.csv"

@@ -10,7 +10,8 @@ from scipy.integrate import quad
 
 from bqlab import flow_derivative
 from bqlab.acceptance import NEAR_RESONANCE, _mp_kernel
-from bqlab.flow_derivative import (KERNEL_BLOCK, DerivativeProfile,
+from bqlab.flow_derivative import (DEFAULT_HORIZON, KERNEL_BLOCK,
+                                   DerivativeProfile,
                                    _representative_slots,
                                    flow_derivative_line,
                                    flow_derivative_torus, growth_table,
@@ -159,11 +160,72 @@ def test_kernel_exact_resonance_across_blocks():
     assert [out[pos] for pos in spots] == scalars
 
 
+def _bits(a):
+    return np.asarray(a, dtype=complex).tobytes()
+
+
+def test_kernel_alpha_per_row_matches_scalar_rows():
+    # one alpha per row against one scalar call per row, bit for bit: rows
+    # of 3000 betas (two to a block) and of KERNEL_BLOCK + 1808 (one row
+    # split at the block edge, as the scalar call splits it), holding
+    # beta = +-alpha, with a row at alpha = 0 and two rows sharing alpha
+    rng = np.random.default_rng(5)
+    for width in (64, 3000, KERNEL_BLOCK + 1808):
+        alpha = dispersion(rng.uniform(0.1, 6.0, 7))
+        alpha[2] = 0.0
+        alpha[4] = alpha[3]
+        beta = rng.uniform(-80.0, 80.0, (7, width))
+        beta[:, 0], beta[:, -1] = alpha, -alpha
+        for t in (0.0, 0.7, DEFAULT_HORIZON):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out = time_integral(alpha[:, None], beta, t)
+            rows = [time_integral(a, row, t)
+                    for a, row in zip(alpha.tolist(), beta)]
+            assert out.shape == beta.shape
+            assert _bits(out) == _bits(rows), (width, t)
+
+
+def test_kernel_alpha_broadcasts_against_beta():
+    # alpha per leading index of a 3-d beta, per column, and per entry
+    rng = np.random.default_rng(6)
+    beta = rng.uniform(-30.0, 30.0, (2, 3, 4))
+    alpha = dispersion(rng.uniform(0.1, 6.0, (2, 3, 4)))
+    ref = [time_integral(a, b, 0.8)
+           for a, b in zip(alpha.ravel().tolist(), beta.ravel().tolist())]
+    ref = np.array(ref).reshape(beta.shape)
+    assert _bits(time_integral(alpha, beta, 0.8)) == _bits(ref)
+    col = alpha[0, 0]
+    assert _bits(time_integral(col, beta, 0.8)) == _bits(
+        [[[time_integral(a, b, 0.8) for a, b in zip(col.tolist(), row)]
+          for row in plane] for plane in beta])
+    lead = alpha[:, :1, :1]
+    assert _bits(time_integral(lead, beta, 0.8)) == _bits(
+        [time_integral(float(a), b, 0.8) for a, b in zip(lead.ravel(), beta)])
+
+
+def test_kernel_scalar_alpha_kinds():
+    # a 0-d or numpy scalar alpha with a scalar beta gives a Python
+    # complex; a one-element alpha array gives an array
+    for alpha in (2.0, np.float64(2.0), np.array(2.0)):
+        val = time_integral(alpha, 0.5, 0.8)
+        assert isinstance(val, complex) and val == time_integral(2.0, 0.5,
+                                                                 0.8)
+    out = time_integral(np.array([2.0]), 0.5, 0.8)
+    assert isinstance(out, np.ndarray) and out.shape == (1,)
+    assert time_integral(np.zeros((0, 1)), np.ones(3), 0.8).shape == (0, 3)
+
+
 def test_kernel_validation():
     with pytest.raises(ValueError):
         time_integral(-1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         time_integral(1.0, 0.0, -0.5)
+    # one bad entry of an alpha array, per entry or per row
+    for bad in (-1.0, -1e-300, math.nan, math.inf):
+        for alpha in (np.array([1.0, bad]), np.array([[bad], [2.0]])):
+            with pytest.raises(ValueError, match=f"alpha={bad}"):
+                time_integral(alpha, np.array([1.0, 2.0]), 1.0)
     for alpha, t, bad in ((math.nan, 1.0, "alpha=nan"),
                           (math.inf, 1.0, "alpha=inf"),
                           (1.0, math.nan, "t=nan"), (1.0, math.inf, "t=inf"),
@@ -445,9 +507,9 @@ def test_line_lattice_accuracy_oracle(monkeypatch, p, levels, bias):
     assert 0.0 < lat.meta["err_est"] < 1e-2
 
 
-def _reference_prefactor(pair, p, xi):
+def _reference_prefactor(pair, p, xi, sign=1):
     cfg = pair.config
-    return (math.factorial(p) * np.asarray(xi) ** 2
+    return (sign * math.factorial(p) * np.asarray(xi) ** 2
             / (float(cfg.N) ** (p * cfg.sigma) * dispersion(xi)))
 
 
@@ -477,16 +539,18 @@ def _reference_integrand(slots, xi, alpha, t, outer, offsets, weight):
     return rows, weight * h[:, None] * _reference_kernel(alpha, beta, t)
 
 
-def _reference_line(pair, p, t, nodes, n_xi):
+def _reference_line(pair, p, t, nodes, n_xi, sign=1):
     """flow_derivative_line's tensor rule as a direct loop: the full
-    nodes^(p-1) grid rebuilt at every xi node."""
+    nodes^(p-1) grid rebuilt at every xi node, one kernel call per xi node
+    and pattern. Also returns how many (xi node, pattern) clips were
+    empty."""
     wlo, whi = pair.output_window
     patterns = enumerate_representations((wlo, whi), p,
                                          frequency_set(pair.config))
     h_xi = (whi - wlo) / n_xi
     xis = wlo + (np.arange(n_xi) + 0.5) * h_xi
     values = np.zeros(n_xi, dtype=complex)
-    n_points = 0
+    n_points = n_empty = 0
     for i, xi in enumerate(xis.tolist()):
         alpha = dispersion(xi)
         total = 0.0 + 0.0j
@@ -500,29 +564,59 @@ def _reference_line(pair, p, t, nodes, n_xi):
             _, f = _reference_integrand(slots, xi, alpha, t, pts, offsets,
                                         weight)
             n_points += f.size
+            n_empty += f.size == 0
             total += rep.multiplicity * complex(np.sum(f))
-        values[i] = _reference_prefactor(pair, p, xi) * total
+        values[i] = _reference_prefactor(pair, p, xi, sign) * total
 
     meta = {"method": "tensor", "n_patterns": len(patterns),
             "nodes_per_dim": nodes, "mc_samples": None,
             "n_points": n_points, "warnings": []}
-    return xis, values, meta
+    return xis, values, meta, n_empty
+
+
+def _assert_line_bitwise(monkeypatch, p, N, t, sign=1, n_xi=9):
+    # every float operation in the reference's order, on the full grid
+    # (16 nodes/dim for the forced p = 4, 5 runs, 4 for p = 6..9)
+    pair = build_witness(WitnessConfig(Domain.LINE, p, N, s=-1.0))
+    nodes = 64 if p <= 3 else (16 if p <= 5 else 4)
+    monkeypatch.setattr(flow_derivative, "LINE_XI_NODES", n_xi)
+    monkeypatch.setattr(flow_derivative, "LINE_NODES", {p: nodes})
+    prof = flow_derivative_line(pair, p, t, sign=sign)
+    xis, values, meta, n_empty = _reference_line(pair, p, t, nodes, n_xi,
+                                                 sign)
+    assert np.array_equal(prof.xi, xis)
+    assert np.array_equal(prof.values, values)
+    assert prof.meta == meta
+    return n_empty
 
 
 @pytest.mark.parametrize("p", range(2, 10))
 @pytest.mark.parametrize("N", [16, 64])
 def test_line_bitwise_against_reference(monkeypatch, p, N):
-    # every float operation in the reference's order, on the full grid
-    # (4 nodes/dim for the forced p = 6..9 runs)
-    pair = build_witness(WitnessConfig(Domain.LINE, p, N, s=-1.0))
-    nodes = 64 if p <= 3 else (16 if p <= 5 else 4)
-    monkeypatch.setattr(flow_derivative, "LINE_XI_NODES", 9)
-    monkeypatch.setattr(flow_derivative, "LINE_NODES", {p: nodes})
-    prof = flow_derivative_line(pair, p, 0.9)
-    xis, values, meta = _reference_line(pair, p, 0.9, nodes, 9)
-    assert np.array_equal(prof.xi, xis)
-    assert np.array_equal(prof.values, values)
-    assert prof.meta == meta
+    _assert_line_bitwise(monkeypatch, p, N, 0.9)
+
+
+@pytest.mark.parametrize("p,N,t,sign,n_xi,block", [
+    (2, 1, 0.9, 1, 9, None),
+    (4, 1, 0.9, 1, 9, None),
+    (2, 16, 0.0, 1, 9, None),
+    (3, 16, 0.0, -1, 9, None),
+    (2, 16, DEFAULT_HORIZON, 1, 9, None),
+    (3, 64, DEFAULT_HORIZON, 1, 9, None),
+    (2, 64, 0.9, -1, 33, None),
+    (3, 1, 0.9, -1, 9, None),            # empty clips, one node per call
+    (2, 16, 0.7, 1, 33, 1024),           # groups of 8, 8, 8, 8 and 1 nodes
+    (3, 1, 0.7, 1, 33, 5 * 8192),        # groups of 5 nodes with empty clips
+    (3, 16, DEFAULT_HORIZON, -1, 9, 4 * 8192),   # groups of 4, 4 and 1
+], ids=lambda v: str(v))
+def test_line_bitwise_edges(monkeypatch, p, N, t, sign, n_xi, block):
+    # N = 1, t = 0 and the horizon, sign -1, xi nodes whose clip is empty,
+    # and KERNEL_BLOCK moved so that a profile's nodes are grouped other
+    # than at the default (groups of at most KERNEL_BLOCK / 2 points)
+    if block is not None:
+        monkeypatch.setattr(flow_derivative, "KERNEL_BLOCK", block)
+    n_empty = _assert_line_bitwise(monkeypatch, p, N, t, sign, n_xi)
+    assert (n_empty > 0) == (p == 3 and N == 1)
 
 
 def test_line_n_points_counts_kernel_points(monkeypatch):
@@ -610,6 +704,21 @@ def test_lattice_generating_vector():
         errs = ((1.0 + (table - 1.0) / j ** 2) * prod).mean(axis=1) - 1.0
         assert errs[zj - 1] <= errs.min() * (1.0 + 1e-12)
         prod *= 1.0 + (table[zj - 1] - 1.0) / j ** 2
+
+
+def test_lattice_column_matches_mod_fold():
+    # the floor fold x - floor(x) against x % 1.0 on [0, 2): shift 0, the
+    # largest double below 1, and shifts 1 - {k z / n} that put k z / n +
+    # shift on 1.0 exactly
+    n, z = 61, 17
+    frac = np.arange(n) * z % n / n
+    onto_one = [1.0 - f for f in frac.tolist() if f >= 0.5][:4]
+    shifts = np.array([0.0, 1.0 - 2.0 ** -53, *onto_one])
+    x = np.add.outer(shifts, frac)
+    assert (x == 1.0).sum() >= 4 and x.max() < 2.0
+    ref = 1.0 - np.abs(2.0 * (x % 1.0) - 1.0)
+    col = flow_derivative._lattice_column(n, z, shifts)
+    assert col.tobytes() == ref.tobytes()
 
 
 def test_lattice_integrates_smooth_product():

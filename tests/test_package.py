@@ -1,6 +1,7 @@
 """Import hygiene: submodules stay reachable as modules, and the package's
 public names all resolve."""
 import ast
+import collections
 import importlib.util
 import inspect
 import os
@@ -10,8 +11,10 @@ import sys
 import types
 
 import bqlab
+from bqlab import flow_derivative
 from bqlab.flow_derivative import growth_table
 from bqlab.spectral import Domain
+from bqlab.witness import WitnessConfig, build_witness
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(bqlab.__path__))
 
@@ -108,15 +111,23 @@ def test_no_dead_definitions():
             if name not in read] == []
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACING = os.path.join(ROOT, "perfbench", "tracing.py")
+
+
+def _tracing_module():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_benchmark_entry_points_resolve():
     # the benchmark traces the LAYERS names and calls growth_table with a
     # line quadrature seed; a renamed function or keyword would fail only
     # there
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", os.path.join(root, "perfbench", "tracing.py"))
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _tracing_module()
     assert tracing.LAYERS
     for owner_path, attr, _name, _count in tracing.LAYERS:
         module_name, _, cls = owner_path.partition(".")
@@ -126,3 +137,50 @@ def test_benchmark_entry_points_resolve():
         assert callable(getattr(owner, attr, None)), (owner_path, attr)
     inspect.signature(growth_table).bind(
         4, Domain.LINE, -1.0, None, 1.0, [16, 32], seed=7)
+
+
+def test_benchmark_reads_existing_profile_meta(monkeypatch):
+    # the benchmark's line counter reads profile meta keys by name: each
+    # key it reads exists in a tensor (p = 2) or a lattice (p = 4) profile,
+    # and the counter runs on both, so a renamed key fails here rather than
+    # as a KeyError inside a traced op
+    with open(TRACING) as fh:
+        tree = ast.parse(fh.read())
+    keys = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name) and node.value.id == "meta"
+            and isinstance(node.slice, ast.Constant)}
+    assert {"method", "n_patterns", "nodes_per_dim", "mc_samples"} <= keys
+    monkeypatch.setattr(flow_derivative, "LINE_XI_NODES", 3)
+    monkeypatch.setattr(flow_derivative, "LINE_LATTICE_POINTS", 61)
+    profiles = [flow_derivative.flow_derivative_line(
+        build_witness(WitnessConfig(Domain.LINE, p, 16, s=-1.0)), p, 1.0)
+        for p in (2, 4)]
+    assert [pr.meta["method"] for pr in profiles] == ["tensor", "lattice"]
+    assert keys <= set(profiles[0].meta) | set(profiles[1].meta)
+    counts = collections.defaultdict(float)
+    count_line = _tracing_module()._count_line
+    for prof in profiles:
+        count_line(counts, (), {}, prof)
+    assert counts["flow_derivative.line_patterns"] > 0
+
+
+def test_kernel_calls_pass_beta_second():
+    # the benchmark's kernel counter reads beta as args[1]: every call of
+    # time_integral in src/bqlab passes alpha and beta positionally, with
+    # no star expansion
+    src = os.path.dirname(bqlab.__file__)
+    calls = []
+    for f in sorted(os.listdir(src)):
+        if f.endswith(".py"):
+            with open(os.path.join(src, f)) as fh:
+                tree = ast.parse(fh.read(), f)
+            calls += [(f, node) for node in ast.walk(tree)
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(
+                          node.func, "attr", None)) == "time_integral"]
+    assert len(calls) >= 3
+    for f, call in calls:
+        assert len(call.args) >= 2, (f, call.lineno)
+        assert not any(isinstance(a, ast.Starred) for a in call.args[:2]), (
+            f, call.lineno)
