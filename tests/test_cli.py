@@ -216,6 +216,15 @@ def test_exit_code_budget():
                  "--n-list", "8"]) == 2
 
 
+def test_resonance_refuses_scan_beyond_budget(capsys):
+    # 10 multisets x 10^9 scanned N: one line and exit 2, before any work
+    assert main(["resonance", "--scan-max", "1000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: resource budget exceeded: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_reproduce_single_criterion(tmp_path):
     out_dir = str(tmp_path / "report")
     os.makedirs(out_dir)

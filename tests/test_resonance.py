@@ -1,12 +1,13 @@
 """Representation enumeration, beta enclosures, and the count bookkeeping."""
 import itertools
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from bqlab import resonance
+from bqlab import resonance, witness
 from bqlab.acceptance import AUDIT_N
 from bqlab.errors import ResourceBudgetError
 from bqlab.resonance import (BetaRange, beta_range, closed_form_profiles,
@@ -162,6 +163,35 @@ def test_beta_range_torus_is_point():
     assert br.sign_definite
 
 
+def _slot_loop_bounds(rep):
+    """Reference: the interval bound of beta in a Python loop over the
+    slots, -lambda(hi) .. -lambda(lo) per plus slot, the torus modes as
+    points."""
+    lo = hi = 0.0
+    for sgn, payload in rep.slots:
+        a, b = (payload, payload) if rep.domain == Domain.TORUS else payload
+        la, lb = dispersion(a), dispersion(b)
+        lo, hi = (lo - lb, hi - la) if sgn > 0 else (lo + la, hi + lb)
+    return lo, hi
+
+
+@pytest.mark.parametrize("domain", [Domain.TORUS, Domain.LINE])
+def test_plain_enclosures_match_slot_loop(domain):
+    # without a window, beta_range is the interval bound added slot by
+    # slot in slot order, bit for bit; on the torus that is the exact beta
+    tested = 0
+    for p in range(2, 10):
+        for N in (2, 3, 16, 100, 1000):
+            A = frequency_set(WitnessConfig(domain, p, N, s=0.0))
+            # the torus zero mode, every line pattern
+            target = 0 if domain == Domain.TORUS else (-math.inf, math.inf)
+            for rep in enumerate_representations(target, p, A):
+                br = beta_range(rep)
+                assert (br.lo, br.hi) == _slot_loop_bounds(rep)
+                tested += 1
+    assert tested > 200
+
+
 def test_beta_range_line_even_frozen_bracket():
     # p = 2, N = 100: the window-constrained enclosure sits in
     # [-102.5, -48.5]; plain interval arithmetic would straddle zero
@@ -225,6 +255,21 @@ def test_refined_enclosures_hold_sampled_tuples(p):
             assert np.all(br.lo - tol <= beta) and np.all(beta <= br.hi + tol)
             tested[N] += len(x)
     assert len(tested) == 6 and min(tested.values()) > 100
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_window_only_shrinks_the_interval_bound(p):
+    # windows about zero and at random: the windowed enclosure lies inside
+    # the interval bound, where the exact range widened by its rounding
+    # slack alone can stick out
+    rng = np.random.default_rng(p)
+    windows = [(-0.5, 0.5)] + [tuple(sorted(rng.uniform(-3.0, 3.0, 2)))
+                               for _ in range(10)]
+    for N in (1, 3, 16):
+        for window in windows:
+            for rep in enumerate_representations(window, p, _line_set(p, N)):
+                plain, br = beta_range(rep), beta_range(rep, window=window)
+                assert br is None or plain.lo <= br.lo <= br.hi <= plain.hi
 
 
 def _attained_betas(rep, window, rng, n_draws=2000):
@@ -346,17 +391,34 @@ def _assert_sandwich(exact, items, window, n_cells):
 _GRID_CELLS = {2: 128, 3: 32, 4: 16}   # by the number of groups
 
 
+def _one_row(items, window):
+    """The batched enclosure of one row of slot groups, None if unreached."""
+    shape = tuple((sgn, m) for sgn, m, _, _ in items)
+    lo, hi = (np.array([[item[k] for item in items]]) for k in (2, 3))
+    blo, bhi = resonance._constrained_beta_range(shape, lo, hi, window)
+    return None if np.isnan(blo[0]) else BetaRange(float(blo[0]),
+                                                   float(bhi[0]))
+
+
 def test_constrained_enclosure_matches_dense_grid_on_audits(monkeypatch):
-    # every refined call of criterion 4's audits: the exact enclosure lies
-    # inside the dense grid, which lies inside the grid 4 times coarser
+    # every row of every refined call of criterion 4's audits, so every N:
+    # the exact enclosure lies inside the dense grid, which lies inside the
+    # grid 4 times coarser
     seen = Counter()
     exact = resonance._constrained_beta_range
 
-    def checked(items, window):
-        got = exact(items, window)
-        _assert_sandwich(got, items, window, _GRID_CELLS[len(items)])
-        seen[len(items)] += 1
-        return got
+    def checked(shape, lo, hi, window):
+        got_lo, got_hi = exact(shape, lo, hi, window)
+        wlo, whi = (np.broadcast_to(w, len(lo)) for w in window)
+        for i in range(len(lo)):
+            items = [(sgn, m, a, b) for (sgn, m), a, b
+                     in zip(shape, lo[i].tolist(), hi[i].tolist())]
+            got = (None if np.isnan(got_lo[i])
+                   else BetaRange(float(got_lo[i]), float(got_hi[i])))
+            _assert_sandwich(got, items, (float(wlo[i]), float(whi[i])),
+                             _GRID_CELLS[len(shape)])
+            seen[len(shape)] += 1
+        return got_lo, got_hi
 
     monkeypatch.setattr(resonance, "_constrained_beta_range", checked)
     for p in range(2, 10):
@@ -401,10 +463,37 @@ def test_constrained_enclosure_matches_dense_grid_random(n_cells):
             reach = sum(m * (hi if s > 0 else lo) * s for s, m, lo, hi in items)
             mid = float(rng.uniform(-abs(reach), abs(reach)))
             window = (mid - width, mid + width)
-        exact = resonance._constrained_beta_range(items, window)
+        exact = _one_row(items, window)
         _assert_sandwich(exact, items, window, n_cells)
         outcomes[exact is None] += 1
     assert outcomes[False] > 60 and outcomes[True] > 0
+
+
+@pytest.mark.parametrize("shape", [((-1, 2), (1, 1)),
+                                   ((1, 2), (-1, 1), (1, 2)),
+                                   ((-1, 1), (1, 3), (-1, 2), (1, 1))])
+def test_constrained_enclosure_rows_match_one_row_calls(shape):
+    # rows of one shape with their own intervals and windows, some out of
+    # reach: each row's enclosure has the bits of its one-row call
+    rng = np.random.default_rng(len(shape))
+    lo = rng.uniform(0.2, 60.0, size=(40, len(shape)))
+    hi = lo + rng.uniform(0.01, 3.0, size=lo.shape)
+    sgn, m = np.array(shape).T
+    reach = (np.where(sgn > 0, hi, lo) * sgn * m).sum(axis=1)
+    mid = rng.uniform(-1.5, 1.5, size=40) * np.abs(reach)
+    width = rng.exponential(2.0, size=40)
+    window = (mid - width, mid + width)
+    got_lo, got_hi = resonance._constrained_beta_range(shape, lo, hi, window)
+    missed = 0
+    for i in range(40):
+        items = [(s, k, a, b) for (s, k), a, b in zip(shape, lo[i], hi[i])]
+        one = _one_row(items, (window[0][i], window[1][i]))
+        if one is None:
+            assert np.isnan(got_lo[i]) and np.isnan(got_hi[i])
+            missed += 1
+        else:
+            assert (got_lo[i], got_hi[i]) == (one.lo, one.hi)
+    assert 0 < missed < 40
 
 
 def test_beta_range_rejects_inverted():
@@ -527,6 +616,133 @@ def test_window_reaching_tallies_are_the_diophantine_profiles(p):
     profiles = solve_diophantine(p)
     for N in range(3, 65):
         assert _window_tallies(p, N) == profiles
+
+
+def _audit_one_N_at_a_time(p, domain, N_list, scan_max=None):
+    """Reference audit: (N0, per_N) from one N at a time through the
+    public enumerate_representations and beta_range, the nearest gap from
+    every multiset of p signed components. The set is looked up through
+    the witness module, so a patched one is seen."""
+    wanted = set(N_list)
+    scan_hi = scan_max or max(wanted)
+    last_bad, per_N = 0, []
+    for N in sorted(set(range(1, scan_hi + 1)) | wanted):
+        cfg = WitnessConfig(domain, p, N, s=0.0)
+        try:
+            A = witness.frequency_set(cfg)
+        except ValueError:    # odd p on the torus at N = 1
+            continue
+        window = output_window(cfg)
+        scale = float(N) ** (1 if p % 2 == 0 else 2)
+        lows, highs, violations = [], [], []
+        for rep in enumerate_representations(window, p, A):
+            br = beta_range(rep, window=window)
+            if br is None:
+                continue
+            if br.lo >= 0.0:
+                alo, ahi = br.lo, br.hi
+            elif br.hi <= 0.0:
+                alo, ahi = -br.hi, -br.lo
+            else:
+                alo, ahi = 0.0, max(-br.lo, br.hi)
+            lows.append(alo / scale)
+            highs.append(ahi / scale)
+            if not (br.hi < 0.0 if p % 2 == 0 else br.lo > 0.0):
+                violations.append({"counts": list(rep.counts),
+                                   "multiplicity": rep.multiplicity,
+                                   "beta_lo": br.lo, "beta_hi": br.hi})
+        if violations and N <= scan_hi:
+            last_bad = N
+        if N not in wanted:
+            continue
+        entry = {"N": N, "n_representations": len(lows),
+                 "beta_over_scale_min": min(lows) if lows else None,
+                 "beta_over_scale_max": max(highs) if highs else None,
+                 "violations": violations}
+        if not lows:
+            wlo, whi = (window,) * 2 if domain == Domain.TORUS else window
+            ends = [(a, a) if domain == Domain.TORUS else (a[0], a[1])
+                    for a in A.components]
+            signed = [e for e in ends] + [(-b, -a) for a, b in ends]
+            entry["nearest_gap"] = float(min(
+                max(wlo - math.fsum(b for _, b in combo),
+                    math.fsum(a for a, _ in combo) - whi, 0.0)
+                for combo in itertools.combinations_with_replacement(
+                    signed, p)))
+        per_N.append(entry)
+    return last_bad + 1, per_N
+
+
+_AUDIT_CASES = ([(p, domain, 128) for p in range(2, 10)
+                 for domain in (Domain.TORUS, Domain.LINE)]
+                + [(3, Domain.TORUS, 512)])
+
+
+@pytest.mark.parametrize("p,domain,N_max", _AUDIT_CASES)
+def test_audit_matches_one_N_at_a_time(p, domain, N_max):
+    # every N of the scan reported: entries, violation records, nearest
+    # gaps and N0 equal the reference bit for bit; odd p on the torus
+    # starts at N = 2, and the scan skips N = 1
+    first = 2 if p % 2 and domain == Domain.TORUS else 1
+    N_list = range(first, N_max + 1)
+    report = verify_resonance_bounds(p, domain, N_list)
+    N0, per_N = _audit_one_N_at_a_time(p, domain, N_list)
+    assert [e["N"] for e in report.per_N] == list(N_list)
+    assert report.per_N == per_N and report.N0 == N0
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("domain", [Domain.TORUS, Domain.LINE])
+def test_audit_matches_one_N_at_a_time_unreached(monkeypatch, p, domain):
+    # the even-p set under an odd-p window: past the first few N nothing
+    # reaches it, and the entries report their nearest gap; one N per
+    # block, so that most blocks have no hit at all
+    def wrong(cfg):
+        N = cfg.N
+        return FrequencySet(domain, (N, N + 1) if domain == Domain.TORUS
+                            else ((float(N), float(N + 1)),))
+
+    monkeypatch.setattr("bqlab.witness.frequency_set", wrong)
+    monkeypatch.setattr(resonance, "AUDIT_BLOCK", 1)
+    report = verify_resonance_bounds(p, domain, range(1, 65))
+    N0, per_N = _audit_one_N_at_a_time(p, domain, range(1, 65))
+    assert sum("nearest_gap" in e for e in per_N) >= 55
+    assert report.per_N == per_N and report.N0 == N0
+
+
+@pytest.mark.parametrize("block", [1, 50, 2 ** 11])
+@pytest.mark.parametrize("p,domain", [(2, Domain.LINE), (3, Domain.TORUS),
+                                      (5, Domain.LINE), (8, Domain.TORUS)])
+def test_audit_blocks_split_anywhere(monkeypatch, block, p, domain):
+    # blocks of one N, a few N and many N (the count rows of p = 8 on the
+    # torus alone outgrow 50 entries); requested N inside and beyond a
+    # dense scan whose violations only N0 reports
+    monkeypatch.setattr(resonance, "AUDIT_BLOCK", block)
+    N_list, scan_max = [3, 16, 40, 90], 24
+    report = verify_resonance_bounds(p, domain, N_list, scan_max=scan_max)
+    N0, per_N = _audit_one_N_at_a_time(p, domain, N_list, scan_max)
+    assert report.per_N == per_N and report.N0 == N0
+
+
+def test_audit_memory_stays_flat():
+    # 2,002 multisets x 1,024 N would be 16 MB per array at once; blocks of
+    # AUDIT_BLOCK entries keep the peak at a few arrays of 0.25 MB
+    verify_resonance_bounds(9, Domain.TORUS, [8])    # warm the caches
+    tracemalloc.start()
+    try:
+        report = verify_resonance_bounds(9, Domain.TORUS, [1024])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.per_N[0]["n_representations"] > 0
+    assert peak < 2 * 2 ** 20
+
+
+def test_audit_budget_counts_scanned_n():
+    # refused before any N is audited: 10 multisets x 10^9 N
+    with pytest.raises(ResourceBudgetError, match="at 1000000000 N") as info:
+        verify_resonance_bounds(2, Domain.TORUS, [16], scan_max=10 ** 9)
+    assert info.value.estimated == 10 ** 10
 
 
 def test_audits_refuse_empty_n_list():
