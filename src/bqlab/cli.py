@@ -9,8 +9,8 @@ it (reproduce-all: <out_dir>/criteria_summary.json) with a manifest
 time, output path) beside it; without --out (--out-dir) no file is written.
 
 Exit codes: 0 success, 1 validation failure, unreadable input or output
-file, or failed checks, 2 enumeration budget exceeded (argparse also
-exits 2 on malformed flags).
+file, or failed checks, 2 enumeration or simulation work budget exceeded,
+before the work starts (argparse also exits 2 on malformed flags).
 """
 from __future__ import annotations
 

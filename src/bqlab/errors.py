@@ -2,7 +2,7 @@
 
 
 class ResourceBudgetError(RuntimeError):
-    """Raised when a representation enumeration would exceed its budget.
+    """Raised when an enumeration or a simulation would exceed its budget.
 
     Carries the estimated cost so callers (and the CLI, which maps this to
     exit code 2) can report how far over budget the request was.

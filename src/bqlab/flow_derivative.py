@@ -17,24 +17,24 @@ The one-sided-wave structure of the witness is what collapses each slot to
 the pure phase e^{-i eps lambda(a) tau}, making K the only time dependence.
 This module evaluates K by one half-angle formula that holds through the
 resonance |beta| = lambda(xi), with the sine and cosine of the half angle
-taken from a single tangent of its half; alpha may be given per row of
-beta, so that one call serves several xi nodes. It assembles the profile
-exactly on the torus and, on the line, by tensor-product midpoint
-quadrature for the p that LINE_NODES lists (p = 2 and 3, at most one outer
-slot; at p = 2 all xi nodes go to the kernel in one call) and by a
-randomly shifted rank-1 lattice rule for every other p (innermost variable
-clipped exactly in both), at resolutions that are module constants, not
-options (LINE_XI_NODES, LINE_NODES, LINE_LATTICE_POINTS,
-LINE_LATTICE_SHIFTS). The lattice rule takes its generating vector
-component by component (Dick, Kuo & Sloan, Acta Numerica 22, 2013), folds
-its points by the tent transform so that a non-periodic integrand keeps
-the rule's accuracy (Hickernell, 2002), and reads its error from the
-spread of independent random shifts; the outer slot sums of a whole pool
-of shifts are formed once per pattern and shared by every xi node, each
-node taking its own run of LINE_LATTICE_SHIFTS shifts from the pool. It
-measures the profile's Sobolev mass on the output window and builds the
-N-sweep growth tables whose log-log slopes are the measured blow-up
-exponents.
+taken from a single tangent of its half, in one pass over the broadcast
+array; alpha may be given per row of beta, so that one call serves several
+xi nodes. It assembles the profile exactly on the torus and, on the line,
+by tensor-product midpoint quadrature for the p that LINE_NODES lists
+(p = 2 and 3, at most one outer slot; at p = 2 all xi nodes go to the
+kernel in one call) and by a randomly shifted rank-1 lattice rule for
+every other p (innermost variable clipped exactly in both), at resolutions
+that are module constants, not options (LINE_XI_NODES, LINE_NODES,
+LINE_LATTICE_POINTS, LINE_LATTICE_SHIFTS). The lattice rule takes its
+generating vector component by component (Dick, Kuo & Sloan, Acta
+Numerica 22, 2013), folds its points by the tent transform so that a
+non-periodic integrand keeps the rule's accuracy (Hickernell, 2002), and
+reads its error from the spread of independent random shifts; the outer
+slot sums of a whole pool of shifts are formed once per pattern and shared
+by every xi node, each node taking its own run of LINE_LATTICE_SHIFTS
+shifts from the pool. It measures the profile's Sobolev mass on the output
+window and builds the N-sweep growth tables whose log-log slopes are the
+measured blow-up exponents.
 """
 from __future__ import annotations
 
@@ -44,13 +44,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Domain, dispersion, write_csv
+from .spectral import Domain, checked_p, dispersion, write_csv
 from .witness import (WitnessConfig, WitnessPair, build_witness,
                       checked_n_list, data_norm, frequency_set)
 from .resonance import enumerate_representations
 
 DEFAULT_HORIZON = 2.0   # upper limit for measurement times
-KERNEL_BLOCK = 8192     # betas per block: the kernel's temporaries stay cached
+# the tensor rule's kernel calls take at most KERNEL_BLOCK / 2 nominal points
+KERNEL_BLOCK = 8192
 LINE_XI_NODES = 33      # midpoints of the line output window
 LINE_NODES = {2: 64, 3: 64}   # tensor nodes per dim, by p
 LINE_LATTICE_POINTS = 1021   # lattice points per shift (prime), unlisted p
@@ -59,14 +60,15 @@ LINE_LATTICE_SHIFTS = 8      # random shifts averaged at each xi node
 
 # -- the oscillatory time kernel --------------------------------------------
 
-def _kernel_block(b, a, sin_at, cos_at, t: float, out):
-    """time_integral on one block: K at the betas b into the complex array
-    out of b's shape. a, sin_at and cos_at are alpha, sin(alpha t) and
-    cos(alpha t), scalars or one value per row of b, with alpha t > 0."""
-    # in place, each sum and product in the order of the formula
+def _kernel_formula(b, a, sin_at, cos_at, t: float, out):
+    """K at the betas b into the complex array out, of the shape that b and
+    a broadcast to. a, sin_at and cos_at are alpha, sin(alpha t) and
+    cos(alpha t), floats or arrays, with alpha t > 0."""
+    # each sum and product in the order of the formula, in place once an
+    # array has the broadcast shape
     minus = np.abs(b)
     plus = minus + a
-    minus -= a
+    minus = minus - a
     y = minus * (0.5 * t)
     y *= 0.5
     h = np.tan(y, out=y)     # tan(Y/2)
@@ -108,58 +110,39 @@ def time_integral(alpha, beta, t: float):
 
     alpha is a scalar or an array that broadcasts against beta, such as
     one value per row; sin and cos of alpha t are taken once per distinct
-    value. One alpha is evaluated in flat blocks of KERNEL_BLOCK betas.
-    Otherwise the broadcast shape is read as rows along which alpha is
-    constant, in blocks of whole rows of at most KERNEL_BLOCK betas (one
-    row's columns when a row is longer). Scalars in, scalar out.
+    value, and K is 0 where alpha t is. The formula runs in one pass over
+    the whole broadcast array, with no internal blocks, so a call's
+    temporaries scale with its broadcast size. Scalars in, scalar out.
     """
     a = np.asarray(alpha, dtype=float)
     b = np.asarray(beta, dtype=float)
-    if a.size == 1:
-        lo = hi = a.item()
+    if a.ndim == 0:      # no reductions or broadcast for a scalar
+        lo = hi = float(a)
+        shape = b.shape
     else:
         lo, hi = a.min(initial=math.inf), a.max(initial=0.0)
+        shape = np.broadcast_shapes(a.shape, b.shape)
     if not (0.0 <= lo and hi < math.inf and 0.0 <= t < math.inf):   # or nan
         raise ValueError(f"need finite alpha >= 0 and t >= 0, got alpha="
                          f"{hi if 0.0 <= lo else lo} and t={t}")
-    out = np.zeros(b.shape if a.ndim == 0 else
-                   np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out = np.zeros(shape, dtype=complex)
     if not (out.size and hi * t > 0.0):   # K is 0 where alpha t is
         return complex(out) if out.ndim == 0 else out
-    if b.shape != out.shape:
-        b = np.broadcast_to(b, out.shape)
-    if lo == hi:         # one alpha
-        sin_at, cos_at = math.sin(lo * t), math.cos(lo * t)
-        flat_b, flat_k = b.reshape(-1), out.reshape(-1)
-        for i in range(0, flat_b.size, KERNEL_BLOCK):
-            blk = slice(i, i + KERNEL_BLOCK)
-            _kernel_block(flat_b[blk], lo, sin_at, cos_at, t, flat_k[blk])
-        return complex(out) if out.ndim == 0 else out
-    # rows: alpha is constant along the trailing axes where its shape is 1
-    a = a.reshape((1,) * (out.ndim - a.ndim) + a.shape)
-    lead = out.ndim
-    while a.shape[lead - 1] == 1:
-        lead -= 1
-    width = math.prod(out.shape[lead:])
-    a = np.broadcast_to(a, out.shape[:lead] + a.shape[lead:]).reshape(-1, 1)
-    rows_b, rows_k = b.reshape(-1, width), out.reshape(-1, width)
-    at = a * t
-    values, run = np.unique(at, return_inverse=True)
-    sin_at, cos_at = (np.array(col)[run].reshape(-1, 1) for col in zip(
-        *[(math.sin(x), math.cos(x)) for x in values.tolist()]))
-    # alpha = 1 where alpha t = 0 keeps 0/0 out of the formula; those rows
-    # are zeroed below
-    dead = at == 0.0
-    a = np.where(dead, 1.0, a)
-    n_rows, n_cols = max(1, KERNEL_BLOCK // width), min(width, KERNEL_BLOCK)
-    for r in range(0, len(rows_b), n_rows):
-        rows = slice(r, r + n_rows)
-        for c in range(0, width, n_cols):
-            blk = rows, slice(c, c + n_cols)
-            _kernel_block(rows_b[blk], a[rows], sin_at[rows], cos_at[rows],
-                          t, rows_k[blk])
-    rows_k[dead.ravel()] = 0.0
-    return out
+    if lo == hi:     # one alpha, as a float: cheaper in the formula
+        a = float(lo)
+        sin_at, cos_at = math.sin(a * t), math.cos(a * t)
+    else:
+        at = a * t
+        values, run = np.unique(at, return_inverse=True)
+        sin_at, cos_at = np.array([(math.sin(x), math.cos(x)) for x in
+                                   values.tolist()]).T[:, run.reshape(a.shape)]
+        if lo * t == 0.0:    # alpha = 1 where alpha t = 0 keeps 0/0 out of
+            a = np.where(at == 0.0, 1.0, a)    # the formula; zeroed below
+    # a 0-d out goes through as a one-entry view, which in-place ops take
+    _kernel_formula(np.atleast_1d(b), a, sin_at, cos_at, t, np.atleast_1d(out))
+    if lo * t == 0.0:    # some alpha t is 0, so lo < hi and at is set
+        np.copyto(out, 0.0, where=at == 0.0)
+    return complex(out) if out.ndim == 0 else out
 
 
 # -- evaluated profiles ------------------------------------------------------
@@ -198,7 +181,9 @@ def window_sobolev_mass(profile: DerivativeProfile, s: float) -> float:
 
 
 def _validate_eval(pair: WitnessPair, p: int, t: float, domain: Domain,
-                   sign: int):
+                   sign: int) -> int:
+    """p as an int, once the evaluation's arguments are checked."""
+    p = checked_p(p)
     if sign not in (-1, 1):
         raise ValueError(f"sign must be -1 or +1, got {sign}")
     if pair.config.domain != domain:
@@ -207,6 +192,7 @@ def _validate_eval(pair: WitnessPair, p: int, t: float, domain: Domain,
         raise ValueError(f"p={p} does not match witness p={pair.config.p}")
     if not (0.0 <= t <= DEFAULT_HORIZON):
         raise ValueError(f"t={t} outside [0, {DEFAULT_HORIZON}]")
+    return p
 
 
 def _prefactors(pair: WitnessPair, p: int, xi, sign: int) -> np.ndarray:
@@ -248,7 +234,7 @@ def flow_derivative_torus(pair: WitnessPair, p: int, t: float, *,
     multiplicity * K(alpha, beta, t) in the (deterministic) lexicographic
     multiset order.
     """
-    _validate_eval(pair, p, t, Domain.TORUS, sign)
+    p = _validate_eval(pair, p, t, Domain.TORUS, sign)
     cfg = pair.config
     xi = int(pair.output_window)
     pref = _prefactors(pair, p, [float(xi)], sign)[0]
@@ -438,18 +424,13 @@ def _tensor_totals(patterns, p: int, nodes: int, xi_alpha, t: float):
         volume = math.prod((hi - lo) / nodes for lo, hi in outer)
         for g in range(0, n_xi, group):
             n_g = min(group, n_xi - g)
-            if n_g == 1:     # one node: scalar xi and alpha
-                xi, alpha = xis[g], alphas[g]
-            else:
-                xi, alpha = (np.repeat(v[g:g + n_g], rows)
-                             for v in (xis, alphas))
+            xi, alpha = (np.repeat(v[g:g + n_g], rows) for v in (xis, alphas))
             idx, f = _pattern_integrand(slots, xi, alpha, t,
                                         S_out[:n_g * rows],
                                         P_out[:n_g * rows], offsets, volume)
             n_points += f.size
-            ends = [0, len(f)]
-            if n_g > 1:      # where each node's rows start in idx
-                ends[1:1] = np.searchsorted(idx, rows * np.arange(1, n_g))
+            # where each node's rows start in idx, and the end
+            ends = np.searchsorted(idx, rows * np.arange(n_g + 1)).tolist()
             for i, (lo, hi) in enumerate(zip(ends, ends[1:]), start=g):
                 totals[i] += rep.multiplicity * complex(np.sum(f[lo:hi]))
     return totals, n_points
@@ -522,7 +503,7 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
     "mc_halfwidth_max", the largest 95% half-width, that standard error
     times the Student t quantile with q - 1 degrees of freedom.
     """
-    _validate_eval(pair, p, t, Domain.LINE, sign)
+    p = _validate_eval(pair, p, t, Domain.LINE, sign)
     cfg = pair.config
     wlo, whi = pair.output_window
     nodes = LINE_NODES.get(p)
@@ -616,7 +597,7 @@ def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
     that is not finite and positive (t = 0, say, or t so small that the
     profile underflows) is refused: the ratio would have no logarithm.
     """
-    N_list = checked_n_list(N_list, 2)
+    p, N_list = checked_p(p), checked_n_list(N_list, 2)
     records = []
     logN, logR = [], []
     for N in N_list:

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResourceBudgetError
-from .spectral import Domain, FrequencySet, dispersion
+from .spectral import Domain, FrequencySet, checked_p, dispersion
 from . import witness as _witness
 
 ENUMERATION_BUDGET = 10 ** 8
@@ -104,11 +104,20 @@ def _multiset_counts(n_sym: int, p: int):
     return np.array(rows, dtype=np.int64)
 
 
-def _far_class_start(domain: Domain, n_components: int) -> int:
+def _tallies_of(p: int, domain: Domain, sgn, ci, counts):
+    """Two lists: the tally (n1, n2, n3, n4) and the multiplicity
+    p! / prod(c!) of each row of counts over symbols of signs sgn and
+    components ci."""
+    n_comp = len(ci) // 2
     # the far (near-2N) class is the last component of the odd-p sets
-    if n_components >= 2 and (domain == Domain.LINE or n_components == 3):
-        return n_components - 1
-    return n_components
+    far = (n_comp >= 2 and (domain == Domain.LINE or n_comp == 3)
+           and ci == n_comp - 1)
+    # row k of tally marks the count of (n1, n2, n3, n4) symbol k adds to
+    tally = np.eye(4, dtype=np.int64)[(sgn < 0) + 2 * far]
+    fact = [math.factorial(c) for c in range(p + 1)]
+    return ((counts @ tally).tolist(),
+            [fact[p] // math.prod(fact[c] for c in row)
+             for row in counts.tolist()])
 
 
 def _check_budget(p: int, n_components: int, n_N: int = 1) -> int:
@@ -170,23 +179,18 @@ def enumerate_representations(target, p: int, A: FrequencySet):
     Raises ResourceBudgetError when the multiset count would exceed
     ENUMERATION_BUDGET.
     """
-    if p < 2 or int(p) != p:
-        raise ValueError("p must be an integer >= 2")
+    p = checked_p(p)
     sgn, ci, counts, lo_sum, hi_sum = _signed_sum_bounds(
         p, _interval_array([A]))
     wlo, whi = (int(target),) * 2 if A.domain == Domain.TORUS else target
     hits = counts[(hi_sum[:, 0] >= wlo) & (lo_sum[:, 0] <= whi)]
-    far_start = _far_class_start(A.domain, len(A.components))
-    # row k of tally marks the count of (n1, n2, n3, n4) symbol k adds to
-    tally = np.eye(4, dtype=np.int64)[(sgn < 0) + 2 * (ci >= far_start)]
     slots = [(s, A.components[c]) for s, c in zip(sgn.tolist(), ci.tolist())]
-    fact = [math.factorial(c) for c in range(p + 1)]
+    tallies, mults = _tallies_of(p, A.domain, sgn, ci, hits)
     return [Representation(A.domain,
                            tuple(slot for slot, c in zip(slots, row)
                                  for _ in range(c)),
-                           tuple(tal),
-                           fact[p] // math.prod(fact[c] for c in row))
-            for row, tal in zip(hits.tolist(), (hits @ tally).tolist())]
+                           tuple(tal), mult)
+            for row, tal, mult in zip(hits.tolist(), tallies, mults)]
 
 
 # -- beta enclosures --------------------------------------------------------
@@ -366,18 +370,6 @@ def _nearest_gap(lo_sum, hi_sum, wlo, whi):
     return float(np.maximum(below, above).min())
 
 
-def _violations(p, A, window):
-    """The violation records of one N, from its representations."""
-    records = []
-    for rep in enumerate_representations(window, p, A):
-        br = beta_range(rep, window=window)
-        if br is not None and not _clean(br.lo, br.hi, p):
-            records.append({"counts": list(rep.counts),
-                            "multiplicity": rep.multiplicity,
-                            "beta_lo": br.lo, "beta_hi": br.hi})
-    return records
-
-
 def _audit_block(p, domain, Ns, wanted):
     """Representations reaching the witness window at every N of a block,
     with beta verdicts, formed together.
@@ -412,11 +404,15 @@ def _audit_block(p, domain, Ns, wanted):
     for j, cfg in enumerate(cfgs):
         if cfg.N not in wanted:
             continue
-        here = reached & (col == j)
+        here, hit = reached & (col == j), bad & (col == j)
+        tallies, mults = _tallies_of(p, domain, sgn, ci, counts[row[hit]])
         entry = {"N": cfg.N, "n_representations": int(here.sum()),
                  "beta_over_scale_min": None, "beta_over_scale_max": None,
-                 "violations": (_violations(p, sets[j], windows[j])
-                                if bad[col == j].any() else [])}
+                 "violations": [{"counts": tal, "multiplicity": mult,
+                                 "beta_lo": lo, "beta_hi": hi}
+                                for tal, mult, lo, hi in zip(
+                                    tallies, mults, blo[hit].tolist(),
+                                    bhi[hit].tolist())]}
         if here.any():
             scale = float(cfg.N) ** (1 if p % 2 == 0 else 2)
             alo, ahi = _abs_range(blo[here], bhi[here])
@@ -443,8 +439,7 @@ def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
     in blocks (AUDIT_BLOCK), and multisets times audited N above
     ENUMERATION_BUDGET raise ResourceBudgetError before any of them is.
     """
-    if p < 2 or int(p) != p:    # the scan would skip every N as degenerate
-        raise ValueError("p must be an integer >= 2")
+    p = checked_p(p)    # p < 2: the scan would skip every N as degenerate
     wanted = set(_witness.checked_n_list(N_list))
     # _audit_block would drop a degenerate one without a word
     sets = [_witness.frequency_set(_witness.WitnessConfig(domain, p, N, s=0.0))
@@ -483,7 +478,8 @@ def solve_diophantine(p: int):
     have for odd p; the balance constraint is what cancels the order-N
     part of the signed sum.
     """
-    if p % 2 == 0 or p < 3:
+    p = checked_p(p)
+    if p % 2 == 0:
         raise ValueError("the count system applies to odd p >= 3")
     counts = _multiset_counts(4, p)
     n1, n2, n3, n4 = counts.T
@@ -499,7 +495,8 @@ def closed_form_profiles(p: int):
     balance equation forces 2k + 3g = p, so k is pinned to {0, 1, 2} by
     p mod 3 and each (n2, n3) split of k gives one profile.
     """
-    if p % 2 == 0 or p < 3:
+    p = checked_p(p)
+    if p % 2 == 0:
         raise ValueError("the count system applies to odd p >= 3")
     r = p % 3
     if r == 0:
@@ -538,6 +535,7 @@ def construct_representation(xi: float, p: int, N: int) -> ConstructedRepresenta
     times the attainable triplet range — and pads with (p - 3m)/2
     cancelling (+a0, -a0) pairs.
     """
+    p = checked_p(p)
     if p % 2 == 0:
         raise ValueError("the triplet construction applies to odd p")
     cfg = _witness.WitnessConfig(Domain.LINE, p, N, s=0.0)

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SimulationBlowup
-from .spectral import Domain, dispersion, free_flow_rotation
+from .errors import ResourceBudgetError, SimulationBlowup
+from .spectral import Domain, checked_p, dispersion, free_flow_rotation
 from .witness import (WitnessConfig, WitnessPair, build_witness,
                       checked_n_list, data_norm)
 
@@ -45,6 +45,9 @@ NAN_CHECK_EVERY = 16
 INFLATION_DT_FACTOR = 0.05      # inflation_experiment's dt times (2N + 2)
 INFLATION_WINDOW = (1, 2)       # the low modes inflation_experiment watches
 PROBE_EPS = (2.5e-3, 1.25e-3)   # fd_derivative_probe's stencil steps
+# row steps x M log2 M of one lockstep run; the largest that a criterion or
+# a CLI default makes is about 1.8e8 (criterion 8's N = 128 inflation run)
+SIMULATION_BUDGET = 10 ** 11
 
 
 def _fft_good_size(n: int) -> int:
@@ -72,8 +75,7 @@ class SimConfig:
     sign: int = 1
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError(f"need p >= 2, got {self.p}")
+        object.__setattr__(self, "p", checked_p(self.p))
         if self.K < 1:
             raise ValueError(f"need K >= 1, got {self.K}")
         if self.sign not in (-1, 0, 1):
@@ -344,7 +346,9 @@ def _integrate_lockstep(parts, t_end: float):
     (2, R, K+1) state, a _Workspace is built as the group forms, and each
     step is one Stepper._step call. Rows are advanced independently, so
     every part gets the bits of integrating it alone. Overflow on the way
-    to a blow-up is not warned about; the checks raise SimulationBlowup."""
+    to a blow-up is not warned about; the checks raise SimulationBlowup.
+    A run whose row steps (the remainder step counted) times M log2 M
+    exceed SIMULATION_BUDGET raises ResourceBudgetError before any step."""
     if not math.isfinite(t_end):
         raise ValueError(f"need a finite t_end, got {t_end}")
     if len({(st.p, st.K, st.sign) for st, _s, _o in parts}) != 1:
@@ -352,6 +356,12 @@ def _integrate_lockstep(parts, t_end: float):
     parts = [_Part(stepper, state, observer, t_end)
              for stepper, state, observer in parts]
     stepper = parts[0].stepper
+    M = stepper.M
+    work = sum((q.n_full + 1) * q.n_rows for q in parts) * M * math.log2(M)
+    if work > SIMULATION_BUDGET:
+        raise ResourceBudgetError(
+            f"{work:.3g} row steps x M log2 M at M={M} exceed the simulation "
+            f"budget {SIMULATION_BUDGET:g}", work, SIMULATION_BUDGET)
     width = stepper.K + 1
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -482,6 +492,7 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
     term that the Richardson step in eps removes (Boyd, Chebyshev and
     Fourier Spectral Methods, 2nd ed., 2001, ch. 11).
     """
+    p = checked_p(p)
     if p != pair.config.p:
         raise ValueError(f"p={p} does not match witness p={pair.config.p}")
     if t <= 0:

@@ -239,6 +239,16 @@ def json_int(x) -> int:
     return n
 
 
+def checked_p(p) -> int:
+    """The power p as an int >= 2; an integral float such as 3.0 is cast."""
+    try:
+        if json_int(p) >= 2:
+            return int(p)
+    except (ValueError, OverflowError):    # fractional, nan or inf
+        pass
+    raise ValueError("p must be an integer >= 2")
+
+
 def write_json(path: str, payload):
     """The one JSON writer: indent 1, as docs/schemas.md specifies."""
     with open(path, "w") as fh:

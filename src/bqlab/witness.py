@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (Domain, FrequencySet, SpectralData, dispersion,
-                       json_field, json_int, sobolev_norm)
+from .spectral import (Domain, FrequencySet, SpectralData, checked_p,
+                       dispersion, json_field, json_int, sobolev_norm)
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,9 @@ class WitnessConfig:
     sigma: float | None = None
 
     def __post_init__(self):
-        if int(self.p) != self.p or self.p < 2:
-            raise ValueError("p must be an integer >= 2")
+        object.__setattr__(self, "p", checked_p(self.p))
         if int(self.N) != self.N or self.N < 1:
             raise ValueError("N must be an integer >= 1")
-        object.__setattr__(self, "p", int(self.p))
         object.__setattr__(self, "N", int(self.N))
         if self.sigma is None:
             object.__setattr__(self, "sigma", self.s + 1.0)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import bqlab
+from bqlab import simulator
 from bqlab.cli import main
 
 
@@ -222,6 +223,23 @@ def test_resonance_refuses_scan_beyond_budget(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: resource budget exceeded: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--n", "2000"],
+                                  ["inflate", "--n-list", "100000"]])
+def test_simulation_refused_beyond_budget(monkeypatch, capsys, argv):
+    # about 4.5e13 and 1e14 row steps x M log2 M: one line and exit 2,
+    # before the first step
+    def no_step(*args):
+        raise AssertionError("a step was taken")
+    monkeypatch.setattr(simulator.Stepper, "_step", no_step)
+    monkeypatch.setattr(simulator.Stepper, "_step_once", no_step)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: resource budget exceeded: ")
+    assert "simulation budget" in captured.err
     assert captured.err.count("\n") == 1
 
 

@@ -134,13 +134,13 @@ def test_kernel_scalar_and_shape():
     for b, v in zip(betas.ravel(), out.ravel()):
         assert v == pytest.approx(time_integral(2.0, float(b), 0.8),
                                   rel=1e-14)
-    # larger than one evaluation block, with rows straddling block edges
+    # more than KERNEL_BLOCK betas in one call, bit for bit against one
+    # call per row
     betas = np.random.default_rng(2).uniform(-500.0, 500.0, (3, 5000))
     out = time_integral(2.0, betas, 0.8)
     assert out.shape == (3, 5000)
-    for row, vals in zip(betas, out):
-        assert np.allclose(vals, time_integral(2.0, row, 0.8),
-                           rtol=1e-14, atol=0.0)
+    assert _bits(out) == _bits([time_integral(2.0, row, 0.8)
+                                for row in betas])
 
 
 def test_kernel_exact_resonance_across_blocks():
@@ -165,9 +165,8 @@ def _bits(a):
 
 
 def test_kernel_alpha_per_row_matches_scalar_rows():
-    # one alpha per row against one scalar call per row, bit for bit: rows
-    # of 3000 betas (two to a block) and of KERNEL_BLOCK + 1808 (one row
-    # split at the block edge, as the scalar call splits it), holding
+    # one alpha per row against the reference kernel row by row, bit for
+    # bit: rows of 64, 3000 and KERNEL_BLOCK + 1808 betas holding
     # beta = +-alpha, with a row at alpha = 0 and two rows sharing alpha
     rng = np.random.default_rng(5)
     for width in (64, 3000, KERNEL_BLOCK + 1808):
@@ -180,28 +179,29 @@ def test_kernel_alpha_per_row_matches_scalar_rows():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 out = time_integral(alpha[:, None], beta, t)
-            rows = [time_integral(a, row, t)
+            rows = [_reference_kernel(a, row, t)
                     for a, row in zip(alpha.tolist(), beta)]
             assert out.shape == beta.shape
             assert _bits(out) == _bits(rows), (width, t)
 
 
 def test_kernel_alpha_broadcasts_against_beta():
-    # alpha per leading index of a 3-d beta, per column, and per entry
+    # alpha per leading index of a 3-d beta, per column, and per entry,
+    # bit for bit against the reference kernel
     rng = np.random.default_rng(6)
     beta = rng.uniform(-30.0, 30.0, (2, 3, 4))
     alpha = dispersion(rng.uniform(0.1, 6.0, (2, 3, 4)))
-    ref = [time_integral(a, b, 0.8)
+    ref = [_reference_kernel(a, b, 0.8)
            for a, b in zip(alpha.ravel().tolist(), beta.ravel().tolist())]
     ref = np.array(ref).reshape(beta.shape)
     assert _bits(time_integral(alpha, beta, 0.8)) == _bits(ref)
     col = alpha[0, 0]
     assert _bits(time_integral(col, beta, 0.8)) == _bits(
-        [[[time_integral(a, b, 0.8) for a, b in zip(col.tolist(), row)]
+        [[[_reference_kernel(a, b, 0.8) for a, b in zip(col.tolist(), row)]
           for row in plane] for plane in beta])
     lead = alpha[:, :1, :1]
     assert _bits(time_integral(lead, beta, 0.8)) == _bits(
-        [time_integral(float(a), b, 0.8) for a, b in zip(lead.ravel(), beta)])
+        [_reference_kernel(a, b, 0.8) for a, b in zip(lead.ravel(), beta)])
 
 
 def test_kernel_scalar_alpha_kinds():
@@ -642,6 +642,28 @@ def test_line_n_points_counts_kernel_points(monkeypatch):
         pair = build_witness(WitnessConfig(Domain.LINE, p, 16, s=-1.0))
         prof = flow_derivative_line(pair, p, 1.0)
         assert 0 < prof.meta["n_points"] == sum(seen), p
+
+
+def test_kernel_calls_stay_within_kernel_block(monkeypatch):
+    # time_integral evaluates a call in one pass, so its temporaries grow
+    # with the call: at production resolutions no profile hands it more
+    # than KERNEL_BLOCK betas (tensor p = 2, 3, lattice p = 4, torus p = 9)
+    assert (flow_derivative.LINE_LATTICE_SHIFTS
+            * flow_derivative.LINE_LATTICE_POINTS <= KERNEL_BLOCK)
+    kernel = flow_derivative.time_integral
+    sizes = []
+
+    def recorded(alpha, beta, t):
+        sizes.append(np.broadcast(np.asarray(alpha), np.asarray(beta)).size)
+        return kernel(alpha, beta, t)
+
+    monkeypatch.setattr(flow_derivative, "time_integral", recorded)
+    for p in (2, 3, 4):
+        pair = build_witness(WitnessConfig(Domain.LINE, p, 16, s=-1.0))
+        flow_derivative_line(pair, p, 1.0)
+    flow_derivative_torus(
+        build_witness(WitnessConfig(Domain.TORUS, 9, 16, s=-1.0)), 9, 1.0)
+    assert 0 < max(sizes) <= KERNEL_BLOCK
 
 
 def test_line_lattice_deterministic_per_seed(monkeypatch):

@@ -4,17 +4,27 @@ import ast
 import collections
 import importlib.util
 import inspect
+import math
 import os
 import pkgutil
 import subprocess
 import sys
 import types
 
+import numpy as np
+import pytest
+
 import bqlab
 from bqlab import flow_derivative
-from bqlab.flow_derivative import growth_table
+from bqlab.flow_derivative import (flow_derivative_line,
+                                   flow_derivative_torus, growth_table)
+from bqlab.resonance import (closed_form_profiles, construct_representation,
+                             enumerate_representations, solve_diophantine,
+                             verify_resonance_bounds)
+from bqlab.simulator import SimConfig, Stepper, fd_derivative_probe
 from bqlab.spectral import Domain
-from bqlab.witness import WitnessConfig, build_witness
+from bqlab.witness import (WitnessConfig, build_witness, frequency_set,
+                           output_window)
 
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(bqlab.__path__))
 
@@ -184,3 +194,46 @@ def test_kernel_calls_pass_beta_second():
         assert len(call.args) >= 2, (f, call.lineno)
         assert not any(isinstance(a, ast.Starred) for a in call.args[:2]), (
             f, call.lineno)
+
+
+def _torus(p):
+    return build_witness(WitnessConfig(Domain.TORUS, p, 16, s=-1.0))
+
+
+# (p, call of p) per public entry point that takes p; each call's repr is
+# compared, so a float that leaks into a result shows
+P_ENTRY_POINTS = {
+    "WitnessConfig": (2, lambda p: WitnessConfig(Domain.LINE, p, 16, -1.0)),
+    "verify_resonance_bounds": (3, lambda p: verify_resonance_bounds(
+        p, Domain.TORUS, [16]).to_dict()),
+    "enumerate_representations": (3, lambda p: enumerate_representations(
+        output_window(WitnessConfig(Domain.TORUS, 3, 16, -1.0)), p,
+        frequency_set(WitnessConfig(Domain.TORUS, 3, 16, -1.0)))),
+    "solve_diophantine": (3, solve_diophantine),
+    "closed_form_profiles": (3, closed_form_profiles),
+    "construct_representation": (3, lambda p: vars(construct_representation(
+        sum(output_window(WitnessConfig(Domain.LINE, 3, 30, 0.0))) / 2, p,
+        30))),
+    "flow_derivative_torus": (2, lambda p: flow_derivative_torus(
+        _torus(2), p, 1.0).values.tolist()),
+    "flow_derivative_line": (2, lambda p: flow_derivative_line(
+        build_witness(WitnessConfig(Domain.LINE, 2, 16, s=-1.0)), p,
+        1.0).values.tolist()),
+    "growth_table": (2, lambda p: growth_table(
+        p, Domain.TORUS, -1.0, None, 1.0, [16, 32])),
+    "fd_derivative_probe": (2, lambda p: fd_derivative_probe(
+        _torus(2), p, 0.05).value),
+    "Stepper.nonlinear": (2, lambda p: Stepper(SimConfig(p=p, K=8)).nonlinear(
+        np.linspace(0.0, 1.0, 9).astype(complex)).tolist()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(P_ENTRY_POINTS))
+def test_p_is_one_integer_check(name):
+    # an integral float p gives the int's result; a fractional, non-finite
+    # or too small p is refused with one message at every entry point
+    p, call = P_ENTRY_POINTS[name]
+    assert repr(call(float(p))) == repr(call(p))
+    for bad in (2.5, 1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="p must be an integer >= 2"):
+            call(bad)
