@@ -15,8 +15,9 @@ from .resonance import (BetaRange, Representation, ResonanceReport,
                         solve_diophantine, verify_resonance_bounds)
 from .flow_derivative import (DerivativeProfile, GrowthTable,
                               flow_derivative_line, flow_derivative_torus,
-                              growth_table, predicted_growth_slope,
-                              time_integral, window_sobolev_mass)
+                              growth_table, growth_tables,
+                              predicted_growth_slope, time_integral,
+                              window_sobolev_mass)
 from .simulator import (InflationResult, ProbeResult, SimConfig, SimState,
                         Stepper, fd_derivative_probe, full_norm,
                         inflation_experiment, linear_energy, windowed_norm,
@@ -37,7 +38,7 @@ __all__ = [
     "enumerate_representations", "solve_diophantine",
     "verify_resonance_bounds",
     "DerivativeProfile", "GrowthTable", "flow_derivative_line",
-    "flow_derivative_torus", "growth_table",
+    "flow_derivative_torus", "growth_table", "growth_tables",
     "predicted_growth_slope", "time_integral", "window_sobolev_mass",
     "InflationResult", "ProbeResult", "SimConfig", "SimState", "Stepper",
     "fd_derivative_probe", "full_norm", "inflation_experiment",

@@ -18,7 +18,7 @@ from .spectral import Domain, dispersion, write_output
 from .witness import WitnessConfig, build_witness, output_window
 from .resonance import (closed_form_profiles, construct_representation,
                         solve_diophantine, verify_resonance_bounds)
-from .flow_derivative import (flow_derivative_torus, growth_table,
+from .flow_derivative import (flow_derivative_torus, growth_tables,
                               predicted_growth_slope, time_integral)
 from .simulator import (SimConfig, Stepper, fd_derivative_probe,
                         inflation_experiment, linear_energy, witness_state)
@@ -61,12 +61,16 @@ def criterion_1(out_dir=None) -> CriterionResult:
     log ratio vs log N within 0.15 of -(ps+1) for >= 2 of 3 times."""
     done = _timer()
     details, ok = [], True
+    s_list = (-1.0, -0.75)
     for domain in (Domain.TORUS, Domain.LINE):
-        for s in (-1.0, -0.75):
+        # one growth_tables call per t: the s share its representation sums
+        by_t = [growth_tables(2, domain, s_list, None, t, GROWTH_N)
+                for t in T_TRIPLE]
+        for k, s in enumerate(s_list):
             target = predicted_growth_slope(2, s)
             hits = 0
-            for t in T_TRIPLE:
-                table = growth_table(2, domain, s, None, t, GROWTH_N)
+            for t, tables in zip(T_TRIPLE, by_t):
+                table = tables[k]
                 good = abs(table.slope - target) <= 0.15
                 hits += good
                 details.append(
@@ -90,10 +94,11 @@ def criterion_2(out_dir=None) -> CriterionResult:
     (tensor quadrature) within 0.25."""
     done = _timer()
     details, ok = [], True
+    s_list = (-1.0, -0.8)
     for domain, tol in ((Domain.TORUS, 0.15), (Domain.LINE, 0.25)):
-        for s in (-1.0, -0.8):
+        tables = growth_tables(3, domain, s_list, None, 1.0, GROWTH_N)
+        for s, table in zip(s_list, tables):
             target = predicted_growth_slope(3, s)
-            table = growth_table(3, domain, s, None, 1.0, GROWTH_N)
             good = abs(table.slope - target) <= tol
             ok &= good
             details.append(
@@ -114,17 +119,21 @@ def criterion_3(out_dir=None) -> CriterionResult:
     s=-2/3."""
     done = _timer()
     details, ok = [], True
-    checks = [(2, Domain.TORUS, 0.0, -1), (2, Domain.TORUS, -1.0, +1),
-              (2, Domain.LINE, 0.0, -1), (2, Domain.LINE, -1.0, +1),
-              (3, Domain.TORUS, -2.0 / 3.0 + 0.25, -1),
-              (3, Domain.TORUS, -2.0 / 3.0 - 0.25, +1)]
-    for p, domain, s, want in checks:
-        table = growth_table(p, domain, s, None, 1.0, GROWTH_N)
-        good = table.slope < 0 if want < 0 else table.slope > 0
-        ok &= good
-        details.append(
-            f"p={p} {domain.value} s={s:+.4f}: slope {table.slope:+.3f}, "
-            f"want {'<0' if want < 0 else '>0'}{'' if good else ' MISS'}")
+    # per (p, domain): each s and the slope sign wanted there
+    checks = [(2, Domain.TORUS, ((0.0, -1), (-1.0, +1))),
+              (2, Domain.LINE, ((0.0, -1), (-1.0, +1))),
+              (3, Domain.TORUS, ((-2.0 / 3.0 + 0.25, -1),
+                                 (-2.0 / 3.0 - 0.25, +1)))]
+    for p, domain, wants in checks:
+        tables = growth_tables(p, domain, [s for s, _ in wants], None, 1.0,
+                               GROWTH_N)
+        for (s, want), table in zip(wants, tables):
+            good = table.slope < 0 if want < 0 else table.slope > 0
+            ok &= good
+            details.append(
+                f"p={p} {domain.value} s={s:+.4f}: slope "
+                f"{table.slope:+.3f}, want {'<0' if want < 0 else '>0'}"
+                f"{'' if good else ' MISS'}")
     return CriterionResult(3, "threshold-sign-change", ok, done(), details)
 
 

@@ -31,15 +31,18 @@ Numerica 22, 2013), folds its points by the tent transform so that a
 non-periodic integrand keeps the rule's accuracy (Hickernell, 2002), and
 reads its error from the spread of independent random shifts; the outer
 slot sums of a whole pool of shifts are formed once per pattern and shared
-by every xi node, each node taking its own run of LINE_LATTICE_SHIFTS
-shifts from the pool. It measures the profile's Sobolev mass on the output
-window and builds the N-sweep growth tables whose log-log slopes are the
-measured blow-up exponents.
+by every xi node, each node reading its own run of LINE_LATTICE_SHIFTS
+shifts from the pool as a view. It measures the profile's Sobolev mass on
+the output window and builds the N-sweep growth tables whose log-log
+slopes are the measured blow-up exponents. Only the prefactor
+N^(-p sigma), the window weights (1 + xi^2)^s and the data norm depend on
+s, so growth_tables forms one representation sum per (p, domain, N, t)
+and shares it between all its s; growth_table is its one-s case.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -149,7 +152,14 @@ def time_integral(alpha, beta, t: float):
 
 @dataclass
 class DerivativeProfile:
-    """The p-th derivative's spectral profile on the output window."""
+    """The p-th derivative's spectral profile on the output window.
+
+    values are the prefactors at xi times the representation sums in sums,
+    one per node, or for the lattice rule the mean of its per-shift sums
+    of shape (xi nodes, q). The sums do not depend on s or sigma, so a
+    witness of the same p, domain, N and t at another s reuses them (see
+    _rescaled).
+    """
 
     domain: Domain
     p: int
@@ -158,6 +168,7 @@ class DerivativeProfile:
     values: np.ndarray
     weights: np.ndarray
     meta: dict
+    sums: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 def window_sobolev_mass(profile: DerivativeProfile, s: float) -> float:
@@ -216,14 +227,55 @@ def _prefactors(pair: WitnessPair, p: int, xi, sign: int) -> np.ndarray:
     return pref
 
 
-def _finite_values(prefs, totals, p: int, N: int) -> np.ndarray:
-    """prefs * totals, refused naming p and N when a product overflows."""
+def _profile_values(prefs, sums, p: int, N: int):
+    """The values prefs * totals of a profile's sums, refused naming p and
+    N when a product overflows, and the error estimates they carry.
+
+    sums holds one total per node (exact sum, tensor rule) or the lattice
+    rule's (xi nodes, q) per-shift sums, whose mean is the total and whose
+    spread gives "err_est" and "mc_halfwidth_max" (see
+    flow_derivative_line); returns (values, dict of error estimates).
+    """
+    totals = sums if sums.ndim == 1 else sums.mean(axis=1)
     with np.errstate(over="ignore", invalid="ignore"):   # refused below
         values = prefs * totals
     if not np.isfinite(values).all():
         raise ValueError(f"prefactor x representation sum at p={p}, N={N} "
                          f"is not finite")
-    return values
+    if sums.ndim == 1:
+        return values, {}
+    q = sums.shape[1]
+    err = np.abs(prefs) * np.sqrt(
+        (sums.real.var(axis=1, ddof=1) + sums.imag.var(axis=1, ddof=1)) / q)
+    peak = float(np.abs(values).max())
+    return values, {"err_est": float(err.max()) / peak if peak > 0 else 0.0,
+                    "mc_halfwidth_max": _t975(q - 1) * float(err.max())}
+
+
+def _output_nodes(pair: WitnessPair):
+    """The nodes xi of a profile and their weights: the torus output mode
+    with weight 1, or the LINE_XI_NODES midpoints of the line output
+    window with its grid width."""
+    window = pair.output_window
+    if pair.config.domain == Domain.TORUS:
+        return np.array([float(window)]), np.array([1.0])
+    wlo, whi = window
+    n_xi = LINE_XI_NODES
+    h_xi = (whi - wlo) / n_xi
+    return wlo + (np.arange(n_xi) + 0.5) * h_xi, np.full(n_xi, h_xi)
+
+
+def _rescaled(profile: DerivativeProfile, prefs, N: int) -> DerivativeProfile:
+    """The profile of another witness of the same p, domain, N and t
+    (another s or sigma), whose prefactors at profile.xi are prefs: its
+    values and error estimates formed from profile's sums, with no
+    representation sum of its own."""
+    values, errors = _profile_values(prefs, profile.sums, profile.p, N)
+    meta = {**profile.meta, "warnings": list(profile.meta["warnings"]),
+            **errors}
+    return DerivativeProfile(profile.domain, profile.p, profile.t,
+                             profile.xi, values, profile.weights, meta,
+                             profile.sums)
 
 
 def flow_derivative_torus(pair: WitnessPair, p: int, t: float, *,
@@ -236,19 +288,20 @@ def flow_derivative_torus(pair: WitnessPair, p: int, t: float, *,
     """
     p = _validate_eval(pair, p, t, Domain.TORUS, sign)
     cfg = pair.config
+    xis, weights = _output_nodes(pair)
+    prefs = _prefactors(pair, p, xis, sign)
     xi = int(pair.output_window)
-    pref = _prefactors(pair, p, [float(xi)], sign)[0]
     A = frequency_set(cfg)
     reps = enumerate_representations(xi, p, A)
     alpha = dispersion(xi)
     betas = np.array([r.beta() for r in reps], dtype=float)
     mults = np.array([r.multiplicity for r in reps], dtype=float)
-    total = complex(np.sum(mults * time_integral(alpha, betas, t)))
-    value = _finite_values(pref, np.array([total]), p, cfg.N)
+    sums = np.array([complex(np.sum(mults * time_integral(alpha, betas, t)))])
+    values, _ = _profile_values(prefs, sums, p, cfg.N)
     meta = {"n_representations": len(reps), "alpha": alpha,
             "method": "exact-sum", "warnings": []}
-    return DerivativeProfile(Domain.TORUS, p, t, np.array([float(xi)]),
-                             value, np.array([1.0]), meta)
+    return DerivativeProfile(Domain.TORUS, p, t, xis, values, weights, meta,
+                             sums)
 
 
 # -- line quadrature ---------------------------------------------------------
@@ -304,11 +357,13 @@ def _pattern_integrand(slots, xi, alpha, t: float, S_out, P_out, offsets,
     _outer_sums); the innermost variable is clipped exactly to the
     interval where the determined slot stays inside its component, so the
     constraint introduces no indicator discontinuity. Each row places its
-    inner points at lo + offsets * h, h = clipped length / m, where
-    offsets has shape (rows or 1, m).
+    inner points at lo + offsets * h, h = clipped length / m: offsets is
+    either a (1, m) row that every row shares, or a 1-D array of one
+    offset per row (m = 1), and then every array stays 1-D.
 
     Returns (indices of the non-empty rows, weight * h * K at their inner
-    points); empty rows contribute nothing.
+    points, of shape (non-empty rows, m), or (non-empty rows,) for 1-D
+    offsets); empty rows contribute nothing.
     """
     det_lo, det_hi = slots[-1]
     in_lo, in_hi = slots[-2]
@@ -316,20 +371,22 @@ def _pattern_integrand(slots, xi, alpha, t: float, S_out, P_out, offsets,
     lo_f = np.maximum(in_lo, rest - det_hi)
     hi_f = np.minimum(in_hi, rest - det_lo)
     idx = np.flatnonzero(hi_f > lo_f)
+    if offsets.ndim == 1:    # one inner point per row, at its own offset
+        offsets, m, col = offsets.take(idx), 1, lambda v: v
+    else:
+        m, col = offsets.shape[1], lambda v: v[:, None]
     if isinstance(xi, np.ndarray):
-        xi, alpha = xi[idx, None], alpha[idx, None]
-    lo_f = lo_f[idx]
-    h = (hi_f[idx] - lo_f) / offsets.shape[1]
-    if len(offsets) > 1:         # per-row offsets; a (1, m) row broadcasts
-        offsets = offsets[idx]
-    y = offsets * h[:, None]
-    y += lo_f[:, None]
-    d = S_out[idx, None] + y
+        xi, alpha = col(xi.take(idx)), col(alpha.take(idx))
+    lo_f = lo_f.take(idx)
+    h = col((hi_f.take(idx) - lo_f) / m)
+    y = offsets * h
+    y += col(lo_f)
+    d = col(S_out.take(idx)) + y
     np.subtract(xi, d, out=d)
-    beta = np.subtract(P_out[idx, None], _signed_dispersion(y), out=y)
+    beta = np.subtract(col(P_out.take(idx)), _signed_dispersion(y), out=y)
     beta -= _signed_dispersion(d)
     f = time_integral(alpha, beta, t)
-    f *= weight * h[:, None]
+    f *= weight * h
     return idx, f
 
 
@@ -447,34 +504,37 @@ def _lattice_totals(patterns, p: int, xi_alpha, t: float, seed: int):
     of S = max(xi nodes, q) shifts is drawn as rng.random((S, p - 1));
     each pattern forms the outer sums of all S x n pool points once, and
     xi node i integrates on the q consecutive shifts i, ..., i + q - 1
-    (mod S), so each node sees q distinct independent shifts. Each shift's
-    estimate is the mean over its n points (empty rows as 0) times the
-    outer slot volume.
+    (mod S), so each node sees q distinct independent shifts. The pool's
+    arrays are extended by their first q - 1 shifts, so that a node's
+    shifts are one contiguous run of q n points, read as a view. Each
+    shift's estimate is the mean over its n points (empty rows as 0)
+    times the outer slot volume.
     """
     n, q, n_xi = LINE_LATTICE_POINTS, LINE_LATTICE_SHIFTS, len(xi_alpha)
     z = _generating_vector(n, p - 1)
     shifts = np.random.default_rng(seed).random((max(n_xi, q), p - 1))
-    pool = (np.arange(n_xi)[:, None] + np.arange(q)) % len(shifts)
-    inner = _lattice_column(n, z[-1], shifts[:, -1])
+
+    def wrapped(pool):    # rows 0..S-1, then 0..q-2 again, flattened
+        return np.concatenate([pool, pool[:q - 1]]).ravel()
+
+    inner = wrapped(_lattice_column(n, z[-1], shifts[:, -1]))
     per_shift = np.zeros((n_xi, q), dtype=complex)
     f_all = np.empty(q * n, dtype=complex)
     n_points = 0
     for rep in patterns:
         slots = _representative_slots(rep)
         outer = slots[:-2]
-        S_out, P_out = _outer_sums(
+        S_out, P_out = map(wrapped, _outer_sums(
             (lo + (hi - lo) * _lattice_column(n, z[j], shifts[:, j])
-             for j, (lo, hi) in enumerate(outer)), (len(shifts), n))
+             for j, (lo, hi) in enumerate(outer)), (len(shifts), n)))
         scale = rep.multiplicity * math.prod(hi - lo for lo, hi in outer)
         for i, (xi, alpha) in enumerate(xi_alpha):
-            rows = pool[i]
-            idx, f = _pattern_integrand(slots, xi, alpha, t,
-                                        S_out[rows].ravel(),
-                                        P_out[rows].ravel(),
-                                        inner[rows].reshape(-1, 1), 1.0)
+            run = slice(i * n, (i + q) * n)
+            idx, f = _pattern_integrand(slots, xi, alpha, t, S_out[run],
+                                        P_out[run], inner[run], 1.0)
             n_points += f.size
             f_all.fill(0.0)
-            f_all[idx] = f[:, 0]
+            f_all[idx] = f
             per_shift[i] += scale * f_all.reshape(q, n).mean(axis=1)
     return per_shift, n_points
 
@@ -505,38 +565,26 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
     """
     p = _validate_eval(pair, p, t, Domain.LINE, sign)
     cfg = pair.config
-    wlo, whi = pair.output_window
-    nodes = LINE_NODES.get(p)
-    n_xi = LINE_XI_NODES
-
-    h_xi = (whi - wlo) / n_xi
-    xis = wlo + (np.arange(n_xi) + 0.5) * h_xi
+    xis, weights = _output_nodes(pair)
     prefs = _prefactors(pair, p, xis, sign)
+    nodes = LINE_NODES.get(p)
     A = frequency_set(cfg)
-    patterns = enumerate_representations((wlo, whi), p, A)
-    weights = np.full(n_xi, h_xi)
+    patterns = enumerate_representations(pair.output_window, p, A)
     xi_alpha = [(xi, dispersion(xi)) for xi in xis.tolist()]
 
     if nodes is None:
-        per_shift, n_points = _lattice_totals(patterns, p, xi_alpha, t, seed)
-        totals = per_shift.mean(axis=1)
+        sums, n_points = _lattice_totals(patterns, p, xi_alpha, t, seed)
     else:
-        totals, n_points = _tensor_totals(patterns, p, nodes, xi_alpha, t)
-    values = _finite_values(prefs, totals, p, cfg.N)
+        sums, n_points = _tensor_totals(patterns, p, nodes, xi_alpha, t)
+    values, errors = _profile_values(prefs, sums, p, cfg.N)
 
     meta = {"method": "lattice" if nodes is None else "tensor",
             "n_patterns": len(patterns), "nodes_per_dim": nodes,
             "mc_samples": None, "n_points": n_points, "warnings": []}
     if nodes is None:
-        q = per_shift.shape[1]
-        err = np.abs(prefs) * np.sqrt(
-            (per_shift.real.var(axis=1, ddof=1)
-             + per_shift.imag.var(axis=1, ddof=1)) / q)
-        peak = float(np.abs(values).max())
-        meta.update(mc_samples=LINE_LATTICE_POINTS * q,
-                    err_est=float(err.max()) / peak if peak > 0 else 0.0,
-                    mc_halfwidth_max=_t975(q - 1) * float(err.max()))
-    return DerivativeProfile(Domain.LINE, p, t, xis, values, weights, meta)
+        meta.update(mc_samples=LINE_LATTICE_POINTS * sums.shape[1], **errors)
+    return DerivativeProfile(Domain.LINE, p, t, xis, values, weights, meta,
+                             sums)
 
 
 # -- growth tables -----------------------------------------------------------
@@ -584,10 +632,11 @@ def _positive_power(base: float, exponent, what: str, where: str) -> float:
     return value
 
 
-def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
-                 N_list, *, sign: int = 1, seed: int = 0) -> GrowthTable:
-    """Sweep N, recording data norm, window derivative mass, and their
-    ratio ap_norm / data_norm^p, plus running and final log-log slopes.
+def growth_tables(p: int, domain: Domain, s_list, sigma, t: float, N_list,
+                  *, sign: int = 1, seed: int = 0) -> list:
+    """Sweep N at every s of s_list, one GrowthTable per s: data norm,
+    window derivative mass, and their ratio ap_norm / data_norm^p, plus
+    running and final log-log slopes.
 
     sigma follows WitnessConfig's rule (None means s + 1, sigma <= s is
     refused). N_list must pass checked_n_list with at least two N, since
@@ -596,31 +645,60 @@ def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
     (checked after the profile, whose own refusals come first) or a ratio
     that is not finite and positive (t = 0, say, or t so small that the
     profile underflows) is refused: the ratio would have no logarithm.
+
+    The representation sum depends on p, domain, N and t alone, so it is
+    formed once per N, by the evaluator on the first s's witness, and each
+    other s takes it times its own prefactors (see _rescaled). At each N
+    the witness, N^(p sigma) and prefactor checks of every s run before
+    the sum is formed, and each s's table has the bits of its own run.
     """
     p, N_list = checked_p(p), checked_n_list(N_list, 2)
-    records = []
-    logN, logR = [], []
+    s_list = list(s_list)
+    if not s_list:
+        raise ValueError("need at least one s, got an empty list")
+    runs = [([], [], []) for _ in s_list]     # records, log N, log ratio
     for N in N_list:
-        cfg = WitnessConfig(domain, p, N, s, sigma)
-        pair = build_witness(cfg)
-        dn = data_norm(pair, s)
-        _positive_power(float(N), p * cfg.sigma, "N^(p sigma) factor",
-                        f"N={N}")
+        witnesses = []
+        for s in s_list:
+            cfg = WitnessConfig(domain, p, N, s, sigma)
+            pair = build_witness(cfg)
+            dn = data_norm(pair, s)
+            _positive_power(float(N), p * cfg.sigma, "N^(p sigma) factor",
+                            f"N={N}")
+            _validate_eval(pair, p, t, domain, sign)
+            prefs = _prefactors(pair, p, _output_nodes(pair)[0], sign)
+            witnesses.append((pair, dn, prefs))
+        first = witnesses[0][0]
         if domain == Domain.TORUS:
-            prof = flow_derivative_torus(pair, p, t, sign=sign)
+            base = flow_derivative_torus(first, p, t, sign=sign)
         else:
-            prof = flow_derivative_line(pair, p, t, sign=sign, seed=seed)
-        an = window_sobolev_mass(prof, s)
-        ratio = an / _positive_power(dn, p, "data norm^p", f"p={p}, N={N}")
-        if not 0.0 < ratio < math.inf:   # no log, so no slope
-            raise ValueError(f"growth ratio {ratio} at N={N}, t={t} is not "
-                             f"finite and positive")
-        logN.append(math.log(N))
-        logR.append(math.log(ratio))
-        if len(logN) >= 2:
-            slope_run = float(np.polyfit(logN, logR, 1)[0])
-        else:
-            slope_run = float("nan")
-        records.append(GrowthRecord(N, dn, an, ratio, slope_run))
-    return GrowthTable(p, domain, s, cfg.sigma, t, records,
-                       records[-1].slope_running, predicted_growth_slope(p, s))
+            base = flow_derivative_line(first, p, t, sign=sign, seed=seed)
+        for k, (s, (pair, dn, prefs), (records, logN, logR)) in enumerate(
+                zip(s_list, witnesses, runs)):
+            prof = base if k == 0 else _rescaled(base, prefs, N)
+            an = window_sobolev_mass(prof, s)
+            ratio = an / _positive_power(dn, p, "data norm^p",
+                                         f"p={p}, N={N}")
+            if not 0.0 < ratio < math.inf:   # no log, so no slope
+                raise ValueError(f"growth ratio {ratio} at N={N}, t={t} is "
+                                 f"not finite and positive")
+            logN.append(math.log(N))
+            logR.append(math.log(ratio))
+            if len(logN) >= 2:
+                slope_run = float(np.polyfit(logN, logR, 1)[0])
+            else:
+                slope_run = float("nan")
+            records.append(GrowthRecord(N, dn, an, ratio, slope_run))
+    return [GrowthTable(p, domain, s, pair.config.sigma, t, records,
+                        records[-1].slope_running,
+                        predicted_growth_slope(p, s))
+            for s, (pair, _, _), (records, _, _) in zip(s_list, witnesses,
+                                                        runs)]
+
+
+def growth_table(p: int, domain: Domain, s: float, sigma, t: float,
+                 N_list, *, sign: int = 1, seed: int = 0) -> GrowthTable:
+    """The N sweep of growth_tables at one s: its one table, with the same
+    checks and refusals."""
+    return growth_tables(p, domain, [s], sigma, t, N_list, sign=sign,
+                         seed=seed)[0]

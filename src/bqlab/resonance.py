@@ -378,35 +378,38 @@ def _audit_block(p, domain, Ns, wanted):
     entries of the N in wanted. Skips N where the witness set is
     degenerate (e.g. torus odd p with 2N == N+1).
     """
-    cfgs, sets = [], []
+    kept, sets = [], []
     for N in Ns:
-        cfg = _witness.WitnessConfig(domain, p, N, s=0.0)
         try:
-            sets.append(_witness.frequency_set(cfg))
+            sets.append(_witness.frequency_set(
+                _witness.WitnessConfig(domain, p, N, s=0.0)))
         except ValueError:
             continue
-        cfgs.append(cfg)
+        kept.append(N)
     if not sets:
         return set(), []
-    windows = [_witness.output_window(cfg) for cfg in cfgs]
+    Ns = kept
+    # the window depends on p and the domain alone
+    window = _witness.output_window(
+        _witness.WitnessConfig(domain, p, Ns[0], s=0.0))
     torus = domain == Domain.TORUS
-    wlo, whi = (np.array(windows),) * 2 if torus else np.array(windows).T
+    wlo, whi = (window,) * 2 if torus else window
     comps = _interval_array(sets)
     sgn, ci, counts, lo_sum, hi_sum = _signed_sum_bounds(p, comps)
     # the hits by N, each N's in enumeration order
     col, row = np.nonzero(((hi_sum >= wlo) & (lo_sum <= whi)).T)
     ends = comps[col][:, ci]
     blo, bhi = _enclosures(sgn, counts[row], ends[..., 0], ends[..., 1],
-                           None if torus else (wlo[col], whi[col]))
+                           None if torus else window)
     reached = ~np.isnan(blo)
     bad = reached & ~_clean(blo, bhi, p)
     entries = []
-    for j, cfg in enumerate(cfgs):
-        if cfg.N not in wanted:
+    for j, N in enumerate(Ns):
+        if N not in wanted:
             continue
         here, hit = reached & (col == j), bad & (col == j)
         tallies, mults = _tallies_of(p, domain, sgn, ci, counts[row[hit]])
-        entry = {"N": cfg.N, "n_representations": int(here.sum()),
+        entry = {"N": N, "n_representations": int(here.sum()),
                  "beta_over_scale_min": None, "beta_over_scale_max": None,
                  "violations": [{"counts": tal, "multiplicity": mult,
                                  "beta_lo": lo, "beta_hi": hi}
@@ -414,15 +417,15 @@ def _audit_block(p, domain, Ns, wanted):
                                     tallies, mults, blo[hit].tolist(),
                                     bhi[hit].tolist())]}
         if here.any():
-            scale = float(cfg.N) ** (1 if p % 2 == 0 else 2)
+            scale = float(N) ** (1 if p % 2 == 0 else 2)
             alo, ahi = _abs_range(blo[here], bhi[here])
             entry["beta_over_scale_min"] = float((alo / scale).min())
             entry["beta_over_scale_max"] = float((ahi / scale).max())
         else:
             entry["nearest_gap"] = _nearest_gap(lo_sum[:, j], hi_sum[:, j],
-                                                wlo[j], whi[j])
+                                                wlo, whi)
         entries.append(entry)
-    return {cfgs[j].N for j in col[bad].tolist()}, entries
+    return {Ns[j] for j in col[bad].tolist()}, entries
 
 
 def verify_resonance_bounds(p: int, domain: Domain, N_list, *,
@@ -527,6 +530,18 @@ class ConstructedRepresentation:
     defect: float        # |sum of signed slots - xi|
 
 
+@lru_cache(maxsize=64)
+def _triplet_plan(p: int, N: int) -> tuple:
+    """What construct_representation needs of the odd-p line witness at
+    (p, N): the left ends lo1 and lo2 of its near-N and near-2N
+    components, the triplet count m and the attainable per-triplet range
+    (vlo, vhi). Cached per (p, N), so that a grid of xi forms them once."""
+    cfg = _witness.WitnessConfig(Domain.LINE, p, N, s=0.0)
+    (lo1, _), (lo2, _) = _witness.frequency_set(cfg).components
+    return (lo1, lo2, _witness.triplet_count(p),
+            _witness.attainable_triplet_range(p, N))
+
+
 def construct_representation(xi: float, p: int, N: int) -> ConstructedRepresentation:
     """Build an explicit representation of xi for the odd-p line witness.
 
@@ -538,10 +553,7 @@ def construct_representation(xi: float, p: int, N: int) -> ConstructedRepresenta
     p = checked_p(p)
     if p % 2 == 0:
         raise ValueError("the triplet construction applies to odd p")
-    cfg = _witness.WitnessConfig(Domain.LINE, p, N, s=0.0)
-    (lo1, hi1), (lo2, hi2) = _witness.frequency_set(cfg).components
-    m = _witness.triplet_count(p)
-    vlo, vhi = _witness.attainable_triplet_range(p, N)
+    lo1, lo2, m, (vlo, vhi) = _triplet_plan(p, N)
     v = xi / m
     if not (vlo - 1e-12 <= v <= vhi + 1e-12):
         raise ValueError(f"per-triplet target {v} outside attainable range")

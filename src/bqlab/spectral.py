@@ -20,6 +20,7 @@ on its support.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -232,7 +233,10 @@ class SpectralData:
 
 
 def json_int(x) -> int:
-    """x as an int; a fractional part is refused, not truncated."""
+    """x as an int; a fractional part is refused, not truncated, and so
+    are an infinity and a nan."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"{x!r} is not an integer")
     n = int(x)
     if n != x:
         raise ValueError(f"{x!r} is not an integer")
@@ -244,7 +248,7 @@ def checked_p(p) -> int:
     try:
         if json_int(p) >= 2:
             return int(p)
-    except (ValueError, OverflowError):    # fractional, nan or inf
+    except ValueError:    # fractional, nan or inf
         pass
     raise ValueError("p must be an integer >= 2")
 

@@ -47,9 +47,13 @@ class WitnessConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "p", checked_p(self.p))
-        if int(self.N) != self.N or self.N < 1:
+        try:
+            N = json_int(self.N)
+        except ValueError:    # fractional, nan or inf
+            N = 0
+        if N < 1:
             raise ValueError("N must be an integer >= 1")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", N)
         if self.sigma is None:
             object.__setattr__(self, "sigma", self.s + 1.0)
         if not (math.isfinite(self.s) and math.isfinite(self.sigma)):

@@ -6,12 +6,13 @@ verbose pytest run doubles as the acceptance report. The tests after them
 feed criterion 6's kernel lines a perturbed kernel or an unresolved oracle
 and require a miss.
 """
+import collections
 import re
 
 import numpy as np
 import pytest
 
-from bqlab import acceptance
+from bqlab import acceptance, flow_derivative
 from bqlab.acceptance import (criterion_1, criterion_2, criterion_3,
                               criterion_4, criterion_5, criterion_6,
                               criterion_7, criterion_8)
@@ -35,6 +36,36 @@ def test_criterion_1_even_exponent_fit():
     # slope within 0.15 of -(2s + 1) for at least two of the three times
     result = _run(criterion_1)
     assert result.elapsed < 60.0
+
+
+def test_growth_criteria_form_each_sum_once(monkeypatch):
+    # criteria 1-3 share a representation sum between the s of one
+    # (p, domain, N, t): each criterion evaluates every such point once
+    # (criterion 3 repeats criterion 1's p = 2 line sums at t = 1, since
+    # each criterion runs self-contained)
+    seen = collections.Counter()
+
+    def counting(name):
+        evaluate = getattr(flow_derivative, name)
+
+        def counted(pair, p, t, **kwargs):
+            cfg = pair.config
+            seen[(name, cfg.p, cfg.domain, cfg.N, t)] += 1
+            return evaluate(pair, p, t, **kwargs)
+        return counted
+
+    for name in ("flow_derivative_line", "flow_derivative_torus"):
+        monkeypatch.setattr(flow_derivative, name, counting(name))
+    calls = {}
+    for criterion in (criterion_1, criterion_2, criterion_3):
+        seen.clear()
+        assert criterion().passed
+        assert set(seen.values()) == {1}, criterion.__name__
+        calls[criterion.__name__] = [
+            sum(name == key[0] for key in seen)
+            for name in ("flow_derivative_line", "flow_derivative_torus")]
+    assert calls == {"criterion_1": [18, 18], "criterion_2": [6, 6],
+                     "criterion_3": [6, 12]}
 
 
 def test_criterion_2_odd_exponent_fit():

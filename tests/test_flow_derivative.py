@@ -15,7 +15,8 @@ from bqlab.flow_derivative import (DEFAULT_HORIZON, KERNEL_BLOCK,
                                    _representative_slots,
                                    flow_derivative_line,
                                    flow_derivative_torus, growth_table,
-                                   predicted_growth_slope, time_integral,
+                                   growth_tables, predicted_growth_slope,
+                                   time_integral,
                                    window_sobolev_mass)
 from bqlab.resonance import enumerate_representations
 from bqlab.spectral import Domain, dispersion
@@ -43,26 +44,23 @@ def _libm_sin_cos(y):
 
 
 def _reference_kernel(alpha, beta, t, sin_cos=_tangent_sin_cos):
-    """The kernel as one pass per operation over each block, with the
-    masked divide at resonance; sin_cos=_libm_sin_cos gives the earlier
-    kernel, which took sin Y and cos Y from libm."""
+    """The kernel as one pass per operation over the whole broadcast
+    array, with the masked divide at resonance; sin_cos=_libm_sin_cos
+    gives the earlier kernel, which took sin Y and cos Y from libm."""
     a, b = float(alpha), np.asarray(beta, dtype=float)
     out = np.zeros(b.shape, dtype=complex)
     if a * t > 0.0:
         sin_at, cos_at = math.sin(a * t), math.cos(a * t)
-        flat_b, flat_k = b.reshape(-1), out.reshape(-1)
-        for i in range(0, flat_b.size, KERNEL_BLOCK):
-            blk = slice(i, i + KERNEL_BLOCK)
-            abs_b = np.abs(flat_b[blk])
-            plus, minus = abs_b + a, abs_b - a
-            y = minus * (0.5 * t)
-            sin_y, cos_y = sin_cos(y)
-            u = (sin_y * cos_at + cos_y * sin_at) / plus
-            cos_x = cos_y * cos_at - sin_y * sin_at
-            w = np.divide(sin_y, minus, out=np.full_like(y, 0.5 * t),
-                          where=minus != 0.0)
-            flat_k.real[blk] = 2.0 * a * u * w
-            flat_k.imag[blk] = np.sign(flat_b[blk]) * (u * cos_y - w * cos_x)
+        abs_b = np.abs(b)
+        plus, minus = abs_b + a, abs_b - a
+        y = minus * (0.5 * t)
+        sin_y, cos_y = sin_cos(y)
+        u = (sin_y * cos_at + cos_y * sin_at) / plus
+        cos_x = cos_y * cos_at - sin_y * sin_at
+        w = np.divide(sin_y, minus, out=np.full_like(y, 0.5 * t),
+                      where=minus != 0.0)
+        out.real = 2.0 * a * u * w
+        out.imag = np.sign(b) * (u * cos_y - w * cos_x)
     return out
 
 
@@ -145,7 +143,8 @@ def test_kernel_scalar_and_shape():
 
 def test_kernel_exact_resonance_across_blocks():
     # |beta| = alpha exactly, where the half-angle Y and its divisor vanish,
-    # at both ends of the first block, the start of the second and the end
+    # at the first and last entries of one broadcast array and at two
+    # interior ones, against one scalar call per spot
     alpha, t = dispersion(1.7), 0.9
     betas = np.random.default_rng(4).uniform(-40.0, 40.0, 3 * KERNEL_BLOCK)
     spots = (0, KERNEL_BLOCK - 1, KERNEL_BLOCK, betas.size - 1)
@@ -843,3 +842,96 @@ def test_growth_table_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "16" and first[4] == "nan"
     assert float(first[3]) == pytest.approx(table.records[0].ratio, rel=1e-10)
+
+
+def _evaluate(pair, t, sign, seed):
+    p = pair.config.p
+    if pair.config.domain == Domain.TORUS:
+        return flow_derivative_torus(pair, p, t, sign=sign)
+    return flow_derivative_line(pair, p, t, sign=sign, seed=seed)
+
+
+@pytest.mark.parametrize("domain", [Domain.TORUS, Domain.LINE])
+@pytest.mark.parametrize("p", range(2, 10))
+def test_growth_tables_match_separate_tables(p, domain):
+    # one representation sum per N shared by three s gives each s the bits
+    # of its own growth_table; sigma explicit at even p, sign -1 at odd p,
+    # and a lattice seed from p = 4 on
+    sigma, sign, seed = (0.25 if p % 2 == 0 else None), (-1) ** p, 3 * p
+    s_list = (-1.0, -0.75, -0.5)
+    N_list = [16, 32]
+    shared = growth_tables(p, domain, s_list, sigma, 0.8, N_list, sign=sign,
+                           seed=seed)
+    separate = [growth_table(p, domain, s, sigma, 0.8, N_list, sign=sign,
+                             seed=seed) for s in s_list]
+    # repr shows every bit of a float, a nan running slope included
+    assert [repr(table) for table in shared] == list(map(repr, separate))
+
+
+@pytest.mark.parametrize("domain", [Domain.TORUS, Domain.LINE])
+@pytest.mark.parametrize("p", range(2, 10))
+def test_rescaled_profile_matches_its_own_evaluation(p, domain):
+    # another witness's profile from shared sums: values, meta (the lattice
+    # error estimates included) and sums as its own evaluation gives them
+    sign, seed = (-1) ** p, 3
+    base = _evaluate(build_witness(WitnessConfig(domain, p, 16, -1.0)), 0.7,
+                     sign, seed)
+    pair = build_witness(WitnessConfig(domain, p, 16, -0.6, 0.1))
+    own = _evaluate(pair, 0.7, sign, seed)
+    prefs = flow_derivative._prefactors(pair, p, own.xi, sign)
+    shared = flow_derivative._rescaled(base, prefs, 16)
+    assert _bits(shared.values) == _bits(own.values)
+    assert _bits(shared.sums) == _bits(own.sums)
+    assert shared.meta == own.meta and list(shared.meta) == list(own.meta)
+    assert np.array_equal(shared.xi, own.xi)
+    assert np.array_equal(shared.weights, own.weights)
+    assert _bits(own.values) != _bits(base.values)
+
+
+def test_growth_tables_refuse_first_as_one_s_would(monkeypatch):
+    # at each N every s's witness, N^(p sigma) and prefactor checks run
+    # before the sum is formed: the refusal names the s, N and message of
+    # that s's own growth_table. At p = 4 on the torus, s = -66 (sigma
+    # -65) leaves N^(p sigma) subnormal at N = 16 and the prefactor
+    # overflows; s = -61 passes those checks but its profile's H^s mass
+    # overflows; s = -26 is refused at N = 4096, where N^(p sigma)
+    # underflows; and t = 1e-200 makes the ratio of s = -1 vanish
+    sums = []
+    evaluate = flow_derivative.flow_derivative_torus
+
+    def counted(pair, p, t, *, sign=1):
+        sums.append(pair.config.N)
+        return evaluate(pair, p, t, sign=sign)
+
+    monkeypatch.setattr(flow_derivative, "flow_derivative_torus", counted)
+
+    def refusal(s_list, t, N_list):
+        sums.clear()
+        with pytest.raises(ValueError) as info:
+            growth_tables(4, Domain.TORUS, s_list, None, t, N_list)
+        return str(info.value), list(sums)
+
+    prefactor = ("prefactor p! xi^2 / (N^(p sigma) lambda(xi)) at p=4, "
+                 "N=16 is not finite")
+    for s_list, t, N_list, message, formed in (
+            ([-66.0], 1.0, [16, 32], prefactor, []),
+            ([-1.0, -66.0], 1.0, [16, 32], prefactor, []),
+            ([-61.0, -66.0], 1.0, [16, 32], prefactor, []),
+            ([-1.0, -66.0], 1e-200, [16, 32], prefactor, []),
+            ([-61.0], 1.0, [16, 32], "H^-61 window mass of the p=4 profile "
+             "at t=1 is not finite", [16]),
+            ([-1.0], 1e-200, [16, 32], "growth ratio 0.0 at N=16, t=1e-200 "
+             "is not finite and positive", [16]),
+            ([-1.0, -26.0], 1.0, [16, 4096], "N^(p sigma) factor 0.0 at "
+             "N=4096 is not finite and positive", [16]),
+            ([-26.0, -61.0], 1.0, [16, 4096], "H^-61 window mass of the "
+             "p=4 profile at t=1 is not finite", [16])):
+        assert refusal(s_list, t, N_list) == (message, formed), s_list
+    # the one-s calls behind those refusals
+    for s, t, N_list, message in (
+            (-66.0, 1.0, [16, 32], prefactor),
+            (-26.0, 1.0, [16, 4096], "N^(p sigma) factor 0.0 at N=4096 is "
+             "not finite and positive")):
+        assert refusal([s], t, N_list)[0] == message
+    with pytest.raises(ValueError, match="need at least one s"):
+        growth_tables(4, Domain.TORUS, [], None, 1.0, [16, 32])

@@ -1,7 +1,11 @@
 """Witness construction: supports, windows, amplitudes, norm scaling."""
+import math
+
 import numpy as np
 import pytest
 
+from bqlab.flow_derivative import growth_table
+from bqlab.simulator import inflation_experiment
 from bqlab.spectral import Domain, dispersion, free_flow_rotation, write_json
 from bqlab.witness import (WitnessConfig, WitnessPair, attainable_triplet_range,
                            build_witness, checked_n_list, data_norm,
@@ -41,6 +45,22 @@ def test_checked_n_list():
             ([16], 2, r"at least 2 N values, got \[16\]")):
         with pytest.raises(ValueError, match=message):
             checked_n_list(N_list, least)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 2.5])
+def test_non_integer_n_refused_with_value_error(bad):
+    # an infinite or nan N is refused as a ValueError with the message of
+    # any other non-integer N, at every entry point that takes N
+    with pytest.raises(ValueError, match="^N must be an integer >= 1$"):
+        WitnessConfig(Domain.TORUS, 2, bad, -1.0)
+    message = f"^{bad!r} is not an integer$"
+    with pytest.raises(ValueError, match=message):
+        checked_n_list([16, bad])
+    with pytest.raises(ValueError, match=message):
+        growth_table(2, Domain.TORUS, -1.0, None, 1.0, [16, bad])
+    with pytest.raises(ValueError, match=message):
+        inflation_experiment([-0.6], [16, bad], p=2, delta=1e-2, t_end=1.0,
+                             sign=1)
 
 
 # -- frequency sets and windows --------------------------------------------------
