@@ -386,7 +386,7 @@ def criterion_8(out_dir=None) -> CriterionResult:
     details, ok = [], True
     N_list = (16, 32, 64, 128)
     delta = 1e-2
-    # both s share K, M and dt at each N: one two-row state per N
+    # both s share K, M and dt at each N: two parts of one lockstep run
     grow, flat = inflation_experiment((-0.6, 0.0), N_list, p=2, delta=delta,
                                       t_end=1.0, sign=1)
     sups = grow.sup_norms()

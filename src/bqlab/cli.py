@@ -30,7 +30,8 @@ from .witness import WitnessConfig, WitnessPair, build_witness, data_norm
 from .resonance import (closed_form_profiles, solve_diophantine,
                         verify_resonance_bounds)
 from .flow_derivative import growth_table
-from .simulator import (INFLATION_WINDOW, SimConfig, Stepper, full_norm,
+from .simulator import (INFLATION_WINDOW, SimConfig, Stepper,
+                        check_simulation_budget, full_norm,
                         inflation_experiment, linear_energy, windowed_norm,
                         witness_state)
 from .acceptance import run_criteria
@@ -266,6 +267,12 @@ def cmd_simulate(params):
         except OverflowError:
             raise ValueError(f"norm_s={s:g}: the H^s weight (1 + K^2)^s at "
                              f"K={K} is not finite") from None
+    if not math.isfinite(params["t_end"]):
+        raise ValueError(f"need a finite t_end, got {params['t_end']}")
+    config = SimConfig(p=params["p"], K=K, dt=params["dt"],
+                       sign=params["sign"])
+    check_simulation_budget(config.p, K, params["t_end"],
+                            [(0.0, config.dt, 1)])
     state = witness_state(pair, K)
     with np.errstate(over="ignore", invalid="ignore"):   # refused below
         if params["scale"] != 1.0:
@@ -275,11 +282,8 @@ def cmd_simulate(params):
     if not np.isfinite(e0).all():
         raise ValueError(f"--scale {params['scale']:g}: the linear energy of "
                          "the scaled data is not finite")
-    stepper = Stepper(SimConfig(p=params["p"], K=K, dt=params["dt"],
-                                sign=params["sign"]))
+    stepper = Stepper(config)
     window = (pair.output_window,)
-    if not math.isfinite(params["t_end"]):
-        raise ValueError(f"need a finite t_end, got {params['t_end']}")
     every = params["observe_every"]
     if every is None:
         n_steps = max(1, int(round(params["t_end"] / stepper.dt)))

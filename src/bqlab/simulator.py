@@ -18,15 +18,17 @@ one batched call of Stepper.nonlinear.
 
 A state may carry leading batch axes (modes on the last axis): every row is
 advanced by the same steps, and each row's result is bit-identical to
-integrating that row alone. Rows with different step sizes can share the
-steps too: _integrate_lockstep advances several (stepper, state) parts of
-one equation to one time. The rows of every part that still has full
-steps left are stacked with (u, v) into one (2, R, K+1) array, and a
-_Workspace built once for that stack holds the per-row coefficients, dt
-and every stage buffer, so a step allocates nothing but its new state.
-The probe integrates its dt and 2 dt amplitude ladders as two parts of
-one lockstep run, and criterion 8 its two s runs at each N as the two
-rows of one state.
+integrating that row alone. Runs with different step sizes can share the
+steps too: _integrate_lockstep advances several (state, dt, observer)
+parts on one Stepper, whose equation and grid they share, to one time.
+The rows of every part that still has full steps left are stacked with
+(u, v) into one (2, R, K+1) array, and a _Workspace built once for that
+stack holds the per-row coefficients, dt and every stage buffer, so a
+step allocates nothing but its new state. The probe integrates its dt
+and 2 dt amplitude ladders as two parts of one lockstep run, and
+criterion 8 its two s runs at each N as two parts, each with its own
+observer. check_simulation_budget sizes a run from numbers alone, before
+anything of K + 1 modes is built.
 """
 from __future__ import annotations
 
@@ -48,26 +50,65 @@ PROBE_EPS = (2.5e-3, 1.25e-3)   # fd_derivative_probe's stencil steps
 # row steps x M log2 M of one lockstep run; the largest that a criterion or
 # a CLI default makes is about 1.8e8 (criterion 8's N = 128 inflation run)
 SIMULATION_BUDGET = 10 ** 11
+# rows x M of one lockstep run, which its buffers scale with; the largest
+# that a criterion or a CLI default makes is 3,240 (criterion 6's p = 3,
+# N = 64 probe: 6 rows at M = 540)
+SIMULATION_ROWS_M = 10 ** 6
 
 
 def _fft_good_size(n: int) -> int:
-    """Smallest even 2^a 3^b 5^c >= n."""
-    m = max(2, int(n))
-    while True:
-        r = m
-        for f in (2, 3, 5):
-            while r % f == 0:
-                r //= f
-        if r == 1 and m % 2 == 0:
-            return m
-        m += 1
+    """Smallest even 2^a 3^b 5^c >= n: for each odd 3^b 5^c below the best
+    size so far, the smallest power-of-two multiple >= n (a >= 1), so
+    O(log^2 n) candidates."""
+    n = max(2, int(n))
+    best = 1 << (n - 1).bit_length()
+    five = 1
+    while five < best:
+        odd = five
+        while odd < best:
+            q = -(-n // odd)
+            best = min(best, odd << max(1, (q - 1).bit_length()))
+            odd *= 3
+        five *= 5
+    return best
+
+
+def _grid_size(p: int, K: int) -> int:
+    """The FFT grid of modes 0..K at power p: zero padding keeps products
+    of p copies alias-free."""
+    return _fft_good_size((p + 1) * K + 1)
+
+
+def check_simulation_budget(p: int, K: int, t_end: float, parts):
+    """Refuse, with ResourceBudgetError, a lockstep run of modes 0..K at
+    power p to t_end whose (start time, dt, rows) parts would exceed
+    SIMULATION_BUDGET in row steps (full steps plus one for a remainder)
+    x M log2 M, or SIMULATION_ROWS_M in rows x M. It reads only numbers,
+    so a caller can size a run before it builds anything of K + 1 modes;
+    a step count that is not finite is over budget."""
+    M = _grid_size(p, K)
+    steps = [(t_end - t) / dt + 1e-12 for t, dt, _n in parts]
+    work = math.inf
+    if all(map(math.isfinite, steps)):
+        work = sum((math.floor(x) + 1.0) * n for x, (_t, _dt, n)
+                   in zip(steps, parts)) * M * math.log2(M)
+    if work > SIMULATION_BUDGET:
+        raise ResourceBudgetError(
+            f"{work:.3g} row steps x M log2 M at M={M} exceed the simulation "
+            f"budget {SIMULATION_BUDGET:g}", work, SIMULATION_BUDGET)
+    rows = sum(n for _t, _dt, n in parts)
+    if rows * M > SIMULATION_ROWS_M:
+        raise ResourceBudgetError(
+            f"rows x M = {rows} x {M} exceeds the simulation memory bound "
+            f"{SIMULATION_ROWS_M:g}", rows * M, SIMULATION_ROWS_M)
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Discretization: p-th power nonlinearity with sign in {+1, -1, 0}
-    (0 disables the nonlinear term), modes 0..K, step dt (default resolves
-    the fastest linear phase, 0.5 / lambda(K))."""
+    (0 disables the nonlinear term), modes 0..K, step dt. dt=None resolves
+    here to 0.5 / lambda(K), which resolves the fastest linear phase, so a
+    run can be sized before anything of K + 1 modes is built."""
 
     p: int
     K: int
@@ -80,7 +121,9 @@ class SimConfig:
             raise ValueError(f"need K >= 1, got {self.K}")
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0, or +1, got {self.sign}")
-        if self.dt is not None and not 0 < self.dt < math.inf:
+        if self.dt is None:
+            object.__setattr__(self, "dt", 0.5 / dispersion(float(self.K)))
+        if not 0 < self.dt < math.inf:
             raise ValueError(f"need a finite dt > 0, got {self.dt}")
 
 
@@ -138,7 +181,8 @@ class Stepper:
     coefficients, dt factors and the grid size M are real but stored as
     complex128: numpy multiplies a real number into a complex one as
     (c + 0j) * z anyway, so the bits are the same, and storing them
-    complex saves that cast in every operation.
+    complex saves that cast in every operation. The parts of a lockstep
+    run (_integrate_lockstep) share one stepper, each with its own dt.
     """
 
     def __init__(self, config: SimConfig):
@@ -150,10 +194,8 @@ class Stepper:
         self.lam = dispersion(k)
         self.k2 = k ** 2
         self._sign_k2 = (self.sign * self.k2).astype(complex)
-        self.dt = (float(config.dt) if config.dt is not None
-                   else 0.5 / dispersion(float(self.K)))
-        # zero padding: products of p copies stay alias-free
-        self.M = _fft_good_size((self.p + 1) * self.K + 1)
+        self.dt = float(config.dt)
+        self.M = _grid_size(self.p, self.K)
         self._M = np.asarray(self.M, dtype=complex)
         self._fft_buffers = {}      # nonlinear's scratch, per input shape
 
@@ -242,7 +284,8 @@ class Stepper:
         """Advance to t_end with fixed steps plus one remainder step.
         observer(state), when given, is called at the start and after every
         step. Non-finite spectra raise SimulationBlowup."""
-        (final,), _ = _integrate_lockstep([(self, state, observer)], t_end)
+        (final,), _ = _integrate_lockstep(self, [(state, self.dt, observer)],
+                                          t_end)
         return final
 
 
@@ -277,24 +320,22 @@ class _Workspace:
 
 
 class _Part:
-    """One part of a lockstep integration: its stepper and observer, its
-    count of full steps and its own clock, its current state as one array
+    """One part of a lockstep integration: its dt and observer, its count
+    of full steps and its own clock, its current state as one array
     W = (u, v) and its last checked state."""
 
-    def __init__(self, stepper: Stepper, state: SimState, observer,
-                 t_end: float):
+    def __init__(self, state: SimState, dt: float, observer, t_end: float):
         if t_end < state.t:
             raise ValueError(f"t_end={t_end} before state time {state.t}")
-        self.stepper = stepper
+        self.dt = dt
         self.observer = observer
         state = state.copy()
         if observer is not None:
             observer(state)
-        self.dt = stepper.dt
         self.n_full = int(math.floor((t_end - state.t) / self.dt + 1e-12))
         self.t, self.i = state.t, 0     # the time after i full steps
         self.W = np.array((state.u, state.v), dtype=complex)
-        self.n_rows = state.u.size // state.u.shape[-1]
+        self.n_rows = math.prod(state.u.shape[:-1])
         self.last_good = state
         self.steps = self.n_full
 
@@ -321,12 +362,12 @@ class _Part:
         if self.observer is not None:
             self.observer(SimState(t, W[0], W[1]))
 
-    def finish(self, t_end: float) -> SimState:
+    def finish(self, stepper: Stepper, t_end: float) -> SimState:
         """The remainder step, if any, and the final check."""
         t, W = self.time_after(self.n_full), self.W
         rem = t_end - t
         if rem > 1e-12 * max(1.0, abs(t_end)):   # the clock's rounding
-            t, W = t_end, self.stepper._step_once(W, rem)
+            t, W = t_end, stepper._step_once(W, rem)
             self.steps += 1
             if self.observer is not None:
                 self.observer(SimState(t, W[0], W[1]))
@@ -334,34 +375,27 @@ class _Part:
         return SimState(t, W[0], W[1])
 
 
-def _integrate_lockstep(parts, t_end: float):
-    """Advance each (stepper, state, observer) part to t_end as
-    Stepper.integrate advances it alone, and return the final states and
-    the steps each part took.
+def _integrate_lockstep(stepper: Stepper, parts, t_end: float):
+    """Advance each (state, dt, observer) part to t_end with stepper's
+    equation, as Stepper.integrate at that dt advances it alone, and
+    return the final states and the steps each part took.
 
-    The steppers share p, K and sign; each has its own dt, so each part
-    has its own full steps, time sum, remainder step, finiteness check
-    every NAN_CHECK_EVERY full steps and last good state. The parts with
-    full steps left form a group: their rows are stacked into one
-    (2, R, K+1) state, a _Workspace is built as the group forms, and each
-    step is one Stepper._step call. Rows are advanced independently, so
-    every part gets the bits of integrating it alone. Overflow on the way
-    to a blow-up is not warned about; the checks raise SimulationBlowup.
-    A run whose row steps (the remainder step counted) times M log2 M
-    exceed SIMULATION_BUDGET raises ResourceBudgetError before any step."""
+    Each part has its own full steps, time sum, remainder step,
+    finiteness check every NAN_CHECK_EVERY full steps and last good
+    state. The parts with full steps left form a group: their rows are
+    stacked into one (2, R, K+1) state, a _Workspace is built as the group
+    forms, and each step is one Stepper._step call. Rows are advanced
+    independently, so every part gets the bits of integrating it alone.
+    Overflow on the way to a blow-up is not warned about; the checks raise
+    SimulationBlowup. check_simulation_budget refuses an oversized run
+    before any part is built."""
     if not math.isfinite(t_end):
         raise ValueError(f"need a finite t_end, got {t_end}")
-    if len({(st.p, st.K, st.sign) for st, _s, _o in parts}) != 1:
-        raise ValueError("lockstep parts must share p, K and sign")
-    parts = [_Part(stepper, state, observer, t_end)
-             for stepper, state, observer in parts]
-    stepper = parts[0].stepper
-    M = stepper.M
-    work = sum((q.n_full + 1) * q.n_rows for q in parts) * M * math.log2(M)
-    if work > SIMULATION_BUDGET:
-        raise ResourceBudgetError(
-            f"{work:.3g} row steps x M log2 M at M={M} exceed the simulation "
-            f"budget {SIMULATION_BUDGET:g}", work, SIMULATION_BUDGET)
+    check_simulation_budget(stepper.p, stepper.K, t_end,
+                            [(state.t, dt, math.prod(state.u.shape[:-1]))
+                             for state, dt, _o in parts])
+    parts = [_Part(state, dt, observer, t_end)
+             for state, dt, observer in parts]
     width = stepper.K + 1
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -386,7 +420,7 @@ def _integrate_lockstep(parts, t_end: float):
             for q, r in rows:
                 q.W = W[:, r].reshape(q.W.shape)
             done = stop
-        finals = [q.finish(t_end) for q in parts]
+        finals = [q.finish(stepper, t_end) for q in parts]
     return finals, [q.steps for q in parts]
 
 
@@ -466,10 +500,10 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
     gives the 2 dt ladder at least two full steps: for t < 2 dt both
     ladders would take one identical remainder step of size t, and the
     time-error estimate below would read 0 whatever the error. The ladder
-    is solved at dt and at 2 dt, and both ladders are parts of one
-    lockstep run (_integrate_lockstep): while the 2 dt ladder has full
-    steps left, both ladders' rows go through one step call, each with its
-    own dt, and each ladder gets the bits of integrating it alone. IF-RK4
+    is solved at dt and at 2 dt, as two parts of one lockstep run on one
+    Stepper (_integrate_lockstep), sized before a state is built: while
+    the 2 dt ladder has full steps left, both ladders' rows go through one
+    step call, each with its own dt, and each gets its own bits. IF-RK4
     is fourth order, so with v(h) the Richardson value in eps at step h,
     |v(dt) - v(2dt)| / 15 estimates the time error of v(dt), and the
     reported value is the Richardson value in time,
@@ -501,7 +535,6 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
     max_freq = pair.u0.support.max_frequency()
     K = max(int(round(max_freq)), mode)
     dt = min(2.0 / dispersion(float(max_freq)), t / 4.0)
-    base = witness_state(pair, K)
     offsets, weights = _stencil_weights(p)
     # the zero amplitude solves to zero and drops out of the stencil
     stencil = [(int(off), w) for off, w in zip(offsets, weights)
@@ -512,11 +545,14 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
     js = list(dict.fromkeys(off * m for m in ms for off, _w in stencil))
     odd = p % 2 == 1
     solved = [j for j in js if j > 0 or not odd]
+    dts = (dt, 2.0 * dt)
+    check_simulation_budget(p, K, t, [(0.0, h, len(solved)) for h in dts])
+    base = witness_state(pair, K)
     rows = PROBE_EPS[-1] * np.array(solved, dtype=float)[:, None]
-    parts = [(Stepper(SimConfig(p=p, K=K, dt=step, sign=sign)),
-              SimState(0.0, rows * base.u, rows * base.v), None)
-             for step in (dt, 2.0 * dt)]
-    finals, steps = _integrate_lockstep(parts, t)
+    parts = [(SimState(0.0, rows * base.u, rows * base.v), h, None)
+             for h in dts]
+    finals, steps = _integrate_lockstep(
+        Stepper(SimConfig(p=p, K=K, dt=dt, sign=sign)), parts, t)
 
     def ladder(final):
         """Stencil estimates per eps and their Richardson value, from one
@@ -574,42 +610,45 @@ def inflation_experiment(s_list, N_list, *, p: int, delta: float,
     The step dt = INFLATION_DT_FACTOR / (2N + 2) resolves the slow beat
     phase that transfers mass to the window (the fast factors are rotated
     exactly by the integrating factor, so dt does not need to resolve
-    lambda(K)). The runs at one N share K, M and dt, so they are
-    integrated as the rows of one state, row i at s_list[i]; each row gets
-    the bits of its own run. N_list follows checked_n_list's rule.
+    lambda(K)). The runs at one N share K, M and dt, so they are the
+    parts of one lockstep run on one Stepper, each with its own observer,
+    bits and last good state. Every N is sized before any witness is
+    built. N_list follows checked_n_list's rule.
     """
     if not (0 < delta < math.inf and 0 < t_end < math.inf):
         raise ValueError(f"need a finite delta > 0 and a finite t_end > 0, "
                          f"got delta={delta}, t_end={t_end}")
+    s_list = list(s_list)
+    if not s_list:
+        raise ValueError("need at least one s, got an empty list")
     N_list = checked_n_list(N_list)
+    configs = [SimConfig(p=p, K=4 * (N + 1), sign=sign,
+                         dt=INFLATION_DT_FACTOR / (2 * N + 2))
+               for N in N_list]
+    for cfg in configs:
+        check_simulation_budget(cfg.p, cfg.K, t_end,
+                                [(0.0, cfg.dt, 1)] * len(s_list))
     rows = [[] for _ in s_list]
-    for N in N_list:
-        K = 4 * (N + 1)
-        states, scales = [], []
+    for N, cfg in zip(N_list, configs):
+        parts, runs = [], []
         for s in s_list:
             pair = build_witness(WitnessConfig(Domain.TORUS, p, N, s))
             scale = delta / data_norm(pair, s)
-            state = witness_state(pair, K)
+            state = witness_state(pair, cfg.K)
             state.u *= scale
             state.v *= scale
-            states.append(state)
-            scales.append(scale)
-        state = SimState(0.0, np.array([st.u for st in states]),
-                         np.array([st.v for st in states]))
-        dt = INFLATION_DT_FACTOR / (2 * N + 2)
-        stepper = Stepper(SimConfig(p=p, K=K, dt=dt, sign=sign))
-        initial = [windowed_norm(st, INFLATION_WINDOW, s)
-                   for st, s in zip(states, s_list)]
-        peaks = [[-1.0, 0.0] for _ in s_list]
+            peak = [None, -1.0, 0.0]    # initial window norm, sup, its t
 
-        def observe(st):
-            for u, v, s, peak in zip(st.u, st.v, s_list, peaks):
-                w = windowed_norm(SimState(st.t, u, v), INFLATION_WINDOW, s)
-                if w > peak[0]:
-                    peak[:] = w, st.t
-        stepper.integrate(state, t_end, observer=observe)
-        for out, (norm, t_peak), init, scale in zip(rows, peaks, initial,
-                                                    scales):
-            out.append(InflationRow(N, norm, t_peak, init, scale))
+            def observe(st, s=s, peak=peak):
+                w = windowed_norm(st, INFLATION_WINDOW, s)
+                if peak[0] is None:
+                    peak[0] = w
+                if w > peak[1]:
+                    peak[1:] = w, st.t
+            parts.append((state, cfg.dt, observe))
+            runs.append((peak, scale))
+        _integrate_lockstep(Stepper(cfg), parts, t_end)
+        for out, ((initial, norm, t_peak), scale) in zip(rows, runs):
+            out.append(InflationRow(N, norm, t_peak, initial, scale))
     return [InflationResult(p, s, delta, t_end, out)
             for s, out in zip(s_list, rows)]

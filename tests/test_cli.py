@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import bqlab
-from bqlab import simulator
+from bqlab import cli, simulator
 from bqlab.cli import main
 
 
@@ -241,6 +241,34 @@ def test_simulation_refused_beyond_budget(monkeypatch, capsys, argv):
     assert captured.err.startswith("error: resource budget exceeded: ")
     assert "simulation budget" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--k", "1000000000000"],
+    ["inflate", "--n-list", "1000000000000"],
+    ["simulate", "--k", "100000000"],
+    ["simulate", "--n", "100000000"],
+    ["inflate", "--n-list", "100000000"],
+    ["simulate", "--k", "100000000", "--dt", "1", "--t-end", "1"],
+    ["simulate", "--dt", "1e-320"],
+    ["simulate", "--dt", "1e-320", "--observe-every", "5"]])
+def test_simulation_sized_before_it_allocates(monkeypatch, capsys, tmp_path,
+                                              argv):
+    # K + 1 modes in the terabytes, a step count that is not finite, or
+    # rows x M of several GB: one line and exit 2, before a witness state,
+    # an energy or a stepper is built, and no file written
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built before it was sized")
+    for name in ("Stepper", "witness_state", "linear_energy"):
+        for module in (simulator, cli):
+            monkeypatch.setattr(module, name, unbuilt)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: resource budget exceeded: ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_reproduce_single_criterion(tmp_path):

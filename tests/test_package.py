@@ -17,11 +17,13 @@ import pytest
 import bqlab
 from bqlab import flow_derivative
 from bqlab.flow_derivative import (flow_derivative_line,
-                                   flow_derivative_torus, growth_table)
+                                   flow_derivative_torus, growth_table,
+                                   time_integral)
 from bqlab.resonance import (closed_form_profiles, construct_representation,
                              enumerate_representations, solve_diophantine,
                              verify_resonance_bounds)
-from bqlab.simulator import SimConfig, Stepper, fd_derivative_probe
+from bqlab.simulator import (SimConfig, SimState, Stepper,
+                             fd_derivative_probe, witness_state)
 from bqlab.spectral import Domain
 from bqlab.witness import (WitnessConfig, build_witness, frequency_set,
                            output_window)
@@ -134,9 +136,10 @@ def _tracing_module():
 
 
 def test_benchmark_entry_points_resolve():
-    # the benchmark traces the LAYERS names and calls growth_table with a
-    # line quadrature seed; a renamed function or keyword would fail only
-    # there
+    # the benchmark traces the LAYERS names, calls growth_table with a
+    # line quadrature seed and makes the set-up calls below (probe, cli,
+    # sweep) at larger K; a renamed function, keyword or attribute would
+    # fail only there
     tracing = _tracing_module()
     assert tracing.LAYERS
     for owner_path, attr, _name, _count in tracing.LAYERS:
@@ -147,6 +150,15 @@ def test_benchmark_entry_points_resolve():
         assert callable(getattr(owner, attr, None)), (owner_path, attr)
     inspect.signature(growth_table).bind(
         4, Domain.LINE, -1.0, None, 1.0, [16, 32], seed=7)
+    pair = _torus(2)
+    K = 2 * int(round(pair.u0.support.max_frequency()))
+    stepper = Stepper(SimConfig(p=2, K=K))
+    state = stepper.step(witness_state(pair, K))
+    assert isinstance(state, SimState) and np.isfinite(state.u).all()
+    stepper = Stepper(SimConfig(p=2, K=K, dt=1e-3))
+    g = stepper.nonlinear(stepper.lam.astype(complex))
+    assert g.shape == (K + 1,) and np.isfinite(g).all()
+    assert np.isfinite(time_integral(1.0, [0.5, 2.0], 1.0)).all()
 
 
 def test_benchmark_reads_existing_profile_meta(monkeypatch):

@@ -5,11 +5,13 @@ import warnings
 import numpy as np
 import pytest
 
-from bqlab.errors import SimulationBlowup
+from bqlab import simulator
+from bqlab.errors import ResourceBudgetError, SimulationBlowup
 from bqlab.flow_derivative import flow_derivative_torus
 from bqlab.simulator import (SimConfig, SimState, Stepper, _fft_good_size,
                              _integrate_lockstep, _stencil_weights,
-                             fd_derivative_probe, full_norm,
+                             check_simulation_budget, fd_derivative_probe,
+                             full_norm,
                              inflation_experiment, linear_energy,
                              windowed_norm, witness_state)
 from bqlab.spectral import Domain, dispersion, free_flow_rotation
@@ -22,17 +24,84 @@ def _witness(p=2, N=8, s=-1.0, sigma=0.0):
 
 # -- grid sizing and config -----------------------------------------------------
 
-def test_fft_good_size():
-    for n in range(1, 200):
-        m = _fft_good_size(n)
-        assert m >= n and m % 2 == 0
-        k = m
+def _fft_good_size_walk(n):
+    """The first even 5-smooth number >= n, found by walking n, n + 1, ...:
+    the reference for the enumeration."""
+    m = max(2, int(n))
+    while True:
+        r = m
         for f in (2, 3, 5):
-            while k % f == 0:
-                k //= f
-        assert k == 1, f"{m} is not 5-smooth"
+            while r % f == 0:
+                r //= f
+        if r == 1 and m % 2 == 0:
+            return m
+        m += 1
+
+
+def test_fft_good_size():
+    # the enumeration of 2^a 3^b 5^c finds what the walk finds, at every
+    # n up to 20,000; the walk's answer at n - 1 stands while it is >= n
+    walk = None
+    for n in range(-2, 20001):
+        if walk is None or walk < n:
+            walk = _fft_good_size_walk(n)
+        assert _fft_good_size(n) == walk, n
+    # and at the grid of every run that a criterion or a CLI default makes:
+    # criterion 6's probes, criterion 7 and simulate, criterion 8 and inflate
+    grids = [(2, 68), (2, 12)] + [(2, 4 * (N + 1)) for N in (16, 32, 64, 128)]
+    for p in (2, 3):
+        for N in (16, 32, 64):
+            pair = _witness(p=p, N=N)
+            grids.append((p, max(int(round(pair.u0.support.max_frequency())),
+                                 pair.output_window)))
+    for p, K in grids:
+        n = (p + 1) * K + 1
+        assert _fft_good_size(n) == _fft_good_size_walk(n), (p, K)
     assert _fft_good_size(33) == 36
     assert _fft_good_size(97) == 100
+    # the walk's answers at K = 1e8 and 1e9, p = 2, which took it seconds
+    assert _fft_good_size(3 * 10 ** 8 + 1) == 301989888
+    assert _fft_good_size(3 * 10 ** 9 + 1) == 3019898880
+
+
+def test_default_dt_resolves_in_config():
+    # the default step is known before a stepper is built
+    assert SimConfig(p=2, K=8).dt == 0.5 / dispersion(8.0)
+    assert Stepper(SimConfig(p=2, K=8)).dt == SimConfig(p=2, K=8).dt
+    assert SimConfig(p=2, K=8, dt=0.1).dt == 0.1
+    # a default step that underflows to 0 is refused, not divided by
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="finite dt > 0"):
+            SimConfig(p=2, K=10 ** 160)
+
+
+def test_run_is_sized_before_it_is_built(monkeypatch):
+    # a step count that is not finite is over budget, where it ended in an
+    # OverflowError; rows x M has a bound of its own
+    state = SimState(0.0, np.zeros(9, dtype=complex),
+                     np.zeros(9, dtype=complex))
+    with pytest.raises(ResourceBudgetError, match="simulation budget"):
+        Stepper(SimConfig(p=2, K=8, dt=1e-320)).integrate(state, 1.0)
+    with pytest.raises(ResourceBudgetError, match="memory bound"):
+        check_simulation_budget(2, 10 ** 8, 1.0, [(0.0, 1.0, 1)])
+    with pytest.raises(ResourceBudgetError, match="memory bound"):
+        check_simulation_budget(2, 10, 1.0, [(0.0, 0.1, 10 ** 5)] * 2)
+    # criterion 6's largest rows x M, p = 3 and N = 64: 6 rows at M = 540
+    pair = _witness(p=3, N=64)
+    K = max(int(round(pair.u0.support.max_frequency())), pair.output_window)
+    assert 6 * _fft_good_size(4 * K + 1) == 3240
+    check_simulation_budget(3, K, 0.7, [(0.0, 0.7, 3)] * 2)
+
+    # the probe and inflation refuse before a witness state or a stepper
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("built before it was sized")
+    for name in ("Stepper", "witness_state", "build_witness"):
+        monkeypatch.setattr(simulator, name, unbuilt)
+    with pytest.raises(ResourceBudgetError):
+        fd_derivative_probe(_witness(p=2, N=8), 2, 1e9)
+    with pytest.raises(ResourceBudgetError):
+        _inflate([16, 10 ** 8])
 
 
 def test_config_validation():
@@ -249,8 +318,8 @@ def test_batched_rows_match_single_solves():
 
 
 def _lockstep_parts(p, sign, shapes, amps, dt=2e-3, K=24):
-    """A dt part and a 2 dt part of the given state shapes, seeded data
-    scaled by amps."""
+    """A stepper at dt, and a dt part and a 2 dt part for it of the given
+    state shapes, seeded data scaled by amps."""
     rng = np.random.default_rng(10 * p + sign)
     decay = 1.0 / (1.0 + np.arange(K + 1))
     parts = []
@@ -258,9 +327,15 @@ def _lockstep_parts(p, sign, shapes, amps, dt=2e-3, K=24):
         u, v = (amp * decay * (rng.normal(size=shape)
                                + 1j * rng.normal(size=shape))
                 for _ in range(2))
-        parts.append((Stepper(SimConfig(p=p, K=K, dt=step, sign=sign)),
-                      SimState(0.0, u, v), None))
-    return parts
+        parts.append((SimState(0.0, u, v), step, None))
+    return Stepper(SimConfig(p=p, K=K, dt=dt, sign=sign)), parts
+
+
+def _stepper_at(stepper, dt):
+    """A stepper of stepper's equation at step dt, to integrate one
+    lockstep part alone."""
+    return Stepper(SimConfig(p=stepper.p, K=stepper.K, dt=dt,
+                             sign=stepper.sign))
 
 
 @pytest.mark.parametrize("sign", [-1, 0, 1])
@@ -272,40 +347,52 @@ def test_lockstep_matches_separate_integrations(p, sign):
     # steps, and a remainder in both parts
     t_end = 0.0517
     for shapes in (((25,), (3, 25)), ((3, 25), (25,)), ((3, 25), (3, 25))):
-        parts = _lockstep_parts(p, sign, shapes, (0.2, 0.2))
-        finals, steps = _integrate_lockstep(parts, t_end)
+        stepper, parts = _lockstep_parts(p, sign, shapes, (0.2, 0.2))
+        finals, steps = _integrate_lockstep(stepper, parts, t_end)
         assert steps == [26, 13]
-        for (stepper, state, _), final in zip(parts, finals):
-            alone = stepper.integrate(state, t_end)
+        for (state, dt, _), final in zip(parts, finals):
+            alone = _stepper_at(stepper, dt).integrate(state, t_end)
             assert final.t == alone.t == t_end
             assert final.u.shape == state.u.shape
             assert np.array_equal(final.u, alone.u)
             assert np.array_equal(final.v, alone.v)
 
 
+def test_one_stepper_per_lockstep_run(monkeypatch):
+    # the probe's dt and 2 dt ladders are two parts on one stepper, and
+    # inflation's s runs at one N are parts on one stepper for that N
+    built = []
+    init = Stepper.__init__
+
+    def counting(self, config):
+        built.append(config)
+        init(self, config)
+    monkeypatch.setattr(Stepper, "__init__", counting)
+    res = fd_derivative_probe(_witness(p=2, N=6), 2, 0.35)
+    assert [(cfg.K, cfg.dt) for cfg in built] == [(res.meta["K"],
+                                                   res.meta["dt"])]
+    built.clear()
+    _inflate([8, 16], s_list=(-0.6, 0.0))
+    assert [cfg.K for cfg in built] == [36, 68]
+
+
 def test_lockstep_blowup_names_its_part():
     # the 2 dt part blows up after 48 steps, while both parts step
     # stacked; the error carries that part's last good state, as its own
     # integration reports it
-    parts = _lockstep_parts(2, 1, ((25,), (3, 25)), (1e-2, 5.0))
+    stepper, parts = _lockstep_parts(2, 1, ((25,), (3, 25)), (1e-2, 5.0))
+    state, dt, _ = parts[1]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(SimulationBlowup) as alone:
-            parts[1][0].integrate(parts[1][1], 1.0)
+            _stepper_at(stepper, dt).integrate(state, 1.0)
         with pytest.raises(SimulationBlowup) as info:
-            _integrate_lockstep(parts, 1.0)
+            _integrate_lockstep(stepper, parts, 1.0)
     assert str(info.value) == str(alone.value)
     assert info.value.t_last_good == alone.value.t_last_good > 0.0
     assert info.value.state.u.shape == (3, 25)
     assert np.array_equal(info.value.state.u, alone.value.state.u)
     assert np.array_equal(info.value.state.v, alone.value.state.v)
-
-
-def test_lockstep_refuses_mixed_equations():
-    parts = _lockstep_parts(2, 1, ((25,), (25,)), (0.2, 0.2))
-    other = (Stepper(SimConfig(p=3, K=24, dt=2e-3)), parts[1][1], None)
-    with pytest.raises(ValueError, match="share p, K and sign"):
-        _integrate_lockstep([parts[0], other], 0.05)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -391,11 +478,12 @@ def test_lockstep_matches_sequential_reference(p, sign):
     # dt and 2 dt parts of 4 rows each, t_end = 25.85 dt, so both parts
     # take a remainder step
     t_end = 0.0517
-    parts = _lockstep_parts(p, sign, ((4, 25), (4, 25)), (0.2, 0.2))
-    finals, steps = _integrate_lockstep(parts, t_end)
+    stepper, parts = _lockstep_parts(p, sign, ((4, 25), (4, 25)), (0.2, 0.2))
+    finals, steps = _integrate_lockstep(stepper, parts, t_end)
     assert steps == [26, 13]
-    for (stepper, state, _), final in zip(parts, finals):
-        ref_u, ref_v = _integrate_sequential(stepper, state, t_end)
+    for (state, dt, _), final in zip(parts, finals):
+        ref_u, ref_v = _integrate_sequential(_stepper_at(stepper, dt), state,
+                                             t_end)
         assert np.array_equal(final.u, ref_u)
         assert np.array_equal(final.v, ref_v)
 
@@ -404,14 +492,14 @@ def test_observed_states_are_never_overwritten():
     # every state an observer is shown stays as it was shown: a reused
     # stage buffer must not leak into a state that was handed out
     t_end = 0.0517
-    parts = _lockstep_parts(3, 1, ((25,), (4, 25)), (0.2, 0.2))
+    stepper, parts = _lockstep_parts(3, 1, ((25,), (4, 25)), (0.2, 0.2))
     seen = [[], []]
-    observed = [(stepper, state, lambda st, out=out: out.append(st))
-                for (stepper, state, _), out in zip(parts, seen)]
-    _integrate_lockstep(observed, t_end)
-    for (stepper, state, _), shown in zip(parts, seen):
+    observed = [(state, dt, lambda st, out=out: out.append(st))
+                for (state, dt, _), out in zip(parts, seen)]
+    _integrate_lockstep(stepper, observed, t_end)
+    for (state, dt, _), shown in zip(parts, seen):
         ref = [(state.t, state.u, state.v)]
-        _integrate_sequential(stepper, state, t_end,
+        _integrate_sequential(_stepper_at(stepper, dt), state, t_end,
                               lambda t, u, v: ref.append((t, u, v)))
         assert len(shown) == len(ref)
         for st, (t, u, v) in zip(shown, ref):
@@ -428,15 +516,14 @@ def test_two_nonlinear_calls_per_step(monkeypatch):
         calls.append(u_hat.shape)
         return nonlinear(self, u_hat, out)
     monkeypatch.setattr(Stepper, "nonlinear", counting)
-    stepper = Stepper(SimConfig(p=2, K=24, dt=2e-3, sign=1))
-    state = _lockstep_parts(2, 1, ((25,), (25,)), (0.2, 0.2))[0][1]
-    stepper.integrate(state, 0.0517)            # 25 full steps, remainder
+    stepper, parts = _lockstep_parts(2, 1, ((25,), (25,)), (0.2, 0.2))
+    stepper.integrate(parts[0][0], 0.0517)      # 25 full steps, remainder
     assert len(calls) == 2 * 25 + 2
     # stacked steps count once: 12 shared, 13 of the dt part alone and
     # one remainder step per part
     calls.clear()
-    _integrate_lockstep(_lockstep_parts(2, 1, ((25,), (3, 25)),
-                                        (0.2, 0.2)), 0.0517)
+    stepper, parts = _lockstep_parts(2, 1, ((25,), (3, 25)), (0.2, 0.2))
+    _integrate_lockstep(stepper, parts, 0.0517)
     assert len(calls) == 2 * (12 + 13 + 2)
     assert calls[0] == (2, 4, 25)
 
@@ -662,11 +749,33 @@ def test_inflation_validation():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="finite delta"):
             _inflate([8], delta=bad)
+    # an empty s list ended in a ZeroDivisionError
+    with pytest.raises(ValueError,
+                       match="need at least one s, got an empty list"):
+        inflation_experiment([], [16], p=2, delta=1e-2, t_end=0.01, sign=1)
 
 
-def test_inflation_runs_as_rows_match_separate_runs():
-    # criterion 8 integrates its two s as the rows of one state per N:
-    # each row keeps the bits of its own one-row run
+def test_inflation_blowup_carries_its_s_run():
+    # at delta = 10 the s = -0.6 run blows up and the s = 0 run does not;
+    # the error carries the s = -0.6 run's last good state, as that run
+    # alone reports it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SimulationBlowup) as alone:
+            _inflate([8], s_list=(-0.6,), delta=10.0, t_end=1.0)
+        with pytest.raises(SimulationBlowup) as info:
+            _inflate([8], s_list=(-0.6, 0.0), delta=10.0, t_end=1.0)
+        _inflate([8], s_list=(0.0,), delta=10.0, t_end=1.0)
+    assert str(info.value) == str(alone.value)
+    assert info.value.t_last_good == alone.value.t_last_good > 0.0
+    assert info.value.state.u.shape == (37,)
+    assert np.array_equal(info.value.state.u, alone.value.state.u)
+    assert np.array_equal(info.value.state.v, alone.value.state.v)
+
+
+def test_inflation_runs_as_parts_match_separate_runs():
+    # criterion 8 integrates its two s as two parts of one lockstep run
+    # per N: each part keeps the bits of its own one-s run
     both = _inflate([8, 16], s_list=(-0.6, 0.0))
     for s, result in zip((-0.6, 0.0), both):
         (alone,) = _inflate([8, 16], s_list=(s,))
