@@ -364,7 +364,7 @@ def criterion_7(out_dir=None) -> CriterionResult:
     cfg = WitnessConfig(Domain.TORUS, 2, 16, s=-1.0, sigma=0.0)
     pair = build_witness(cfg)
     state = witness_state(pair, 68)
-    stepper = Stepper(SimConfig(p=2, K=68, sign=0))
+    stepper = Stepper(SimConfig(p=2, K=68, dt=0.5 / dispersion(68.0), sign=0))
     e0 = linear_energy(state)
     for _ in range(1000):
         state = stepper.step(state)

@@ -6,7 +6,8 @@ from --config (a key that no subcommand declares is refused), then built-in
 defaults. Each subcommand returns what --out gets, and main alone writes
 it (reproduce-all: <out_dir>/criteria_summary.json) with a manifest
 (command, resolved params, sha256 of file inputs, package version, wall
-time, output path) beside it; without --out (--out-dir) no file is written.
+time, output path, and for simulate its time error estimate) beside it;
+without --out (--out-dir) no file is written.
 
 Exit codes: 0 success, 1 validation failure, unreadable input or output
 file, or failed checks, 2 enumeration or simulation work budget exceeded,
@@ -15,6 +16,7 @@ before the work starts (argparse also exits 2 on malformed flags).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import math
 import os
@@ -30,10 +32,10 @@ from .witness import WitnessConfig, WitnessPair, build_witness, data_norm
 from .resonance import (closed_form_profiles, solve_diophantine,
                         verify_resonance_bounds)
 from .flow_derivative import growth_table
-from .simulator import (INFLATION_WINDOW, SimConfig, Stepper,
-                        check_simulation_budget, full_norm,
-                        inflation_experiment, linear_energy, windowed_norm,
-                        witness_state)
+from .simulator import (INFLATION_WINDOW, SIMULATION_TIME_TOL, SimConfig,
+                        Stepper, check_simulation_budget, full_norm,
+                        has_shadow, inflation_experiment, linear_energy,
+                        windowed_norm, witness_state)
 from .acceptance import run_criteria
 
 
@@ -104,7 +106,8 @@ _PARAMS = {
         ("sigma", float, None, "amplitude exponent, default s+1"),
         ("k", int, None, "mode cutoff, at least the output mode; default "
          "max(4*(max support frequency), output mode)"),
-        ("dt", float, None, "time step, default 0.5/lambda(K)"),
+        ("dt", float, None, "time step, default 1/lambda(K), at most "
+         "t_end/4"),
         ("t_end", float, 1.0, "final time"),
         ("sign", int, 1, "nonlinearity sign; 0 disables the nonlinearity"),
         ("scale", float, 1.0, "multiply the witness data by this factor"),
@@ -186,7 +189,8 @@ def _witness_config(params, domain=Domain.TORUS) -> WitnessConfig:
                          params["sigma"])
 
 
-# -- subcommand bodies: return (payload for --out, exit code, input paths) --
+# -- subcommand bodies: return (payload for --out, exit code, input paths),
+# and simulate a fourth item, the entries it adds to the manifest --
 
 def cmd_witness(params):
     cfg = _witness_config(params, _domain(params))
@@ -262,17 +266,21 @@ def cmd_simulate(params):
         raise ValueError(f"K={K} below the output mode {mode}")
     norm_s = params["norm_s"] or [pair.config.s]
     for s in norm_s:
-        try:   # the observer's largest H^s weight
-            (1.0 + K * K) ** s
-        except OverflowError:
+        # the observer's largest H^s weight, in logs: K may exceed a float
+        if s * math.log(1 + K * K) > math.log(sys.float_info.max):
             raise ValueError(f"norm_s={s:g}: the H^s weight (1 + K^2)^s at "
-                             f"K={K} is not finite") from None
-    if not math.isfinite(params["t_end"]):
-        raise ValueError(f"need a finite t_end, got {params['t_end']}")
+                             f"K={K} is not finite")
+    t_end = params["t_end"]
+    if not math.isfinite(t_end):
+        raise ValueError(f"need a finite t_end, got {t_end}")
     config = SimConfig(p=params["p"], K=K, dt=params["dt"],
                        sign=params["sign"])
-    check_simulation_budget(config.p, K, params["t_end"],
-                            [(0.0, config.dt, 1)])
+    if params["dt"] is None and 0 < t_end < 4.0 * config.dt:
+        # the default step leaves the 2 dt shadow two full steps
+        config = dataclasses.replace(config, dt=t_end / 4.0)
+    dts = ((config.dt, 2.0 * config.dt) if has_shadow(config.dt, t_end)
+           else (config.dt,))
+    check_simulation_budget(config.p, K, t_end, [(0.0, h, 1) for h in dts])
     state = witness_state(pair, K)
     with np.errstate(over="ignore", invalid="ignore"):   # refused below
         if params["scale"] != 1.0:
@@ -286,7 +294,7 @@ def cmd_simulate(params):
     window = (pair.output_window,)
     every = params["observe_every"]
     if every is None:
-        n_steps = max(1, int(round(params["t_end"] / stepper.dt)))
+        n_steps = max(1, int(round(t_end / stepper.dt)))
         every = max(1, n_steps // 512)
     elif every < 1:
         raise ValueError(f"need observe_every >= 1, got {every}")
@@ -295,16 +303,19 @@ def cmd_simulate(params):
     rows = []
     counter = {"i": 0}
 
+    def columns(st):
+        with np.errstate(over="ignore", invalid="ignore"):   # see below
+            return ([windowed_norm(st, window, s) for s in norm_s]
+                    + [full_norm(st, s) for s in norm_s])
+
     def observe(st):
         i = counter["i"]
         counter["i"] = i + 1
-        if i % every == 0 or st.t >= params["t_end"] - 1e-12:
-            with np.errstate(over="ignore", invalid="ignore"):   # see below
-                rows.append([st.t]
-                            + [windowed_norm(st, window, s) for s in norm_s]
-                            + [full_norm(st, s) for s in norm_s])
+        if i % every == 0 or st.t >= t_end - 1e-12:
+            rows.append([st.t] + columns(st))
 
-    final = stepper.integrate(state, params["t_end"], observer=observe)
+    final, shadow = stepper.integrate_with_shadow(state, t_end,
+                                                  observer=observe)
     # a blow-up has been refused by now: a norm weight and an amplitude
     # that are each finite can still overflow when multiplied
     finite = np.isfinite(np.array(rows)[:, 1:])
@@ -316,11 +327,26 @@ def cmd_simulate(params):
     e1 = linear_energy(final)
     mask = e0 > 0
     drift = float(np.abs(e1[mask] / e0[mask] - 1.0).max()) if mask.any() else 0.0
+    # IF-RK4 is fourth order: |c(dt) - c(2 dt)| / 15 estimates the time
+    # error of each written column at t_end, here relative to the column's
+    # largest written value; None when the shadow took under two full
+    # steps or did not stay finite
+    time_err_est = None
+    if shadow is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = np.abs(np.subtract(columns(final), columns(shadow))) / 15.0
+            top = np.array(rows)[:, 1:].max(axis=0)
+            est = float((gap / np.maximum(top, 1e-300)).max())
+        time_err_est = est if math.isfinite(est) else None
     print(f"simulate p={params['p']} K={K} dt={stepper.dt:g} "
           f"sign={params['sign']}: reached t={final.t:g} "
           f"({len(rows)} records, window mode {window[0]}), "
-          f"linear-mode energy drift {drift:.3e}")
-    return lambda path: write_csv(path, header, rows), 0, inputs
+          f"linear-mode energy drift {drift:.3e}, time error estimate "
+          + ("n/a" if time_err_est is None else f"{time_err_est:.2e}")
+          + f" (tolerance {SIMULATION_TIME_TOL:g})")
+    return (lambda path: write_csv(path, header, rows), 0, inputs,
+            {"time_err_est": time_err_est,
+             "time_err_tol": SIMULATION_TIME_TOL})
 
 
 def cmd_inflate(params):
@@ -358,7 +384,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         params = _resolve_params(args)
-        payload, code, inputs = _COMMANDS[args.command](params)
+        payload, code, inputs, *extra = _COMMANDS[args.command](params)
         out = params.get("out")
         manifest = out and out + ".manifest.json"
         if params.get("out_dir"):
@@ -373,7 +399,7 @@ def main(argv=None) -> int:
                 "inputs": {path: _sha256(path) for path in inputs},
                 "version": VERSION,
                 "wall_time_s": round(time.perf_counter() - t0, 3),
-                "outputs": [out]})
+                "outputs": [out], **(extra[0] if extra else {})})
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

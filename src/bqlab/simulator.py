@@ -25,7 +25,8 @@ The rows of every part that still has full steps left are stacked with
 (u, v) into one (2, R, K+1) array, and a _Workspace built once for that
 stack holds the per-row coefficients, dt and every stage buffer, so a
 step allocates nothing but its new state. The probe integrates its dt
-and 2 dt amplitude ladders as two parts of one lockstep run, and
+and 2 dt amplitude ladders as two parts of one lockstep run,
+Stepper.integrate_with_shadow a trajectory and its 2 dt shadow, and
 criterion 8 its two s runs at each N as two parts, each with its own
 observer. check_simulation_budget sizes a run from numbers alone, before
 anything of K + 1 modes is built.
@@ -54,6 +55,9 @@ SIMULATION_BUDGET = 10 ** 11
 # that a criterion or a CLI default makes is 3,240 (criterion 6's p = 3,
 # N = 64 probe: 6 rows at M = 540)
 SIMULATION_ROWS_M = 10 ** 6
+# the relative time error that simulate's default step is chosen to meet,
+# as its 2 dt shadow estimates it (cli.cmd_simulate reports the estimate)
+SIMULATION_TIME_TOL = 1e-8
 
 
 def _fft_good_size(n: int) -> int:
@@ -89,7 +93,9 @@ def check_simulation_budget(p: int, K: int, t_end: float, parts):
     M = _grid_size(p, K)
     steps = [(t_end - t) / dt + 1e-12 for t, dt, _n in parts]
     work = math.inf
-    if all(map(math.isfinite, steps)):
+    # an M above the budget is over it at any step count, and may exceed
+    # a float
+    if all(map(math.isfinite, steps)) and M <= SIMULATION_BUDGET:
         work = sum((math.floor(x) + 1.0) * n for x, (_t, _dt, n)
                    in zip(steps, parts)) * M * math.log2(M)
     if work > SIMULATION_BUDGET:
@@ -107,8 +113,11 @@ def check_simulation_budget(p: int, K: int, t_end: float, parts):
 class SimConfig:
     """Discretization: p-th power nonlinearity with sign in {+1, -1, 0}
     (0 disables the nonlinear term), modes 0..K, step dt. dt=None resolves
-    here to 0.5 / lambda(K), which resolves the fastest linear phase, so a
-    run can be sized before anything of K + 1 modes is built."""
+    here to 1 / lambda(K), so a run can be sized before anything of K + 1
+    modes is built. The integrating factor rotates every linear phase
+    exactly, so dt only has to resolve the beats of the nonlinear term; at
+    simulate's defaults this step's time error, as its 2 dt shadow
+    estimates it, is below SIMULATION_TIME_TOL."""
 
     p: int
     K: int
@@ -122,7 +131,11 @@ class SimConfig:
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0, or +1, got {self.sign}")
         if self.dt is None:
-            object.__setattr__(self, "dt", 0.5 / dispersion(float(self.K)))
+            # lambda(K) overflows to inf above K of about 1e154, and dt = 0
+            # is refused below
+            with np.errstate(over="ignore"):
+                object.__setattr__(self, "dt", 1.0 / dispersion(
+                    float(min(self.K, 1e300))))
         if not 0 < self.dt < math.inf:
             raise ValueError(f"need a finite dt > 0, got {self.dt}")
 
@@ -288,6 +301,31 @@ class Stepper:
                                           t_end)
         return final
 
+    def integrate_with_shadow(self, state: SimState, t_end: float, *,
+                              observer=None):
+        """integrate, plus a shadow copy of state at 2 dt with no observer,
+        as the two parts of one lockstep run: while the shadow has full
+        steps left, its row shares each _step call, and the trajectory
+        keeps the bits of integrating it alone. Returns the final state and
+        the shadow's, or None for the shadow when it would take fewer than
+        two full steps (has_shadow): for t_end - t < 2 dt both parts would
+        take one identical remainder step, and their difference would read
+        0 whatever the time error. A blow-up of the trajectory ends the run
+        as in integrate; the shadow's does not, and its final state is then
+        returned as it is, not finite."""
+        if not has_shadow(self.dt, t_end - state.t):
+            return self.integrate(state, t_end, observer=observer), None
+        (final, shadow), _ = _integrate_lockstep(
+            self, [(state, self.dt, observer), (state, 2.0 * self.dt, None)],
+            t_end, lenient=(1,))
+        return final, shadow
+
+
+def has_shadow(dt: float, span: float) -> bool:
+    """Whether a 2 dt shadow takes at least two full steps over span, so
+    that Stepper.integrate_with_shadow runs it."""
+    return span / (2.0 * dt) + 1e-12 >= 2.0
+
 
 class _Workspace:
     """What the steps of a (2, R, K+1) stack reuse: _step's coefficient
@@ -322,13 +360,16 @@ class _Workspace:
 class _Part:
     """One part of a lockstep integration: its dt and observer, its count
     of full steps and its own clock, its current state as one array
-    W = (u, v) and its last checked state."""
+    W = (u, v) and its last checked state. A part that is not strict does
+    not raise on a non-finite state."""
 
-    def __init__(self, state: SimState, dt: float, observer, t_end: float):
+    def __init__(self, state: SimState, dt: float, observer, t_end: float,
+                 strict: bool = True):
         if t_end < state.t:
             raise ValueError(f"t_end={t_end} before state time {state.t}")
         self.dt = dt
         self.observer = observer
+        self.strict = strict
         state = state.copy()
         if observer is not None:
             observer(state)
@@ -348,7 +389,7 @@ class _Part:
         return self.t
 
     def check(self, t: float, W):
-        if not np.isfinite(W).all():
+        if self.strict and not np.isfinite(W).all():
             raise SimulationBlowup(f"non-finite spectrum at t={t:.6g}",
                                    self.last_good.t, self.last_good)
 
@@ -375,7 +416,8 @@ class _Part:
         return SimState(t, W[0], W[1])
 
 
-def _integrate_lockstep(stepper: Stepper, parts, t_end: float):
+def _integrate_lockstep(stepper: Stepper, parts, t_end: float, *,
+                        lenient=()):
     """Advance each (state, dt, observer) part to t_end with stepper's
     equation, as Stepper.integrate at that dt advances it alone, and
     return the final states and the steps each part took.
@@ -387,15 +429,16 @@ def _integrate_lockstep(stepper: Stepper, parts, t_end: float):
     forms, and each step is one Stepper._step call. Rows are advanced
     independently, so every part gets the bits of integrating it alone.
     Overflow on the way to a blow-up is not warned about; the checks raise
-    SimulationBlowup. check_simulation_budget refuses an oversized run
-    before any part is built."""
+    SimulationBlowup, except for the parts at the indices in lenient,
+    whose non-finite rows go on alone. check_simulation_budget refuses an
+    oversized run before any part is built."""
     if not math.isfinite(t_end):
         raise ValueError(f"need a finite t_end, got {t_end}")
     check_simulation_budget(stepper.p, stepper.K, t_end,
                             [(state.t, dt, math.prod(state.u.shape[:-1]))
                              for state, dt, _o in parts])
-    parts = [_Part(state, dt, observer, t_end)
-             for state, dt, observer in parts]
+    parts = [_Part(state, dt, observer, t_end, strict=i not in lenient)
+             for i, (state, dt, observer) in enumerate(parts)]
     width = stepper.K + 1
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -4,11 +4,14 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bqlab
 from bqlab import cli, simulator
 from bqlab.cli import main
+from bqlab.spectral import Domain
+from bqlab.witness import WitnessConfig, build_witness
 
 
 def _load(path):
@@ -112,6 +115,61 @@ def test_simulate_from_witness_file(tmp_path):
     manifest = _load(out + ".manifest.json")
     assert wpath in manifest["inputs"]
     assert len(manifest["inputs"][wpath]) == 64   # sha256 hex
+
+
+def _simulate(tmp_path, argv):
+    """Run simulate with argv: its CSV rows, its manifest, its stdout."""
+    out = str(tmp_path / "traj.csv")
+    assert main(["simulate"] + argv + ["--out", out]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    return rows, _load(out + ".manifest.json")
+
+
+@pytest.mark.parametrize("N", [8, 16, 32])
+def test_simulate_time_error_estimate_bounds_the_error(tmp_path, capsys, N):
+    # at the default step the 2 dt shadow's estimate is at least the error
+    # of the written columns at t_end against a dt/4 solve, and at most 4x
+    # it (2.06 to 2.24x when measured), each relative to the column's
+    # largest written value
+    rows, manifest = _simulate(tmp_path, ["--n", str(N)])
+    est = manifest["time_err_est"]
+    pair = build_witness(WitnessConfig(Domain.TORUS, 2, N, -1.0))
+    K = 4 * int(round(pair.u0.support.max_frequency()))
+    fine = simulator.Stepper(simulator.SimConfig(
+        p=2, K=K, dt=simulator.SimConfig(p=2, K=K).dt / 4.0)).integrate(
+            simulator.witness_state(pair, K), 1.0)
+    exact = [simulator.windowed_norm(fine, (pair.output_window,), -1.0),
+             simulator.full_norm(fine, -1.0)]
+    true = (np.abs(rows[-1, 1:] - exact) / rows[:, 1:].max(axis=0)).max()
+    assert true <= est <= 4.0 * true
+    assert manifest["time_err_tol"] == simulator.SIMULATION_TIME_TOL
+    if N == 16:
+        # the defaults meet the tolerance, from the witness file too
+        assert est <= simulator.SIMULATION_TIME_TOL
+        assert f"time error estimate {est:.2e} (tolerance 1e-08)" in (
+            capsys.readouterr().out)
+        wpath = str(tmp_path / "w.json")
+        assert main(["witness", "--out", wpath]) == 0
+        _rows, init = _simulate(tmp_path, ["--init", wpath])
+        assert init["time_err_est"] == est
+
+
+def test_simulate_time_error_estimate_edges(tmp_path, capsys):
+    # at --t-end 1e-4 the default step is capped at t_end/4, so the 2 dt
+    # shadow takes two full steps and the estimate is a number above 0;
+    # a --dt whose shadow would take under two full steps, or t_end = 0,
+    # reports no estimate, never a 0 from one identical step
+    _rows, manifest = _simulate(tmp_path, ["--t-end", "1e-4"])
+    assert 0.0 < manifest["time_err_est"] <= simulator.SIMULATION_TIME_TOL
+    assert " dt=2.5e-05 " in capsys.readouterr().out
+    for argv in (["--dt", "0.3"], ["--dt", "0.25", "--t-end", "0.99"],
+                 ["--t-end", "0"]):
+        rows, manifest = _simulate(tmp_path, argv)
+        assert manifest["time_err_est"] is None
+        assert "time error estimate n/a " in capsys.readouterr().out
+    # two full 2 dt steps of a --dt: an estimate
+    _rows, manifest = _simulate(tmp_path, ["--dt", "0.25"])
+    assert manifest["time_err_est"] > 0.0
 
 
 def test_inflate_json(tmp_path):
@@ -604,6 +662,22 @@ def test_growth_refuses_overflowing_window_mass(capsys):
     assert captured.out == ""
     assert captured.err == ("error: H^-1 window mass of the p=100 profile "
                             "at t=1 is not finite\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--k", "1" + "0" * 160, "--norm-s", "0"],
+    ["--k", "1" + "0" * 400],
+    ["--k", "1" + "0" * 400, "--dt", "1", "--t-end", "1"],
+], ids=["1e160", "1e400", "1e400-dt"])
+def test_simulate_huge_cutoff_reaches_its_refusal(capsys, argv):
+    # the weight check took (1.0 + K * K) ** s, whose integer K^2 raised
+    # an OverflowError above about 1e308, and blamed the H^s weight even
+    # at s = 0; the run now ends in the refusal of its step or its size
+    assert main(["simulate"] + argv) in (1, 2)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "H^s weight" not in captured.err
 
 
 def test_simulate_refuses_overflowing_norm_column(tmp_path, capsys):

@@ -11,7 +11,7 @@ from bqlab.flow_derivative import flow_derivative_torus
 from bqlab.simulator import (SimConfig, SimState, Stepper, _fft_good_size,
                              _integrate_lockstep, _stencil_weights,
                              check_simulation_budget, fd_derivative_probe,
-                             full_norm,
+                             full_norm, has_shadow,
                              inflation_experiment, linear_energy,
                              windowed_norm, witness_state)
 from bqlab.spectral import Domain, dispersion, free_flow_rotation
@@ -65,15 +65,16 @@ def test_fft_good_size():
 
 
 def test_default_dt_resolves_in_config():
-    # the default step is known before a stepper is built
-    assert SimConfig(p=2, K=8).dt == 0.5 / dispersion(8.0)
-    assert Stepper(SimConfig(p=2, K=8)).dt == SimConfig(p=2, K=8).dt
+    # the default step 1 / lambda(K) is known before a stepper is built
+    for K in (8, 20, 68):
+        assert SimConfig(p=2, K=K).dt == 1.0 / dispersion(float(K))
+        assert Stepper(SimConfig(p=2, K=K)).dt == SimConfig(p=2, K=K).dt
     assert SimConfig(p=2, K=8, dt=0.1).dt == 0.1
-    # a default step that underflows to 0 is refused, not divided by
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    # a default step that underflows to 0 is refused, not divided by, and
+    # without an overflow warning, also for a K beyond the float range
+    for huge in (10 ** 160, 10 ** 400):
         with pytest.raises(ValueError, match="finite dt > 0"):
-            SimConfig(p=2, K=10 ** 160)
+            SimConfig(p=2, K=huge)
 
 
 def test_run_is_sized_before_it_is_built(monkeypatch):
@@ -126,11 +127,6 @@ def test_non_finite_times_refused(bad):
         stepper.integrate(state, bad)
     with pytest.raises(ValueError, match="finite t_end"):
         _inflate([8], t_end=bad)
-
-
-def test_default_dt_resolves_top_mode():
-    stepper = Stepper(SimConfig(p=2, K=20))
-    assert stepper.dt == pytest.approx(0.5 / dispersion(20))
 
 
 # -- state helpers -----------------------------------------------------------------
@@ -393,6 +389,48 @@ def test_lockstep_blowup_names_its_part():
     assert info.value.state.u.shape == (3, 25)
     assert np.array_equal(info.value.state.u, alone.value.state.u)
     assert np.array_equal(info.value.state.v, alone.value.state.v)
+
+
+def test_shadow_parts_keep_their_bits():
+    # the trajectory and its 2 dt shadow each get the bits of their own
+    # integration, and the observer sees what it sees in integrate; with
+    # under two full 2 dt steps no shadow is run
+    stepper, ((state, dt, _), _) = _lockstep_parts(2, 1, ((25,), (25,)),
+                                                   (0.2, 0.2))
+    seen, seen_alone = [], []
+    final, shadow = stepper.integrate_with_shadow(
+        state, 0.0517, observer=lambda st: seen.append((st.t, st.u)))
+    alone = stepper.integrate(
+        state, 0.0517, observer=lambda st: seen_alone.append((st.t, st.u)))
+    coarse = _stepper_at(stepper, 2.0 * dt).integrate(state, 0.0517)
+    assert [t for t, _u in seen] == [t for t, _u in seen_alone]
+    assert all(np.array_equal(a, b) for (_t, a), (_s, b)
+               in zip(seen, seen_alone))
+    for got, ref in ((final, alone), (shadow, coarse)):
+        assert got.t == ref.t == 0.0517
+        assert np.array_equal(got.u, ref.u) and np.array_equal(got.v, ref.v)
+    assert has_shadow(dt, 4.0 * dt) and not has_shadow(dt, 3.9 * dt)
+    final, shadow = stepper.integrate_with_shadow(state, 3.9 * dt)
+    assert shadow is None
+    assert np.array_equal(final.u, stepper.integrate(state, 3.9 * dt).u)
+
+
+def test_shadow_blowup_does_not_end_the_run():
+    # at 5x the witness and dt = 0.03 the trajectory reaches t = 1 while
+    # its 2 dt shadow blows up: the run ends as the trajectory alone ends,
+    # and the shadow comes back not finite
+    pair = _witness(p=2, N=16)
+    state = witness_state(pair, 68)
+    state.u *= 5.0
+    state.v *= 5.0
+    stepper = Stepper(SimConfig(p=2, K=68, dt=0.03))
+    final, shadow = stepper.integrate_with_shadow(state, 1.0)
+    alone = stepper.integrate(state, 1.0)
+    assert np.array_equal(final.u, alone.u) and np.array_equal(final.v,
+                                                                alone.v)
+    assert shadow.t == 1.0 and not np.isfinite(shadow.u).all()
+    with pytest.raises(SimulationBlowup):
+        _stepper_at(stepper, 0.06).integrate(state, 1.0)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
