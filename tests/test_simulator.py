@@ -129,6 +129,11 @@ def test_non_finite_times_refused(bad):
         _inflate([8], t_end=bad)
 
 
+def test_default_dt_resolves_top_mode():
+    stepper = Stepper(SimConfig(p=2, K=20))
+    assert stepper.dt == pytest.approx(1.0 / dispersion(20))
+
+
 # -- state helpers -----------------------------------------------------------------
 
 def test_witness_state_layout():
