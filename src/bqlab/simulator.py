@@ -14,7 +14,8 @@ only the velocity slot and depends only on u, the exponential-map stages
 simplify to the closed expressions in Stepper._step, and the four stage
 evaluations fall into two rounds: the third stage's position does not see
 g1, and the second and fourth stages need only g1 and g3. Each round is
-one batched call of Stepper.nonlinear.
+one batched call of Stepper.nonlinear: an unscaled inverse FFT, u^p, an
+unnormalised forward FFT and one multiply by the row sign k^2 / M.
 
 A state may carry leading batch axes (modes on the last axis): every row is
 advanced by the same steps, and each row's result is bit-identical to
@@ -24,18 +25,17 @@ parts on one Stepper, whose equation and grid they share, to one time.
 The rows of every part that still has full steps left are stacked with
 (u, v) into one (2, R, K+1) array, and a _Workspace built once for that
 stack holds the per-row coefficients, dt and every stage buffer, so a
-step allocates nothing but its new state. The probe integrates its dt
-and 2 dt amplitude ladders as two parts of one lockstep run,
-Stepper.integrate_with_shadow a trajectory and its 2 dt shadow, and
-criterion 8 its two s runs at each N as two parts, each with its own
-observer. check_simulation_budget sizes a run from numbers alone, before
-anything of K + 1 modes is built.
+step allocates nothing but its new state. The probe's dt and 2 dt
+ladders, a trajectory and its 2 dt shadow, and criterion 8's s runs at
+one N are each one lockstep run. check_simulation_budget sizes a run
+from numbers alone, before anything of K + 1 modes is built.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
@@ -91,22 +91,24 @@ def check_simulation_budget(p: int, K: int, t_end: float, parts):
     so a caller can size a run before it builds anything of K + 1 modes;
     a step count that is not finite is over budget."""
     M = _grid_size(p, K)
+    if M > SIMULATION_BUDGET:   # at any step count; M may exceed a float
+        raise ResourceBudgetError(
+            f"M={Decimal(M):.3g} alone exceeds the simulation budget "
+            f"{SIMULATION_BUDGET:g}", math.inf, SIMULATION_BUDGET)
     steps = [(t_end - t) / dt + 1e-12 for t, dt, _n in parts]
-    work = math.inf
-    # an M above the budget is over it at any step count, and may exceed
-    # a float
-    if all(map(math.isfinite, steps)) and M <= SIMULATION_BUDGET:
-        work = sum((math.floor(x) + 1.0) * n for x, (_t, _dt, n)
-                   in zip(steps, parts)) * M * math.log2(M)
+    work = (sum((math.floor(x) + 1.0) * n for x, (_t, _dt, n)
+                in zip(steps, parts)) * M * math.log2(M)
+            if all(map(math.isfinite, steps)) else math.inf)
     if work > SIMULATION_BUDGET:
         raise ResourceBudgetError(
-            f"{work:.3g} row steps x M log2 M at M={M} exceed the simulation "
-            f"budget {SIMULATION_BUDGET:g}", work, SIMULATION_BUDGET)
+            f"{work:.3g} row steps x M log2 M at M={M:.3g} exceed the "
+            f"simulation budget {SIMULATION_BUDGET:g}", work,
+            SIMULATION_BUDGET)
     rows = sum(n for _t, _dt, n in parts)
     if rows * M > SIMULATION_ROWS_M:
         raise ResourceBudgetError(
-            f"rows x M = {rows} x {M} exceeds the simulation memory bound "
-            f"{SIMULATION_ROWS_M:g}", rows * M, SIMULATION_ROWS_M)
+            f"rows x M = {rows} x {M:.3g} exceeds the simulation memory "
+            f"bound {SIMULATION_ROWS_M:g}", rows * M, SIMULATION_ROWS_M)
 
 
 @dataclass(frozen=True)
@@ -131,11 +133,13 @@ class SimConfig:
         if self.sign not in (-1, 0, 1):
             raise ValueError(f"sign must be -1, 0, or +1, got {self.sign}")
         if self.dt is None:
-            # lambda(K) overflows to inf above K of about 1e154, and dt = 0
-            # is refused below
             with np.errstate(over="ignore"):
-                object.__setattr__(self, "dt", 1.0 / dispersion(
-                    float(min(self.K, 1e300))))
+                lam = dispersion(float(min(self.K, 1e300)))
+            if not math.isfinite(lam):      # above K of about 1e154
+                raise ValueError(f"K={Decimal(self.K):.3g}: lambda(K) "
+                                 "overflows, so the default step 1/lambda(K) "
+                                 "is not a finite dt > 0")
+            object.__setattr__(self, "dt", 1.0 / lam)
         if not 0 < self.dt < math.inf:
             raise ValueError(f"need a finite dt > 0, got {self.dt}")
 
@@ -191,9 +195,9 @@ class Stepper:
     is made once on stacked operands and writes into a workspace buffer,
     the four FFTs included; the one fresh array of a step is the new W, so
     a state shown to an observer stays as it was shown. The per-mode
-    coefficients, dt factors and the grid size M are real but stored as
-    complex128: numpy multiplies a real number into a complex one as
-    (c + 0j) * z anyway, so the bits are the same, and storing them
+    coefficients, dt factors and nonlinear's row sign k^2 / M are real but
+    stored as complex128: numpy multiplies a real number into a complex
+    one as (c + 0j) * z anyway, so the bits are the same, and storing them
     complex saves that cast in every operation. The parts of a lockstep
     run (_integrate_lockstep) share one stepper, each with its own dt.
     """
@@ -206,10 +210,9 @@ class Stepper:
         k = np.arange(self.K + 1, dtype=float)
         self.lam = dispersion(k)
         self.k2 = k ** 2
-        self._sign_k2 = (self.sign * self.k2).astype(complex)
         self.dt = float(config.dt)
         self.M = _grid_size(self.p, self.K)
-        self._M = np.asarray(self.M, dtype=complex)
+        self._g_row = (self.sign * self.k2 / self.M).astype(complex)
         self._fft_buffers = {}      # nonlinear's scratch, per input shape
 
     def _coefficients(self, tau: float) -> np.ndarray:
@@ -227,9 +230,9 @@ class Stepper:
         solo call; _step relies on that to evaluate two stages as one
         stack. Written into out when given; the padded grids are scratch
         buffers kept per input shape, so a stepper serves one thread at a
-        time. irfft zero-pads modes K+1..M/2 itself. u^p is formed by
-        repeated products, which stays within a few ulps of pow and is
-        exact (a square) at p = 2."""
+        time. irfft zero-pads modes K+1..M/2 and sums them unscaled; the
+        row sign k^2 / M undoes the unnormalised rfft's factor M. u^p is
+        repeated products, a few ulps from pow; at p = 2 an exact square."""
         if out is None:
             out = np.empty(u_hat.shape, dtype=complex)
         if self.sign == 0:
@@ -239,18 +242,17 @@ class Stepper:
         if bufs is None:
             grid = u_hat.shape[:-1] + (self.M,)
             spec = np.empty(grid[:-1] + (self.M // 2 + 1,), dtype=complex)
+            phys = np.empty(grid)
             bufs = self._fft_buffers[u_hat.shape] = (
-                np.empty(u_hat.shape, dtype=complex), np.empty(grid),
-                np.empty(grid), spec, spec[..., : self.K + 1])
-        scaled, phys, power, spec, kept = bufs
-        np.multiply(u_hat, self._M, out=scaled)
-        np.fft.irfft(scaled, n=self.M, axis=-1, out=phys)
+                phys, np.empty(grid) if self.p > 2 else phys, spec,
+                spec[..., : self.K + 1])
+        phys, power, spec, kept = bufs
+        np.fft.irfft(u_hat, n=self.M, axis=-1, norm="forward", out=phys)
         np.multiply(phys, phys, out=power)
         for _ in range(self.p - 2):
             np.multiply(power, phys, out=power)
         np.fft.rfft(power, axis=-1, out=spec)
-        np.divide(kept, self._M, out=out)
-        return np.multiply(self._sign_k2, out, out=out)
+        return np.multiply(self._g_row, kept, out=out)
 
     def _step(self, W, ws: "_Workspace") -> np.ndarray:
         """One IF-RK4 step of the stacked state W, returned as a new
@@ -476,12 +478,10 @@ def witness_state(pair: WitnessPair, K: int) -> SimState:
         raise ValueError(f"K={K} below the witness support {max_freq}")
     u = np.zeros(K + 1, dtype=complex)
     v = np.zeros(K + 1, dtype=complex)
-    for freq, val in zip(pair.u0.freqs, pair.u0.values):
-        if freq >= 0:
-            u[int(round(freq))] = val
-    for freq, val in zip(pair.u1.freqs, pair.u1.values):
-        if freq >= 0:
-            v[int(round(freq))] = val
+    for half, wave in ((u, pair.u0), (v, pair.u1)):
+        for freq, val in zip(wave.freqs, wave.values):
+            if freq >= 0:
+                half[int(round(freq))] = val
     return SimState(0.0, u, v)
 
 

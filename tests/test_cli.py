@@ -680,6 +680,20 @@ def test_simulate_huge_cutoff_reaches_its_refusal(capsys, argv):
     assert "H^s weight" not in captured.err
 
 
+def test_simulate_huge_cutoff_refusals_name_the_cutoff(capsys):
+    # the default step's refusal read "got 0.0", a dt never given, and the
+    # budget's read "inf row steps" at a 401-digit M in a 500-character line
+    assert main(["simulate", "--k", "1" + "0" * 160, "--norm-s", "0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: K=1.00e+160: lambda(K) overflows, so the default step "
+        "1/lambda(K) is not a finite dt > 0\n")
+    assert main(["simulate", "--k", "1" + "0" * 400, "--dt", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: resource budget exceeded: M=3.00e+400 alone "
+                   "exceeds the simulation budget 1e+11\n")
+    assert len(err) < 200
+
+
 def test_simulate_refuses_overflowing_norm_column(tmp_path, capsys):
     # the H^80 weight (about 1e120 at mode 17) and the scaled amplitude are
     # each finite, but their product overflowed in full_norm: a numpy

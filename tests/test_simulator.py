@@ -593,6 +593,28 @@ def test_nonlinear_products_match_pow():
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("K", [33, 68, 132])
+def test_nonlinear_matches_direct_convolution(K):
+    # an oracle with no FFT: the p-fold convolution of the full band
+    # -K..K, truncated to 0..K. Grids of M = 100 to 800, none a power of
+    # two; a grid too small to pad, M >= p K + 1 only, misses by 3e-3 or
+    # more, since the products alias back onto the kept modes
+    rng = np.random.default_rng(K)
+    u_hat = rng.normal(size=K + 1) + 1j * rng.normal(size=K + 1)
+    u_hat[0] = u_hat[0].real
+    full = np.concatenate([u_hat[:0:-1].conj(), u_hat])
+    k = np.arange(K + 1)
+    for p in range(2, 6):
+        power = full
+        for _ in range(p - 1):
+            power = np.convolve(power, full)
+        for sign in (1, -1):
+            stepper = Stepper(SimConfig(p=p, K=K, dt=1e-3, sign=sign))
+            ref = sign * k ** 2 * power[p * K: p * K + K + 1]
+            got = stepper.nonlinear(u_hat)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 # -- derivative probe ------------------------------------------------------------------
 
 def test_stencil_weights_frozen():
