@@ -42,18 +42,19 @@ import numpy as np
 from .errors import ResourceBudgetError, SimulationBlowup
 from .spectral import Domain, checked_p, dispersion, free_flow_rotation
 from .witness import (WitnessConfig, WitnessPair, build_witness,
-                      checked_n_list, data_norm)
+                      checked_n_list, data_norm, frequency_set)
 
 NAN_CHECK_EVERY = 16
 INFLATION_DT_FACTOR = 0.05      # inflation_experiment's dt times (2N + 2)
 INFLATION_WINDOW = (1, 2)       # the low modes inflation_experiment watches
 PROBE_EPS = (2.5e-3, 1.25e-3)   # fd_derivative_probe's stencil steps
 # row steps x M log2 M of one lockstep run; the largest that a criterion or
-# a CLI default makes is about 1.8e8 (criterion 8's N = 128 inflation run)
+# a CLI default makes is about 1.3e8 (criterion 6's p = 3, N = 64 probe;
+# criterion 8's N = 128 inflation run makes 8.0e7)
 SIMULATION_BUDGET = 10 ** 11
 # rows x M of one lockstep run, which its buffers scale with; the largest
 # that a criterion or a CLI default makes is 3,240 (criterion 6's p = 3,
-# N = 64 probe: 6 rows at M = 540)
+# N = 64 probe: 6 rows at M = 540; criterion 8's N = 128 run: 2 at 800)
 SIMULATION_ROWS_M = 10 ** 6
 # the relative time error that simulate's default step is chosen to meet,
 # as its 2 dt shadow estimates it (cli.cmd_simulate reports the estimate)
@@ -643,6 +644,15 @@ class InflationResult:
         return [r.sup_window_norm for r in self.rows]
 
 
+def _inflation_cutoff(p: int, N: int) -> int:
+    """inflation_experiment's cutoff at N: p times the top frequency F of
+    the torus witness's support (N + 1 for even p, 2N for odd p), the
+    highest mode of the data's p-fold product. It reads the frequency set
+    alone, so a run is sized before its witness is built."""
+    cfg = WitnessConfig(Domain.TORUS, p, N, 0.0)
+    return p * int(round(frequency_set(cfg).max_frequency()))
+
+
 def inflation_experiment(s_list, N_list, *, p: int, delta: float,
                          t_end: float, sign: int) -> list:
     """Feed size-delta witness data to the full solver and track the H^s
@@ -650,13 +660,20 @@ def inflation_experiment(s_list, N_list, *, p: int, delta: float,
     s_list: one InflationResult per s.
 
     The witness for each N is rescaled so the data norm is exactly delta.
-    The step dt = INFLATION_DT_FACTOR / (2N + 2) resolves the slow beat
-    phase that transfers mass to the window (the fast factors are rotated
-    exactly by the integrating factor, so dt does not need to resolve
-    lambda(K)). The runs at one N share K, M and dt, so they are the
-    parts of one lockstep run on one Stepper, each with its own observer,
-    bits and last good state. Every N is sized before any witness is
-    built. N_list follows checked_n_list's rule.
+    The cutoff is _inflation_cutoff's K = p F, F the witness's top support
+    frequency: the data live on modes up to F, and the first nonlinear
+    iterate, the data's p-fold product, reaches p F. Higher modes are fed
+    only by later iterates, so the cutoff's error falls fast with delta
+    (like delta^4 at p = 2): against twice the cutoff, criterion 8's sup
+    norms (delta = 1e-2) move by at most 1.9e-14 relative, far below the
+    step's error, while at data of size 1 the two errors are alike. The step
+    dt = INFLATION_DT_FACTOR / (2N + 2) resolves the slow beat phase that
+    transfers mass to the window (the fast factors are rotated exactly by
+    the integrating factor, so dt does not need to resolve lambda(K)).
+    The runs at one N share K, M and dt, so they are the parts of one
+    lockstep run on one Stepper, each with its own observer, bits and last
+    good state. Every N is sized before any witness is built. N_list
+    follows checked_n_list's rule.
     """
     if not (0 < delta < math.inf and 0 < t_end < math.inf):
         raise ValueError(f"need a finite delta > 0 and a finite t_end > 0, "
@@ -665,7 +682,7 @@ def inflation_experiment(s_list, N_list, *, p: int, delta: float,
     if not s_list:
         raise ValueError("need at least one s, got an empty list")
     N_list = checked_n_list(N_list)
-    configs = [SimConfig(p=p, K=4 * (N + 1), sign=sign,
+    configs = [SimConfig(p=p, K=_inflation_cutoff(p, N), sign=sign,
                          dt=INFLATION_DT_FACTOR / (2 * N + 2))
                for N in N_list]
     for cfg in configs:

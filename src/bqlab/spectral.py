@@ -322,12 +322,21 @@ def _midpoint_weights(freqs: np.ndarray, support: FrequencySet) -> np.ndarray:
 # -- norms and the propagator ---------------------------------------------
 
 def sobolev_norm(data: SpectralData, s: float) -> float:
-    """H^s norm of the stored samples: sqrt(sum w (1+xi^2)^s |v|^2)."""
+    """H^s norm of the stored samples: sqrt(sum w (1+xi^2)^s |v|^2).
+
+    The amplitudes are scaled by 2^-e, e the binary exponent of the
+    largest, before they are squared, and the norm by 2^e after the root,
+    so amplitudes above about 1e154 do not overflow in |v|^2 (where a
+    weight that underflowed to 0 made the mass nan). Scaling by a power of
+    two is exact, so wherever neither way leaves the normal range the bits
+    are those of the unscaled sum."""
     if not np.all(np.isfinite(data.values)):
         raise ValueError("non-finite amplitudes")
     x = data.freqs
-    mass = data.weights * (1.0 + x * x) ** s * np.abs(data.values) ** 2
-    return float(np.sqrt(mass.sum()))
+    amps = np.abs(data.values)
+    e = int(np.frexp(amps.max(initial=0.0))[1])
+    mass = data.weights * (1.0 + x * x) ** s * np.ldexp(amps, -e) ** 2
+    return float(np.ldexp(np.sqrt(mass.sum()), e))
 
 
 def free_flow_rotation(lam, t: float):

@@ -408,9 +408,9 @@ def test_repeated_n_refused(tmp_path, capsys, argv):
     (["growth", "--s", "-401", "--sigma", "-400", "--n-list", "16,32"],
      "amplitude N^-sigma at N=16, sigma=-400 overflows"),
     (["growth", "--s", "-200", "--sigma", "-199", "--n-list", "16,32"],
-     "data norm nan at N=16 is not finite"),
+     "data norm 0.0 at N=16 is not finite"),
     (["simulate", "--s", "-200", "--sigma", "-199"],
-     "data norm nan at N=16 is not finite"),
+     "data norm 0.0 at N=16 is not finite"),
     (["witness", "--s", "-256", "--sigma", "-255"],
      "u1 samples N^-sigma lambda at N=16, sigma=-255 overflow"),
     (["growth", "--s", "-256", "--sigma", "-255", "--n-list", "16,32"],

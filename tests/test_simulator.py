@@ -48,7 +48,8 @@ def test_fft_good_size():
         assert _fft_good_size(n) == walk, n
     # and at the grid of every run that a criterion or a CLI default makes:
     # criterion 6's probes, criterion 7 and simulate, criterion 8 and inflate
-    grids = [(2, 68), (2, 12)] + [(2, 4 * (N + 1)) for N in (16, 32, 64, 128)]
+    grids = [(2, 68), (2, 12)] + [(2, simulator._inflation_cutoff(2, N))
+                                  for N in (16, 32, 64, 128)]
     for p in (2, 3):
         for N in (16, 32, 64):
             pair = _witness(p=p, N=N)
@@ -374,7 +375,7 @@ def test_one_stepper_per_lockstep_run(monkeypatch):
                                                    res.meta["dt"])]
     built.clear()
     _inflate([8, 16], s_list=(-0.6, 0.0))
-    assert [cfg.K for cfg in built] == [36, 68]
+    assert [cfg.K for cfg in built] == [18, 34]
 
 
 def test_lockstep_blowup_names_its_part():
@@ -833,7 +834,7 @@ def test_inflation_blowup_carries_its_s_run():
         _inflate([8], s_list=(0.0,), delta=10.0, t_end=1.0)
     assert str(info.value) == str(alone.value)
     assert info.value.t_last_good == alone.value.t_last_good > 0.0
-    assert info.value.state.u.shape == (37,)
+    assert info.value.state.u.shape == (19,)
     assert np.array_equal(info.value.state.u, alone.value.state.u)
     assert np.array_equal(info.value.state.v, alone.value.state.v)
 
@@ -848,3 +849,39 @@ def test_inflation_runs_as_parts_match_separate_runs():
             alone.p, alone.s, alone.delta, alone.t_end)
         assert [vars(r) for r in result.rows] == [vars(r)
                                                  for r in alone.rows]
+
+
+@pytest.mark.parametrize("p,sign,delta,N_list,s_list,tol", [
+    (2, 1, 1e-2, [16, 32], (-0.6, 0.0), 1e-13),
+    (3, -1, 0.3, [16], (0.0,), 1e-12),
+    (5, -1, 0.3, [16], (0.0,), 1e-12),
+])
+def test_inflation_cutoff_against_twice_it(monkeypatch, p, sign, delta,
+                                           N_list, s_list, tol):
+    # the cutoff p F resolves the run: at twice the cutoff the sup norms
+    # agree to tol and the peaks fall on the same step. A cutoff of
+    # 4(N + 1) errs by 4.1e-9 at p = 3 and 5.8e-6 at p = 5 here
+    def run():
+        return inflation_experiment(s_list, N_list, p=p, delta=delta,
+                                    t_end=1.0, sign=sign)
+    ours = run()
+    rule, sized = simulator._inflation_cutoff, []
+
+    def doubled(p, N):
+        sized.append(N)
+        return 2 * rule(p, N)
+    monkeypatch.setattr(simulator, "_inflation_cutoff", doubled)
+    finer = run()
+    assert sized == N_list
+    for a, b in zip(ours, finer):
+        for row, fine in zip(a.rows, b.rows):
+            assert row.sup_window_norm == pytest.approx(
+                fine.sup_window_norm, rel=tol, abs=0.0)
+            assert row.t_peak == fine.t_peak
+
+
+def test_inflation_cutoff_is_p_times_top_frequency():
+    # N + 1 for even p and 2N for odd p, read from the frequency set
+    assert [simulator._inflation_cutoff(2, N) for N in (16, 128)] == [34, 258]
+    assert simulator._inflation_cutoff(4, 16) == 68
+    assert [simulator._inflation_cutoff(p, 16) for p in (3, 5)] == [96, 160]

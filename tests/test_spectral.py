@@ -160,6 +160,16 @@ def test_sobolev_norm_rejects_nonfinite():
         sobolev_norm(data, 0.0)
 
 
+def test_sobolev_norm_huge_amplitudes():
+    # |u_hat| = 1e200 on modes +-16, +-17: |u_hat|^2 alone overflows, but
+    # the norm 2e200 does not
+    data = _torus_data({k: 1e200 for k in (-17, -16, 16, 17)})
+    assert sobolev_norm(data, 0.0) == pytest.approx(2e200, rel=1e-15)
+    weights = sum(2.0 * (1.0 + k * k) ** -50.0 for k in (16, 17))
+    assert sobolev_norm(data, -50.0) == pytest.approx(
+        1e200 * math.sqrt(weights), rel=1e-14)
+
+
 def test_sobolev_norm_line_window_mass():
     fs = FrequencySet(Domain.LINE, ((0.25, 0.5),))
     data = SpectralData.sampled(fs, lambda x: np.ones_like(x, dtype=complex),

@@ -176,6 +176,23 @@ def test_data_norm_decay_ratio_frozen():
     assert n1024 / n512 == pytest.approx(2.0 ** (s - sigma), rel=2e-2)
 
 
+def test_data_norm_finite_past_the_square_range():
+    # at s = -129.5 the amplitude 16^128.5 is about 5e154, so |u_hat|^2
+    # overflows while the weights (1 + k^2)^s underflow: the norm read nan
+    # and the witness was refused. The weights are subnormal here, so the
+    # norm keeps only about seven digits
+    mp = pytest.importorskip("mpmath")
+    s, N = -129.5, 16
+    amp2 = mp.mpf(N) ** (2 * 128.5)
+
+    def norm(r, lam2):
+        return mp.sqrt(sum(2 * (1 + k * k) ** mp.mpf(r) * amp2 * lam2(k)
+                           for k in (N, N + 1)))
+    exact = norm(s, lambda k: 1) + norm(s - 2.0, lambda k: k * k + k ** 4)
+    pair = build_witness(WitnessConfig(Domain.TORUS, 2, N, s))
+    assert data_norm(pair, s) == pytest.approx(float(exact), rel=1e-6)
+
+
 def test_data_norm_line_matches_torus_scale():
     s = -0.8
     ratios = []
