@@ -2,12 +2,14 @@
 
 Subcommands: witness, resonance, diophantine, growth, simulate, inflate,
 reproduce-all. Parameter precedence is explicit flags, then KEY=VALUE pairs
-from --config (a key that no subcommand declares is refused), then built-in
-defaults. Each subcommand returns what --out gets, and main alone writes
-it (reproduce-all: <out_dir>/criteria_summary.json) with a manifest
-(command, resolved params, sha256 of file inputs, package version, wall
-time, output path, and for simulate its time error estimate) beside it;
-without --out (--out-dir) no file is written.
+from --config (a key that no subcommand declares, or one set on two lines,
+is refused), then built-in defaults. Every flag takes one value, the token
+after it, even one such as -1,0 that argparse would read as a flag. Each
+subcommand returns what --out gets, and main alone writes it
+(reproduce-all: <out_dir>/criteria_summary.json) with a manifest (command,
+resolved params, sha256 of file inputs, package version, wall time, output
+path, and for simulate its time error estimate) beside it; without --out
+(--out-dir) no file is written.
 
 Exit codes: 0 success, 1 validation failure, unreadable input or output
 file, or failed checks, 2 enumeration or simulation work budget exceeded,
@@ -48,17 +50,23 @@ def _sha256(path: str) -> str:
 
 
 def _read_config(path: str) -> dict:
-    """KEY=VALUE lines; blank lines and #-comments ignored."""
-    out = {}
+    """KEY=VALUE lines; blank lines and #-comments ignored. Keys are
+    normalised (lower case, - as _), and a key set on two lines is
+    refused."""
+    out, lines = {}, {}
     with open(path) as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
                 raise ValueError(f"config line without '=': {line!r}")
             key, _, val = line.partition("=")
-            out[key.strip().lower().replace("-", "_")] = val.strip()
+            key = key.strip().lower().replace("-", "_")
+            if key in lines:
+                raise ValueError(f"{path}: config key {key!r} set twice, on "
+                                 f"lines {lines[key]} and {number}")
+            out[key], lines[key] = val.strip(), number
     return out
 
 
@@ -151,6 +159,26 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument(flag, default=None,
                             help=f"{help_text} (default {default})")
     return parser
+
+
+def _joined_flag_values(argv) -> list:
+    """argv with each flag of its subcommand, or a prefix that names one
+    flag alone as argparse allows, joined to the token after it as
+    --flag=value. Every flag takes exactly one value, and argparse reads a
+    value such as -1,0 or -1e0 as a flag of its own."""
+    argv = list(argv)
+    start = next((i for i, a in enumerate(argv) if a in _PARAMS), len(argv))
+    if start == len(argv):
+        return argv
+    flags = {"--config"} | {"--" + key.replace("_", "-")
+                            for key, *_ in _PARAMS[argv[start]]}
+    out, rest = argv[:start + 1], iter(argv[start + 1:])
+    for arg in rest:
+        known = arg in flags or (arg.startswith("--") and sum(
+            f.startswith(arg) for f in flags) == 1)
+        value = next(rest, None) if known else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
 
 
 def _resolve_params(args) -> dict:
@@ -380,7 +408,8 @@ _COMMANDS = {"witness": cmd_witness, "resonance": cmd_resonance,
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(
+        _joined_flag_values(sys.argv[1:] if argv is None else argv))
     t0 = time.perf_counter()
     try:
         params = _resolve_params(args)

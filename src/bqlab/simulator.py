@@ -15,7 +15,9 @@ simplify to the closed expressions in Stepper._step, and the four stage
 evaluations fall into two rounds: the third stage's position does not see
 g1, and the second and fourth stages need only g1 and g3. Each round is
 one batched call of Stepper.nonlinear: an unscaled inverse FFT, u^p, an
-unnormalised forward FFT and one multiply by the row sign k^2 / M.
+unnormalised forward FFT and one multiply by the row sign k^2 / M. The two
+FFTs call the pocketfft gufuncs behind np.fft.irfft and np.fft.rfft
+directly, which gives np.fft's bits without its per-call wrapper.
 
 A state may carry leading batch axes (modes on the last axis): every row is
 advanced by the same steps, and each row's result is bit-identical to
@@ -38,6 +40,9 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 
 import numpy as np
+# the gufuncs behind np.fft.irfft and np.fft.rfft, in a private module of
+# numpy 2 (checked on 2.4); test_transforms_match_np_fft pins their bits
+from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
 from .errors import ResourceBudgetError, SimulationBlowup
 from .spectral import Domain, checked_p, dispersion, free_flow_rotation
@@ -162,12 +167,29 @@ class SimState:
 
 def windowed_norm(state: SimState, modes, s: float) -> float:
     """H^s mass carried by +-modes (positive mode list): each positive mode
-    counts twice for its conjugate partner."""
-    total = 0.0
+    counts twice for its conjugate partner. While the largest amplitude is
+    within 2^-500..2^500, |u|^2 stays in the normal range and the sum is
+    formed as it is, at no cost to inflation_experiment's observer, which
+    calls this every step. Outside, as in spectral.sobolev_norm, the
+    amplitudes are scaled by 2^-e, e the binary exponent of the largest,
+    before they are squared, and the norm by 2^e after the root, so
+    amplitudes below about 1e-154 no longer underflow to a norm of 0."""
+    mass = top = 0.0
     for m in modes:
         m = int(m)
-        total += 2.0 * (1.0 + m * m) ** s * abs(state.u[m]) ** 2
-    return math.sqrt(total)
+        a = abs(state.u[m])
+        if a > top:
+            top = a
+        mass += 2.0 * (1.0 + m * m) ** s * a ** 2
+    if 2.0 ** -500 < top < 2.0 ** 500 or not 0 < top < math.inf:
+        return math.sqrt(mass)
+    e = math.frexp(top)[1]
+    mass = 0.0
+    for m in modes:
+        m = int(m)
+        a = math.ldexp(abs(state.u[m]), -e)
+        mass += 2.0 * (1.0 + m * m) ** s * a ** 2
+    return math.ldexp(math.sqrt(mass), e)
 
 
 def full_norm(state: SimState, s: float) -> float:
@@ -194,8 +216,9 @@ class Stepper:
     _step advances a stacked state W = (u, v) of shape (2, R, K+1) through
     a _Workspace built for that shape. Each numpy operation of the scheme
     is made once on stacked operands and writes into a workspace buffer,
-    the four FFTs included; the one fresh array of a step is the new W, so
-    a state shown to an observer stays as it was shown. The per-mode
+    the four FFTs included (nonlinear calls pocketfft's gufuncs with out=);
+    the one fresh array of a step is the new W, so a state shown to an
+    observer stays as it was shown. The per-mode
     coefficients, dt factors and nonlinear's row sign k^2 / M are real but
     stored as complex128: numpy multiplies a real number into a complex
     one as (c + 0j) * z anyway, so the bits are the same, and storing them
@@ -231,8 +254,12 @@ class Stepper:
         solo call; _step relies on that to evaluate two stages as one
         stack. Written into out when given; the padded grids are scratch
         buffers kept per input shape, so a stepper serves one thread at a
-        time. irfft zero-pads modes K+1..M/2 and sums them unscaled; the
-        row sign k^2 / M undoes the unnormalised rfft's factor M. u^p is
+        time. The transforms are the gufuncs that np.fft.irfft and
+        np.fft.rfft call, here on the last axis with scale 1.0, so no axis,
+        norm or shape handling runs per call: irfft zero-pads modes
+        K+1..M/2 and sums them unscaled (np.fft's norm="forward"), and
+        rfft_n_even is the unnormalised forward transform, M being even
+        (_fft_good_size). The row sign k^2 / M undoes its factor M. u^p is
         repeated products, a few ulps from pow; at p = 2 an exact square."""
         if out is None:
             out = np.empty(u_hat.shape, dtype=complex)
@@ -248,11 +275,11 @@ class Stepper:
                 phys, np.empty(grid) if self.p > 2 else phys, spec,
                 spec[..., : self.K + 1])
         phys, power, spec, kept = bufs
-        np.fft.irfft(u_hat, n=self.M, axis=-1, norm="forward", out=phys)
+        _irfft(u_hat, 1.0, out=phys)
         np.multiply(phys, phys, out=power)
         for _ in range(self.p - 2):
             np.multiply(power, phys, out=power)
-        np.fft.rfft(power, axis=-1, out=spec)
+        _rfft(power, 1.0, out=spec)
         return np.multiply(self._g_row, kept, out=out)
 
     def _step(self, W, ws: "_Workspace") -> np.ndarray:

@@ -241,6 +241,18 @@ def test_config_refuses_unknown_key(tmp_path, capsys):
     assert _load(out)["p"] == 5
 
 
+def test_config_refuses_a_key_set_twice(tmp_path, capsys):
+    # the second line used to win silently; n-list and n_list are one key
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("p = 2\nn-list = 16,32\n# comment\nN_list = 8,16\n")
+    out = tmp_path / "r.json"
+    assert main(["inflate", "--config", str(cfg), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == (f"error: {cfg}: config key 'n_list' set twice, "
+                            "on lines 2 and 4\n")
+
+
 def test_malformed_config(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("p 7\n")
@@ -262,6 +274,27 @@ def test_bad_value_names_its_input(tmp_path, capsys, where):
     assert captured.out == ""
     assert captured.err.startswith("error: " + prefix)
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--norm-s", "-1,0"],
+    ["simulate", "--s", "-1e0"],
+    ["simulate", "--sigma", "-5e-1", "--s", "-1"],
+    ["simulate", "--norm", "-1,0"],     # an abbreviation argparse accepts
+    ["inflate", "--s", "-6e-1", "--n-list", "8,16", "--t-end", "0.05"],
+])
+def test_negative_flag_values_read_as_values(tmp_path, capsys, argv):
+    # argparse took -1,0, -1e0 and -5e-1 for flags: exit 2 and "expected
+    # one argument"; each argv now runs as its --flag=value form
+    short = ["--t-end", "0.01"] if argv[0] == "simulate" else []
+    joined = [argv[0]] + [f"{a}={b}" for a, b in zip(argv[1::2], argv[2::2])]
+    outputs = []
+    for args in (argv, joined):
+        out = tmp_path / f"{len(outputs)}.out"
+        assert main(args + short + ["--out", str(out)]) == 0, args
+        outputs.append((capsys.readouterr(), out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].err == ""
 
 
 def test_exit_code_validation_errors():

@@ -38,6 +38,20 @@ def _fft_good_size_walk(n):
         m += 1
 
 
+def _default_grids():
+    """(p, K) of every run that a criterion or a CLI default makes:
+    criterion 6's probes, criterion 7 and simulate, criterion 8 and
+    inflate."""
+    grids = [(2, 68), (2, 12)] + [(2, simulator._inflation_cutoff(2, N))
+                                  for N in (16, 32, 64, 128)]
+    for p in (2, 3):
+        for N in (16, 32, 64):
+            pair = _witness(p=p, N=N)
+            grids.append((p, max(int(round(pair.u0.support.max_frequency())),
+                                 pair.output_window)))
+    return grids
+
+
 def test_fft_good_size():
     # the enumeration of 2^a 3^b 5^c finds what the walk finds, at every
     # n up to 20,000; the walk's answer at n - 1 stands while it is >= n
@@ -46,23 +60,39 @@ def test_fft_good_size():
         if walk is None or walk < n:
             walk = _fft_good_size_walk(n)
         assert _fft_good_size(n) == walk, n
-    # and at the grid of every run that a criterion or a CLI default makes:
-    # criterion 6's probes, criterion 7 and simulate, criterion 8 and inflate
-    grids = [(2, 68), (2, 12)] + [(2, simulator._inflation_cutoff(2, N))
-                                  for N in (16, 32, 64, 128)]
-    for p in (2, 3):
-        for N in (16, 32, 64):
-            pair = _witness(p=p, N=N)
-            grids.append((p, max(int(round(pair.u0.support.max_frequency())),
-                                 pair.output_window)))
-    for p, K in grids:
+    # and at the grid of every run that a criterion or a CLI default makes
+    for p, K in _default_grids():
         n = (p + 1) * K + 1
         assert _fft_good_size(n) == _fft_good_size_walk(n), (p, K)
+        # Stepper.nonlinear's forward transform is the even-length gufunc
+        assert _fft_good_size(n) % 2 == 0, (p, K)
     assert _fft_good_size(33) == 36
     assert _fft_good_size(97) == 100
     # the walk's answers at K = 1e8 and 1e9, p = 2, which took it seconds
     assert _fft_good_size(3 * 10 ** 8 + 1) == 301989888
     assert _fft_good_size(3 * 10 ** 9 + 1) == 3019898880
+
+
+@pytest.mark.parametrize("layout", ["1-D", "stack", "strided"])
+def test_transforms_match_np_fft(layout):
+    # Stepper.nonlinear calls numpy's pocketfft gufuncs directly, a private
+    # module (checked on numpy 2.4 only): they must give np.fft's bits, so
+    # that a numpy whose private layout moved fails here, not in the output
+    rng = np.random.default_rng(7)
+    for p, K in _default_grids():
+        M = simulator._grid_size(p, K)
+        shape = {"1-D": (K + 1,), "stack": (2, 3, K + 1),
+                 "strided": (2, 3, 2 * K + 2)}[layout]
+        u_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if layout == "strided":
+            u_hat = u_hat[..., ::2]
+        phys = np.empty(u_hat.shape[:-1] + (M,))
+        simulator._irfft(u_hat, 1.0, out=phys)
+        assert np.array_equal(
+            phys, np.fft.irfft(u_hat, n=M, norm="forward")), (p, K, layout)
+        spec = np.empty(u_hat.shape[:-1] + (M // 2 + 1,), dtype=complex)
+        simulator._rfft(phys, 1.0, out=spec)
+        assert np.array_equal(spec, np.fft.rfft(phys)), (p, K, layout)
 
 
 def test_default_dt_resolves_in_config():
@@ -885,3 +915,29 @@ def test_inflation_cutoff_is_p_times_top_frequency():
     assert [simulator._inflation_cutoff(2, N) for N in (16, 128)] == [34, 258]
     assert simulator._inflation_cutoff(4, 16) == 68
     assert [simulator._inflation_cutoff(p, 16) for p in (3, 5)] == [96, 160]
+
+
+def test_inflation_window_norm_does_not_underflow():
+    # at s = 100 the window modes' amplitudes at t_end are about 1e-199 and
+    # 1e-215, whose squares underflowed: the sup read 0 at t = 0
+    mp = pytest.importorskip("mpmath")
+    s, N, t_end, delta = 100.0, 8, 0.05, 1e-2
+    (result,) = inflation_experiment([s], [N], p=2, delta=delta,
+                                     t_end=t_end, sign=1)
+    row = result.rows[0]
+    # the run's own coefficients at t_end, as inflation_experiment sets it up
+    cfg = SimConfig(p=2, K=simulator._inflation_cutoff(2, N), sign=1,
+                    dt=simulator.INFLATION_DT_FACTOR / (2 * N + 2))
+    pair = build_witness(WitnessConfig(Domain.TORUS, 2, N, s))
+    state = witness_state(pair, cfg.K)
+    state.u *= row.data_scale
+    state.v *= row.data_scale
+    final = Stepper(cfg).integrate(state, t_end)
+    exact = mp.sqrt(sum(2 * (1 + m * m) ** mp.mpf(s)
+                        * abs(mp.mpc(complex(final.u[m]))) ** 2
+                        for m in simulator.INFLATION_WINDOW))
+    assert 0 < exact < 1e-170
+    assert row.sup_window_norm >= float(exact) * (1 - 1e-12)
+    assert row.t_peak > 0
+    assert windowed_norm(final, simulator.INFLATION_WINDOW, s) == \
+        pytest.approx(float(exact), rel=1e-12)
