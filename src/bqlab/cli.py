@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import sys
@@ -328,8 +329,7 @@ def cmd_simulate(params):
         raise ValueError(f"need observe_every >= 1, got {every}")
     header = (["t"] + [f"window_h{s:g}" for s in norm_s]
               + [f"full_h{s:g}" for s in norm_s])
-    rows = []
-    counter = {"i": 0}
+    rows, shown = [], itertools.count()
 
     def columns(st):
         with np.errstate(over="ignore", invalid="ignore"):   # see below
@@ -337,13 +337,13 @@ def cmd_simulate(params):
                     + [full_norm(st, s) for s in norm_s])
 
     def observe(st):
-        i = counter["i"]
-        counter["i"] = i + 1
-        if i % every == 0 or st.t >= t_end - 1e-12:
+        if next(shown) % every == 0:
             rows.append([st.t] + columns(st))
 
     final, shadow = stepper.integrate_with_shadow(state, t_end,
                                                   observer=observe)
+    if rows[-1][0] < final.t:     # the schedule skipped the final state
+        rows.append([final.t] + columns(final))
     # a blow-up has been refused by now: a norm weight and an amplitude
     # that are each finite can still overflow when multiplied
     finite = np.isfinite(np.array(rows)[:, 1:])

@@ -47,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spectral import Domain, checked_p, dispersion, write_csv
+from .spectral import Domain, checked_p, dispersion, hs_norm, write_csv
 from .witness import (WitnessConfig, WitnessPair, build_witness,
                       checked_n_list, data_norm, frequency_set)
 from .resonance import enumerate_representations
@@ -172,19 +172,13 @@ class DerivativeProfile:
 
 
 def window_sobolev_mass(profile: DerivativeProfile, s: float) -> float:
-    """H^s mass of the profile on its window: sqrt(sum w (1+xi^2)^s |v|^2).
-
-    On the torus the window is the single output mode (weight 1); on the
-    line the weights are the xi-grid widths. A mass that overflows (a
-    profile above about 1e154) is refused.
-    """
+    """spectral.hs_norm, unscaled, of the profile on its window: the output
+    mode on the torus (weight 1), the xi grid with its widths on the line.
+    A mass that overflows (a profile above about 1e154) is refused."""
     if profile.xi.size == 0:
         raise ValueError("empty output window")
-    x = profile.xi
     with np.errstate(over="ignore"):   # refused below
-        mass = (profile.weights * (1.0 + x * x) ** s
-                * np.abs(profile.values) ** 2)
-        total = float(np.sqrt(mass.sum()))
+        total = hs_norm(profile.xi, profile.values, profile.weights, s)
     if not math.isfinite(total):
         raise ValueError(f"H^{s:g} window mass of the p={profile.p} profile "
                          f"at t={profile.t:g} is not finite")

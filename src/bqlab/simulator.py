@@ -45,13 +45,15 @@ import numpy as np
 from numpy.fft._pocketfft_umath import irfft as _irfft, rfft_n_even as _rfft
 
 from .errors import ResourceBudgetError, SimulationBlowup
-from .spectral import Domain, checked_p, dispersion, free_flow_rotation
+from .spectral import (Domain, checked_p, dispersion, free_flow_rotation,
+                       hs_norm, hs_norm_prescaled)
 from .witness import (WitnessConfig, WitnessPair, build_witness,
                       checked_n_list, data_norm, frequency_set)
 
 NAN_CHECK_EVERY = 16
 INFLATION_DT_FACTOR = 0.05      # inflation_experiment's dt times (2N + 2)
 INFLATION_WINDOW = (1, 2)       # the low modes inflation_experiment watches
+INFLATION_RECORD_ROWS = 1024    # states an inflation run norms per call
 PROBE_EPS = (2.5e-3, 1.25e-3)   # fd_derivative_probe's stencil steps
 # row steps x M log2 M of one lockstep run; the largest that a criterion or
 # a CLI default makes is about 1.3e8 (criterion 6's p = 3, N = 64 probe;
@@ -165,39 +167,17 @@ class SimState:
         return SimState(self.t, self.u.copy(), self.v.copy())
 
 
-def windowed_norm(state: SimState, modes, s: float) -> float:
-    """H^s mass carried by +-modes (positive mode list): each positive mode
-    counts twice for its conjugate partner. While the largest amplitude is
-    within 2^-500..2^500, |u|^2 stays in the normal range and the sum is
-    formed as it is, at no cost to inflation_experiment's observer, which
-    calls this every step. Outside, as in spectral.sobolev_norm, the
-    amplitudes are scaled by 2^-e, e the binary exponent of the largest,
-    before they are squared, and the norm by 2^e after the root, so
-    amplitudes below about 1e-154 no longer underflow to a norm of 0."""
-    mass = top = 0.0
-    for m in modes:
-        m = int(m)
-        a = abs(state.u[m])
-        if a > top:
-            top = a
-        mass += 2.0 * (1.0 + m * m) ** s * a ** 2
-    if 2.0 ** -500 < top < 2.0 ** 500 or not 0 < top < math.inf:
-        return math.sqrt(mass)
-    e = math.frexp(top)[1]
-    mass = 0.0
-    for m in modes:
-        m = int(m)
-        a = math.ldexp(abs(state.u[m]), -e)
-        mass += 2.0 * (1.0 + m * m) ** s * a ** 2
-    return math.ldexp(math.sqrt(mass), e)
+def windowed_norm(state: SimState, modes, s: float):
+    """H^s norm of +-modes (positive mode list, each counted twice for its
+    conjugate), hs_norm_prescaled; one norm per row of a stacked state."""
+    return hs_norm_prescaled(modes, state.u.take(modes, axis=-1), 2.0, s)
 
 
-def full_norm(state: SimState, s: float) -> float:
-    """H^s norm of the whole half spectrum (mode 0 once, k > 0 twice)."""
-    k = np.arange(state.u.size, dtype=float)
-    mult = np.where(k == 0, 1.0, 2.0)
-    mass = mult * (1.0 + k * k) ** s * np.abs(state.u) ** 2
-    return float(np.sqrt(mass.sum()))
+def full_norm(state: SimState, s: float):
+    """H^s norm of the whole half spectrum (mode 0 once, k > 0 twice),
+    hs_norm unscaled; one norm per row of a stacked state."""
+    k = np.arange(state.u.shape[-1], dtype=float)
+    return hs_norm(k, state.u, np.where(k == 0, 1.0, 2.0), s)
 
 
 def linear_energy(state: SimState) -> np.ndarray:
@@ -210,8 +190,7 @@ def linear_energy(state: SimState) -> np.ndarray:
 
 class Stepper:
     """Integrating-factor RK4 for the half-spectrum system. States of any
-    leading batch shape are advanced row by row in one set of array calls;
-    windowed_norm and full_norm take one-row states only.
+    leading batch shape are advanced row by row in one set of array calls.
 
     _step advances a stacked state W = (u, v) of shape (2, R, K+1) through
     a _Workspace built for that shape. Each numpy operation of the scheme
@@ -227,7 +206,6 @@ class Stepper:
     """
 
     def __init__(self, config: SimConfig):
-        self.config = config
         self.K = config.K
         self.p = config.p
         self.sign = config.sign
@@ -680,6 +658,30 @@ def _inflation_cutoff(p: int, N: int) -> int:
     return p * int(round(frequency_set(cfg).max_frequency()))
 
 
+class _WindowRecord:
+    """inflation_experiment's observer at one s: each state's t and window
+    |u_m| in one preallocated array. peak() norms its rows in one call, as
+    windowed_norm would, and gives the first largest's index; a full array
+    keeps row 0 and that row and writes on, so it stays at 24 kB."""
+
+    def __init__(self, s: float):
+        self.s, self.n = s, 0
+        self.rows = np.empty((INFLATION_RECORD_ROWS,
+                              1 + len(INFLATION_WINDOW)))
+
+    def __call__(self, st: SimState):
+        if self.n == len(self.rows):
+            self.rows[1], self.n = self.rows[self.peak()[1]], 2
+        self.rows[self.n, 0] = st.t
+        np.abs(st.u.take(INFLATION_WINDOW), out=self.rows[self.n, 1:])
+        self.n += 1
+
+    def peak(self):
+        norms = hs_norm_prescaled(INFLATION_WINDOW, self.rows[:self.n, 1:],
+                                  2.0, self.s)
+        return norms, int(np.argmax(norms))
+
+
 def inflation_experiment(s_list, N_list, *, p: int, delta: float,
                          t_end: float, sign: int) -> list:
     """Feed size-delta witness data to the full solver and track the H^s
@@ -699,8 +701,8 @@ def inflation_experiment(s_list, N_list, *, p: int, delta: float,
     the integrating factor, so dt does not need to resolve lambda(K)).
     The runs at one N share K, M and dt, so they are the parts of one
     lockstep run on one Stepper, each with its own observer, bits and last
-    good state. Every N is sized before any witness is built. N_list
-    follows checked_n_list's rule.
+    good state; each observer is a _WindowRecord. Every N is sized before
+    any witness is built. N_list follows checked_n_list's rule.
     """
     if not (0 < delta < math.inf and 0 < t_end < math.inf):
         raise ValueError(f"need a finite delta > 0 and a finite t_end > 0, "
@@ -724,18 +726,14 @@ def inflation_experiment(s_list, N_list, *, p: int, delta: float,
             state = witness_state(pair, cfg.K)
             state.u *= scale
             state.v *= scale
-            peak = [None, -1.0, 0.0]    # initial window norm, sup, its t
-
-            def observe(st, s=s, peak=peak):
-                w = windowed_norm(st, INFLATION_WINDOW, s)
-                if peak[0] is None:
-                    peak[0] = w
-                if w > peak[1]:
-                    peak[1:] = w, st.t
-            parts.append((state, cfg.dt, observe))
-            runs.append((peak, scale))
+            record = _WindowRecord(s)
+            parts.append((state, cfg.dt, record))
+            runs.append((record, scale))
         _integrate_lockstep(Stepper(cfg), parts, t_end)
-        for out, ((initial, norm, t_peak), scale) in zip(rows, runs):
-            out.append(InflationRow(N, norm, t_peak, initial, scale))
+        for out, (record, scale) in zip(rows, runs):
+            norms, i = record.peak()
+            out.append(InflationRow(N, norms[i].item(),
+                                    record.rows[i, 0].item(),
+                                    norms[0].item(), scale))
     return [InflationResult(p, s, delta, t_end, out)
             for s, out in zip(s_list, rows)]

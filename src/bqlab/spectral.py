@@ -2,7 +2,7 @@
 
 Everything in the laboratory lives on the Fourier side of the fourth-order
 Boussinesq operator: the dispersion relation lambda(xi) = sqrt(xi^2 + xi^4),
-frequency supports, weighted spectral samples, Sobolev norms, and the linear
+frequency supports, weighted spectral samples, the H^s norm, and the linear
 propagator written as the usual pair of cos / sin-over-lambda multipliers.
 
 A support is always a mirror-symmetric set +-A, stored as the components of
@@ -321,22 +321,29 @@ def _midpoint_weights(freqs: np.ndarray, support: FrequencySet) -> np.ndarray:
 
 # -- norms and the propagator ---------------------------------------------
 
-def sobolev_norm(data: SpectralData, s: float) -> float:
-    """H^s norm of the stored samples: sqrt(sum w (1+xi^2)^s |v|^2).
+def hs_norm(freqs, values, weights, s: float):
+    """The H^s norm, sqrt(sum w (1+xi^2)^s |v|^2) over the last axis: a
+    float for one row, a norm per row of a stack, each with its row's bits.
+    Unscaled, so |v|^2 overflows above about 1e154."""
+    mass = weights * (1.0 + np.square(freqs, dtype=float)) ** s
+    out = np.sqrt((mass * np.square(np.abs(values))).sum(axis=-1))
+    return float(out) if out.ndim == 0 else out
 
-    The amplitudes are scaled by 2^-e, e the binary exponent of the
-    largest, before they are squared, and the norm by 2^e after the root,
-    so amplitudes above about 1e154 do not overflow in |v|^2 (where a
-    weight that underflowed to 0 made the mass nan). Scaling by a power of
-    two is exact, so wherever neither way leaves the normal range the bits
-    are those of the unscaled sum."""
+
+def hs_norm_prescaled(freqs, values, weights, s: float):
+    """hs_norm of each row's |v| / 2^e, times 2^e, e the binary exponent of
+    its largest |v|, so no |v|^2 overflows; exact in the normal range."""
+    a = np.abs(values)
+    e = np.frexp(a.max(axis=-1, initial=0.0))[1]
+    out = np.ldexp(hs_norm(freqs, np.ldexp(a, -e[..., None]), weights, s), e)
+    return float(out) if out.ndim == 0 else out
+
+
+def sobolev_norm(data: SpectralData, s: float) -> float:
+    """H^s norm of the stored samples, hs_norm_prescaled of the data."""
     if not np.all(np.isfinite(data.values)):
         raise ValueError("non-finite amplitudes")
-    x = data.freqs
-    amps = np.abs(data.values)
-    e = int(np.frexp(amps.max(initial=0.0))[1])
-    mass = data.weights * (1.0 + x * x) ** s * np.ldexp(amps, -e) ** 2
-    return float(np.ldexp(np.sqrt(mass.sum()), e))
+    return hs_norm_prescaled(data.freqs, data.values, data.weights, s)
 
 
 def free_flow_rotation(lam, t: float):

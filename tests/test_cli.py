@@ -741,6 +741,19 @@ def test_simulate_refuses_overflowing_norm_column(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("every,n_rows", [("7", 144), ("5", 201)])
+def test_simulate_writes_the_final_state_once(tmp_path, every, n_rows):
+    # 1000 steps of 0.1 end 1.4e-12 short of t = 100, inside the clock's
+    # rounding, so no remainder step is taken; at --observe-every 7 the
+    # last row read t = 99.4. The final state is written once, whether the
+    # schedule reaches it (every 5) or not (every 7)
+    rows, _manifest = _simulate(tmp_path, [
+        "--sign", "0", "--dt", "0.1", "--t-end", "100", "--observe-every",
+        every])
+    assert len(rows) == n_rows
+    assert rows[-1, 0] == 100.0 and rows[-2, 0] < 100.0 - 0.4
+
+
 @pytest.mark.parametrize("every", ["0", "-3"])
 def test_simulate_refuses_observe_every_below_one(tmp_path, capsys, every):
     out = tmp_path / "traj.csv"

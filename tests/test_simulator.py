@@ -198,6 +198,31 @@ def test_norm_helpers():
         math.sqrt(2.0 * 9.0 / 2.0))
 
 
+def test_window_and_full_norms_round_alike():
+    # both columns square |u| as x * x; squared by libm pow(x, 2), which
+    # rounds otherwise for about 1 in 1,100 doubles, the window column
+    # would read 1.3634008799488664 here
+    st = SimState(0.0, np.zeros(5, dtype=complex), np.zeros(5, dtype=complex))
+    st.u[1] = 0.9640700076875495
+    assert windowed_norm(st, (1,), 0.0) == full_norm(st, 0.0)
+    assert full_norm(st, 0.0) == 1.3634008799488666
+
+
+def test_norms_of_a_stacked_state_match_its_rows():
+    # a (2, 3, K+1) state is normed row by row in one call, each norm with
+    # the bits of its row's one-row state
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=(2, 3, 69)) + 1j * rng.normal(size=(2, 3, 69))
+    u *= 10.0 ** rng.uniform(-200.0, 0.0, size=(2, 3, 1))
+    stack = SimState(0.0, u, np.zeros_like(u))
+    for s in (-1.0, 0.0, 2.0):
+        for norm in (lambda st: windowed_norm(st, (1, 2, 30), s),
+                     lambda st: full_norm(st, s)):
+            rows = [norm(SimState(0.0, row, row)) for row in u.reshape(6, 69)]
+            assert np.asarray(norm(stack)).shape == (2, 3)
+            assert norm(stack).tobytes() == np.array(rows).tobytes()
+
+
 # -- stepping ------------------------------------------------------------------------
 
 def test_linear_step_matches_propagator():
@@ -518,7 +543,7 @@ def _integrate_sequential(stepper, state, t_end, observer=None):
         t += stepper.dt
         observer(t, u, v)
     rem = t_end - t
-    if rem > 1e-12 * max(1.0, stepper.dt):
+    if rem > 1e-12 * max(1.0, abs(t_end)):
         u, v = step(u, v, rem)
         observer(t_end, u, v)
     return u, v
@@ -867,6 +892,50 @@ def test_inflation_blowup_carries_its_s_run():
     assert info.value.state.u.shape == (19,)
     assert np.array_equal(info.value.state.u, alone.value.state.u)
     assert np.array_equal(info.value.state.v, alone.value.state.v)
+
+
+def test_inflation_record_matches_window_norms_of_each_state():
+    # the record, cut once at the default size by the 1,361 states of this
+    # run, gives the sup (first largest), its t and the initial norm that
+    # windowed_norm gives state by state
+    s_list, N, t_end = (-0.6, 0.0), 16, 2.0
+    results = _inflate([N], s_list=s_list, t_end=t_end)
+    cfg = SimConfig(p=2, K=simulator._inflation_cutoff(2, N), sign=1,
+                    dt=simulator.INFLATION_DT_FACTOR / (2 * N + 2))
+    for s, result in zip(s_list, results):
+        row = result.rows[0]
+        state = witness_state(build_witness(
+            WitnessConfig(Domain.TORUS, 2, N, s)), cfg.K)
+        state.u *= row.data_scale
+        state.v *= row.data_scale
+        seen = []
+        Stepper(cfg).integrate(state, t_end, observer=lambda st: seen.append(
+            (windowed_norm(st, simulator.INFLATION_WINDOW, s), st.t)))
+        sup = max(w for w, _t in seen)
+        assert row.initial_window_norm == seen[0][0]
+        assert (row.sup_window_norm, row.t_peak) == next(
+            (w, t) for w, t in seen if w == sup)
+        assert row.t_peak < 0.6 * t_end     # an interior peak
+
+
+@pytest.mark.parametrize("n_rows", [3, 4, 7, 100, 1024])
+def test_inflation_full_record_keeps_its_first_peak(monkeypatch, n_rows):
+    # a run that shows more states than the record holds (721 at N = 8,
+    # 1,361 at N = 16) norms the full record, keeps row 0 and the first
+    # largest row, and ends with the bits of a record that held every
+    # state; with sign 0 nothing reaches the window, so every norm is 0
+    # and every full record ties at row 0
+    def run(sign, rows):
+        monkeypatch.setattr(simulator, "INFLATION_RECORD_ROWS", rows)
+        return inflation_experiment((-0.6, 0.0), [8, 16], p=2, delta=1e-2,
+                                    t_end=2.0, sign=sign)
+    whole = [run(sign, 2000) for sign in (1, 0)]
+    # the peaks are interior: at t = 1.025 (N = 8) and 1.0956 (N = 16)
+    assert all(r.t_peak < 1.2 for res in whole[0] for r in res.rows)
+    for sign, results in zip((1, 0), whole):
+        for held, full in zip(run(sign, n_rows), results):
+            assert [vars(r) for r in held.rows] == [vars(r) for r in full.rows]
+    assert all(r.t_peak == 0.0 for res in whole[1] for r in res.rows)
 
 
 def test_inflation_runs_as_parts_match_separate_runs():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from bqlab.spectral import (Domain, FrequencySet, SpectralData, dispersion,
-                            free_flow_rotation, sin_over_lambda, sobolev_norm)
+                            free_flow_rotation, hs_norm, hs_norm_prescaled,
+                            sin_over_lambda, sobolev_norm)
 
 
 def _torus_data(modes, N=1, sigma=0.0, support=None):
@@ -177,6 +178,56 @@ def test_sobolev_norm_line_window_mass():
     # sqrt(integral of 1 over +-[1/4, 1/2]) = 1/sqrt(2)
     assert sobolev_norm(data, 0.0) == pytest.approx(1.0 / math.sqrt(2.0),
                                                     rel=1e-12)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 9, 69, 1025])
+def test_hs_norm_of_a_stack_matches_each_row_alone(width):
+    # one call norms a stack of rows, each with the bits of its own call,
+    # for a C-ordered stack, a column slice of a wider one and a 3-D stack;
+    # the rows' scales run from 1e-200 to 1e200, so a prescale shared by
+    # the stack would flush its small rows to 0; unscaled, the large row's
+    # norm overflows to inf alike in both calls
+    rng = np.random.default_rng(width)
+    freqs = rng.uniform(-40.0, 40.0, size=width)
+    weights = rng.uniform(0.1, 2.0, size=width)
+    scales = 10.0 ** np.array([-200.0, -3.0, 0.0, 5.0, 200.0, 0.0])
+    values = scales[:, None] * (rng.normal(size=(6, width))
+                                + 1j * rng.normal(size=(6, width)))
+    values[-1] = 0.0
+    wide = np.zeros((6, width + 3), dtype=complex)
+    wide[:, 3:] = values
+    for form in (hs_norm, hs_norm_prescaled):
+        for s in (-1.5, 0.0, 0.5, 2.0):
+            with np.errstate(over="ignore"):
+                solo = [form(freqs, row, weights, s) for row in values]
+                stacks = [form(freqs, stack, weights, s) for stack in (
+                    values, wide[:, 3:], values.reshape(2, 3, width))]
+            assert all(type(n) is float for n in solo)
+            assert all(_bits(norms) == _bits(solo) for norms in stacks)
+
+
+@pytest.mark.parametrize("amp", [1e200, 1e-200])
+def test_hs_norm_prescaled_far_from_one_matches_mpmath(amp):
+    # |v|^2 overflows at 1e200 and underflows at 1e-200, so the unscaled
+    # formula reads inf and 0; the prescaled one reads the norm
+    mp = pytest.importorskip("mpmath")
+    freqs = np.array([-17.0, -16.0, 0.0, 16.0, 17.0, 30.5])
+    weights = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.25])
+    values = amp * np.array([0.3 - 0.4j, 1.0, -2.5j, 1.0, 0.3 + 0.4j, 7.0])
+    for s in (-50.0, -1.0, 0.0, 2.5):
+        with mp.workdps(40):
+            exact = mp.sqrt(sum(mp.mpf(w) * (1 + mp.mpf(x) ** 2) ** s
+                                * abs(mp.mpc(v)) ** 2
+                                for x, v, w in zip(freqs, values, weights)))
+        got = hs_norm_prescaled(freqs, values, weights, s)
+        assert abs(got - exact) <= 1e-15 * exact
+        with np.errstate(over="ignore"):
+            assert hs_norm(freqs, values, weights, s) == (
+                math.inf if amp > 1 else 0.0)
 
 
 # -- free flow ------------------------------------------------------------------
