@@ -36,9 +36,9 @@ from .resonance import (closed_form_profiles, solve_diophantine,
                         verify_resonance_bounds)
 from .flow_derivative import growth_table
 from .simulator import (INFLATION_WINDOW, SIMULATION_TIME_TOL, SimConfig,
-                        Stepper, check_simulation_budget, full_norm,
-                        has_shadow, inflation_experiment, linear_energy,
-                        windowed_norm, witness_state)
+                        SimState, Stepper, check_simulation_budget,
+                        full_norm, has_shadow, inflation_experiment,
+                        linear_energy, windowed_norm, witness_state)
 from .acceptance import run_criteria
 
 
@@ -329,19 +329,36 @@ def cmd_simulate(params):
         raise ValueError(f"need observe_every >= 1, got {every}")
     header = (["t"] + [f"window_h{s:g}" for s in norm_s]
               + [f"full_h{s:g}" for s in norm_s])
-    rows, shown = [], itertools.count()
+    rows, shown, times = [], itertools.count(), []
+    # the written spectra wait here to be normed a block at a time, so the
+    # buffer stays at most 64 rows and 1 MB whatever the run's length
+    block = np.empty((max(1, min(64, 2 ** 16 // (K + 1))), K + 1),
+                     dtype=complex)
 
     def columns(st):
+        """The norm columns of st, one value per row of a stacked st."""
         with np.errstate(over="ignore", invalid="ignore"):   # see below
             return ([windowed_norm(st, window, s) for s in norm_s]
                     + [full_norm(st, s) for s in norm_s])
 
+    def flush():
+        """Norm the buffered spectra, one stacked call per column, each row
+        with the bits of its own call, and write them as rows."""
+        cols = np.array(columns(SimState(0.0, block[:len(times)], None)))
+        rows.extend([t] + c for t, c in zip(times, cols.T.tolist()))
+        times.clear()
+
     def observe(st):
         if next(shown) % every == 0:
-            rows.append([st.t] + columns(st))
+            block[len(times)] = st.u
+            times.append(st.t)
+            if len(times) == len(block):
+                flush()
 
     final, shadow = stepper.integrate_with_shadow(state, t_end,
                                                   observer=observe)
+    if times:
+        flush()
     if rows[-1][0] < final.t:     # the schedule skipped the final state
         rows.append([final.t] + columns(final))
     # a blow-up has been refused by now: a norm weight and an amplitude

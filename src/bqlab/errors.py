@@ -13,6 +13,12 @@ class ResourceBudgetError(RuntimeError):
         self.estimated = float(estimated)
         self.budget = float(budget)
 
+    def __reduce__(self):
+        # the constructor's arguments and every attribute, so the error
+        # survives a pickle round trip (a worker process sends it back)
+        return type(self), (self.args[0], self.estimated, self.budget), \
+            self.__dict__
+
 
 class SimulationBlowup(RuntimeError):
     """Raised when the time stepper detects NaN/overflow.
@@ -25,3 +31,7 @@ class SimulationBlowup(RuntimeError):
         super().__init__(message)
         self.t_last_good = float(t_last_good)
         self.state = state
+
+    def __reduce__(self):
+        return type(self), (self.args[0], self.t_last_good, self.state), \
+            self.__dict__

@@ -30,12 +30,18 @@ stack holds the per-row coefficients, dt and every stage buffer, so a
 step allocates nothing but its new state. The probe's dt and 2 dt
 ladders, a trajectory and its 2 dt shadow, and criterion 8's s runs at
 one N are each one lockstep run. check_simulation_budget sizes a run
-from numbers alone, before anything of K + 1 modes is built.
+from numbers alone, before anything of K + 1 modes is built; its work
+estimate splits inflation_experiment's independent N runs over the usable
+CPUs, with every bin but one in a forked child (_work_bins, _run_bins).
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from decimal import Decimal
 
@@ -63,6 +69,12 @@ SIMULATION_BUDGET = 10 ** 11
 # that a criterion or a CLI default makes is 3,240 (criterion 6's p = 3,
 # N = 64 probe: 6 rows at M = 540; criterion 8's N = 128 run: 2 at 800)
 SIMULATION_ROWS_M = 10 ** 6
+# the least estimated work (row steps x M log2 M) that a bin of inflation
+# runs must hold to get a process of its own: a fork, pipe and pickle round
+# trip took 2.2-4.0 ms on a 2-core Xeon, where a unit of inflation work
+# took 8 ns at M = 800 and up to 130 ns at M = 60, so such a bin steps for
+# at least about 16 ms
+FORK_MIN_WORK = 2e6
 # the relative time error that simulate's default step is chosen to meet,
 # as its 2 dt shadow estimates it (cli.cmd_simulate reports the estimate)
 SIMULATION_TIME_TOL = 1e-8
@@ -91,13 +103,14 @@ def _grid_size(p: int, K: int) -> int:
     return _fft_good_size((p + 1) * K + 1)
 
 
-def check_simulation_budget(p: int, K: int, t_end: float, parts):
+def check_simulation_budget(p: int, K: int, t_end: float, parts) -> float:
     """Refuse, with ResourceBudgetError, a lockstep run of modes 0..K at
     power p to t_end whose (start time, dt, rows) parts would exceed
     SIMULATION_BUDGET in row steps (full steps plus one for a remainder)
-    x M log2 M, or SIMULATION_ROWS_M in rows x M. It reads only numbers,
-    so a caller can size a run before it builds anything of K + 1 modes;
-    a step count that is not finite is over budget."""
+    x M log2 M, or SIMULATION_ROWS_M in rows x M; return that work
+    estimate. It reads only numbers, so a caller can size a run before it
+    builds anything of K + 1 modes; a step count that is not finite is
+    over budget."""
     M = _grid_size(p, K)
     if M > SIMULATION_BUDGET:   # at any step count; M may exceed a float
         raise ResourceBudgetError(
@@ -117,6 +130,7 @@ def check_simulation_budget(p: int, K: int, t_end: float, parts):
         raise ResourceBudgetError(
             f"rows x M = {rows} x {M:.3g} exceeds the simulation memory "
             f"bound {SIMULATION_ROWS_M:g}", rows * M, SIMULATION_ROWS_M)
+    return work
 
 
 @dataclass(frozen=True)
@@ -182,8 +196,8 @@ def full_norm(state: SimState, s: float):
 
 def linear_energy(state: SimState) -> np.ndarray:
     """Per-mode energy lambda^2 |u_k|^2 + |v_k|^2, conserved exactly by the
-    linear flow."""
-    k = np.arange(state.u.size, dtype=float)
+    linear flow; row by row for a stacked state."""
+    k = np.arange(state.u.shape[-1], dtype=float)
     lam = dispersion(k)
     return lam ** 2 * np.abs(state.u) ** 2 + np.abs(state.v) ** 2
 
@@ -626,6 +640,114 @@ def fd_derivative_probe(pair: WitnessPair, p: int, t: float, *,
                              "n_steps": len(solved) * sum(steps)})
 
 
+# -- independent runs in worker processes --------------------------------------
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or the CPU
+    count where the platform has no affinity call."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+def _work_bins(weights) -> list:
+    """The indices of weights (estimated work of independent jobs) split
+    into bins by longest processing time first: each next-heaviest job
+    joins the lightest bin so far. There are min(usable CPUs, jobs) bins,
+    fewer while the lightest would hold less than FORK_MIN_WORK, and one
+    bin of every index where os.fork is missing. Each bin lists its
+    indices in ascending order; bins[0] holds the heaviest job."""
+    n = min(_usable_cpus(), len(weights)) if hasattr(os, "fork") else 1
+    order = sorted(range(len(weights)), key=lambda i: -weights[i])
+    for n_bins in range(n, 1, -1):
+        bins, loads = [[] for _ in range(n_bins)], [0.0] * n_bins
+        for i in order:
+            b = loads.index(min(loads))
+            bins[b].append(i)
+            loads[b] += weights[i]
+        if min(loads) >= FORK_MIN_WORK:
+            return [sorted(b) for b in bins]
+    return [list(range(len(weights)))]
+
+
+def _run_bin(job, indices) -> dict:
+    """{i: job(i)} over indices in order, up to the first job that raises
+    an Exception, which maps to that error."""
+    done = {}
+    for i in indices:
+        try:
+            done[i] = job(i)
+        except Exception as exc:    # _run_bins raises it in index order
+            done[i] = exc
+            break
+    return done
+
+
+def _run_in_child(job, indices, r: int, w: int):
+    """A forked child's whole life: run its bin, write the pickled
+    outcomes to w, and leave with os._exit, which flushes none of the
+    buffers (stdout included) copied from the parent."""
+    status = 1
+    try:
+        os.close(r)
+        with open(w, "wb") as out:
+            pickle.dump(_run_bin(job, indices), out, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_bins(job, bins) -> list:
+    """[job(i) for i in range(n)] over the n indices of bins, with the
+    error of the first job that raises, in index order, as that loop would
+    raise it. bins[0] runs in this process, and each other bin in a child
+    made by os.fork, which sends back its pickled outcomes through a pipe
+    (a bin whose fork fails runs here too). A bin stops at its first error,
+    so a job is skipped only when a lower index has failed. Every child is
+    reaped before this returns or raises; when this process is interrupted
+    (or its own bin raises a BaseException) the children are killed
+    first."""
+    local, pending, outcomes = list(bins[0]), [], {}
+    try:
+        for indices in bins[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:     # no process to spare: run the bin here
+                os.close(r)
+                os.close(w)
+                local += indices
+                continue
+            if pid == 0:
+                _run_in_child(job, indices, r, w)
+            pending.append((pid, r, indices))
+            os.close(w)
+        outcomes.update(_run_bin(job, sorted(local)))
+        while pending:
+            pid, r, indices = pending[0]
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(r)
+            pending.pop(0)
+            if code != 0:
+                raise ChildProcessError(f"the worker process of jobs "
+                                        f"{indices} ended with code {code}")
+            outcomes.update(pickle.loads(data))
+    finally:
+        for pid, r, _indices in pending:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+            os.close(r)
+    results = []
+    for i in range(sum(map(len, bins))):
+        if isinstance(outcomes[i], Exception):
+            raise outcomes[i]
+        results.append(outcomes[i])
+    return results
+
+
 # -- norm inflation -----------------------------------------------------------
 
 @dataclass
@@ -696,13 +818,26 @@ def inflation_experiment(s_list, N_list, *, p: int, delta: float,
     (like delta^4 at p = 2): against twice the cutoff, criterion 8's sup
     norms (delta = 1e-2) move by at most 1.9e-14 relative, far below the
     step's error, while at data of size 1 the two errors are alike. The step
-    dt = INFLATION_DT_FACTOR / (2N + 2) resolves the slow beat phase that
-    transfers mass to the window (the fast factors are rotated exactly by
-    the integrating factor, so dt does not need to resolve lambda(K)).
+    is dt = INFLATION_DT_FACTOR / (2N + 2); the integrating factor rotates
+    the fast linear phases exactly, so dt need not resolve lambda(K), but
+    the step is not accurate at every N. At inflate's defaults (p = 2,
+    s = -0.6, delta = 1e-2, t_end = 1) the window coefficient u_1 at t_end
+    errs by 1.27e-6 against a dt/8 run at N = 128, where dt lambda(2F) is
+    near 4 pi, and by 9.7e-9 at N = 64; at odd p (3 and 5, sign -1) the
+    sup norms err by about 4e-2 at N = 64.
     The runs at one N share K, M and dt, so they are the parts of one
     lockstep run on one Stepper, each with its own observer, bits and last
     good state; each observer is a _WindowRecord. Every N is sized before
     any witness is built. N_list follows checked_n_list's rule.
+
+    The runs of different N share nothing, so they are split by their
+    estimated work (check_simulation_budget's) into bins over the usable
+    CPUs (_work_bins), and every bin but the first runs in a forked child
+    (_run_bins). Each run is the same code on the same inputs wherever it
+    runs, so the rows are the same bits as in one process; a failing run
+    raises what running the N in order would raise, the error of the first
+    failing N. Small experiments, whose lightest bin would hold less than
+    FORK_MIN_WORK, run in this process.
     """
     if not (0 < delta < math.inf and 0 < t_end < math.inf):
         raise ValueError(f"need a finite delta > 0 and a finite t_end > 0, "
@@ -714,11 +849,13 @@ def inflation_experiment(s_list, N_list, *, p: int, delta: float,
     configs = [SimConfig(p=p, K=_inflation_cutoff(p, N), sign=sign,
                          dt=INFLATION_DT_FACTOR / (2 * N + 2))
                for N in N_list]
-    for cfg in configs:
-        check_simulation_budget(cfg.p, cfg.K, t_end,
-                                [(0.0, cfg.dt, 1)] * len(s_list))
-    rows = [[] for _ in s_list]
-    for N, cfg in zip(N_list, configs):
+    works = [check_simulation_budget(cfg.p, cfg.K, t_end,
+                                     [(0.0, cfg.dt, 1)] * len(s_list))
+             for cfg in configs]
+
+    def run(j):
+        """The lockstep run at N_list[j]: one InflationRow per s."""
+        N, cfg = N_list[j], configs[j]
         parts, runs = [], []
         for s in s_list:
             pair = build_witness(WitnessConfig(Domain.TORUS, p, N, s))
@@ -730,10 +867,14 @@ def inflation_experiment(s_list, N_list, *, p: int, delta: float,
             parts.append((state, cfg.dt, record))
             runs.append((record, scale))
         _integrate_lockstep(Stepper(cfg), parts, t_end)
-        for out, (record, scale) in zip(rows, runs):
+        rows = []
+        for record, scale in runs:
             norms, i = record.peak()
-            out.append(InflationRow(N, norms[i].item(),
-                                    record.rows[i, 0].item(),
-                                    norms[0].item(), scale))
-    return [InflationResult(p, s, delta, t_end, out)
-            for s, out in zip(s_list, rows)]
+            rows.append(InflationRow(N, norms[i].item(),
+                                     record.rows[i, 0].item(),
+                                     norms[0].item(), scale))
+        return rows
+
+    per_N = _run_bins(run, _work_bins(works))
+    return [InflationResult(p, s, delta, t_end, [rows[j] for rows in per_N])
+            for j, s in enumerate(s_list)]

@@ -2,6 +2,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,9 @@ import pytest
 import bqlab
 from bqlab import cli, simulator
 from bqlab.cli import main
-from bqlab.spectral import Domain
+from bqlab.simulator import (SimConfig, Stepper, full_norm, windowed_norm,
+                             witness_state)
+from bqlab.spectral import Domain, write_csv
 from bqlab.witness import WitnessConfig, build_witness
 
 
@@ -179,6 +183,49 @@ def test_inflate_json(tmp_path):
     payload = _load(out)
     assert [r["N"] for r in payload["rows"]] == [8, 16]
     assert all(r["sup_window_norm"] > 0 for r in payload["rows"])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_reproduce_all_into_a_pipe_prints_each_line_once():
+    # criterion 8 runs its N = 16, 32 and 64 in a forked child while
+    # criterion 7's lines wait in the block-buffered stdout of a pipe; a
+    # child that flushed that buffer on exit would print them twice
+    code = ("import sys\n"
+            "from bqlab import cli, simulator\n"
+            "simulator._usable_cpus = lambda: 2\n"
+            "sys.exit(cli.main(['reproduce-all', '--criteria', '7,8']))\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(bqlab.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert [line.split(" (")[0] for line in lines if "criterion-" in line] \
+        == ["[PASS] criterion-7 simulator-integrity",
+            "[PASS] criterion-8 norm-inflation"]
+    assert lines[-1] == "2/2 criteria passed"
+    assert len(lines) == len(set(lines)) == 9
+
+
+def test_simulate_norms_blocks_of_rows_as_state_by_state(tmp_path):
+    # 101 written rows are normed as a block of 64 and one of 37: the CSV
+    # has the bytes of norming each observed state on its own
+    argv = ["--p", "2", "--n", "8", "--s", "-1", "--k", "40", "--dt", "0.01",
+            "--t-end", "1", "--observe-every", "1", "--norm-s", "-1,0.5"]
+    out = tmp_path / "traj.csv"
+    assert main(["simulate"] + argv + ["--out", str(out)]) == 0
+    pair = build_witness(WitnessConfig(Domain.TORUS, 2, 8, -1.0))
+    rows = []
+    Stepper(SimConfig(p=2, K=40, dt=0.01)).integrate(
+        witness_state(pair, 40), 1.0, observer=lambda st: rows.append(
+            [st.t] + [windowed_norm(st, (pair.output_window,), s)
+                      for s in (-1.0, 0.5)]
+            + [full_norm(st, s) for s in (-1.0, 0.5)]))
+    assert len(rows) == 101
+    write_csv(str(tmp_path / "ref.csv"),
+              out.read_text().split("\n")[0].split(","), rows)
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

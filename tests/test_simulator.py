@@ -1,5 +1,8 @@
 """Integrating-factor stepper, derivative probe, and norm inflation."""
 import math
+import os
+import pickle
+import time
 import warnings
 
 import numpy as np
@@ -260,6 +263,18 @@ def test_linear_energy_conserved():
     assert np.abs(e1[mask] / e0[mask] - 1.0).max() < 1e-12
 
 
+def test_linear_energy_of_a_stacked_state_matches_its_rows():
+    # a (3, K+1) state raised "operands could not be broadcast together":
+    # k was built from the state's size, not its last axis
+    rng = np.random.default_rng(3)
+    u, v = (rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+            for _ in range(2))
+    energy = linear_energy(SimState(0.0, u, v))
+    assert energy.shape == (3, 5)
+    for row, (ur, vr) in zip(energy, zip(u, v)):
+        assert row.tobytes() == linear_energy(SimState(0.0, ur, vr)).tobytes()
+
+
 def test_mode_zero_stays_dark():
     # the xi^2 prefactor kills transfer into the zero mode
     pair = _witness(p=2, N=4)
@@ -324,6 +339,23 @@ def test_blowup_guard():
             stepper.integrate(st, 10.0)
     assert info.value.t_last_good < 10.0
     assert np.all(np.isfinite(info.value.state.u))
+
+
+def test_errors_survive_a_pickle_round_trip():
+    # a worker process sends its error back pickled; both errors took more
+    # constructor arguments than they kept in args, so unpickling raised
+    # TypeError
+    state = SimState(0.25, np.arange(3.0) + 1j, np.arange(3.0) - 1j)
+    blowup = pickle.loads(pickle.dumps(SimulationBlowup("x", 1.0, state)))
+    assert (type(blowup), str(blowup), blowup.t_last_good) == (
+        SimulationBlowup, "x", 1.0)
+    assert blowup.state.t == 0.25
+    assert np.array_equal(blowup.state.u, state.u)
+    assert np.array_equal(blowup.state.v, state.v)
+    assert pickle.loads(pickle.dumps(SimulationBlowup("y", 2))).state is None
+    budget = pickle.loads(pickle.dumps(ResourceBudgetError("z", 3, 4.5)))
+    assert (type(budget), str(budget), budget.estimated, budget.budget) == (
+        ResourceBudgetError, "z", 3.0, 4.5)
 
 
 def test_integrate_observer_and_remainder():
@@ -977,6 +1009,132 @@ def test_inflation_cutoff_against_twice_it(monkeypatch, p, sign, delta,
             assert row.sup_window_norm == pytest.approx(
                 fine.sup_window_norm, rel=tol, abs=0.0)
             assert row.t_peak == fine.t_peak
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every bin of inflation worth a fork, over three usable CPUs; the
+    list of forks made, one pid each."""
+    made, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+    monkeypatch.setattr(simulator, "FORK_MIN_WORK", 0.0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    monkeypatch.setattr(os, "fork", counting)
+    return made
+
+
+def test_work_bins_longest_first(monkeypatch):
+    # each next-heaviest job joins the lightest bin; fewer bins while the
+    # lightest holds less than FORK_MIN_WORK, one where fork is missing
+    monkeypatch.setattr(simulator, "FORK_MIN_WORK", 3.0)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+    assert simulator._work_bins([1, 2, 3, 4, 10]) == [[4], [0, 1, 2, 3]]
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 3)
+    assert simulator._work_bins([5, 5, 1]) == [[0, 2], [1]]
+    assert simulator._work_bins([5, 5, 3]) == [[0], [1], [2]]
+    assert simulator._work_bins([1, 1, 1]) == [[0, 1, 2]]
+    assert simulator._work_bins([10]) == [[0]]
+    monkeypatch.delattr(os, "fork")
+    assert simulator._work_bins([5, 5, 3]) == [[0, 1, 2]]
+
+
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert simulator._usable_cpus() == 1
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert simulator._usable_cpus() == 8
+
+
+def test_inflation_forked_rows_match_in_process_rows(forks, monkeypatch):
+    # three bins, two of them in children: the rows keep the bits of the
+    # runs made in this process
+    s_list, N_list = (-0.6, 0.0), [8, 16, 32]
+    forked = _inflate(N_list, s_list=s_list)
+    assert len(forks) == 2
+    monkeypatch.setattr(simulator, "FORK_MIN_WORK", math.inf)
+    here = _inflate(N_list, s_list=s_list)
+    assert len(forks) == 2
+    for a, b in zip(forked, here):
+        assert (a.p, a.s, a.delta, a.t_end) == (b.p, b.s, b.delta, b.t_end)
+        assert [vars(r) for r in a.rows] == [vars(r) for r in b.rows]
+    _no_child_left()
+
+
+def test_inflation_one_cpu_runs_in_process(forks, monkeypatch):
+    # a one-CPU affinity mask forks nothing and gives the same bits
+    forked = _inflate([8, 16, 32], s_list=(-0.6, 0.0))
+    assert len(forks) == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    here = _inflate([8, 16, 32], s_list=(-0.6, 0.0))
+    assert len(forks) == 2
+    for a, b in zip(forked, here):
+        assert [vars(r) for r in a.rows] == [vars(r) for r in b.rows]
+
+
+def test_inflation_blowup_in_a_child_carries_its_s_run(forks, monkeypatch):
+    # test_inflation_blowup_carries_its_s_run with N = 8 in a child: N = 16,
+    # in this process, blows up too, and the error is N = 8's, the first
+    # in N order, as the in-process run raises it
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SimulationBlowup) as info:
+            _inflate([8, 16], s_list=(-0.6, 0.0), delta=10.0, t_end=1.0)
+        assert len(forks) == 1
+        monkeypatch.setattr(simulator, "FORK_MIN_WORK", math.inf)
+        with pytest.raises(SimulationBlowup) as alone:
+            _inflate([8], s_list=(-0.6,), delta=10.0, t_end=1.0)
+    assert str(info.value) == str(alone.value)
+    assert info.value.t_last_good == alone.value.t_last_good > 0.0
+    assert info.value.state.u.shape == (19,)
+    assert np.array_equal(info.value.state.u, alone.value.state.u)
+    assert np.array_equal(info.value.state.v, alone.value.state.v)
+    _no_child_left()
+
+
+def test_run_bins_raises_the_first_error_in_index_order():
+    # a loop over the indices raises the error of the first failing job,
+    # whichever bin it ran in
+    def failing(*bad):
+        def job(i):
+            if i in bad:
+                raise ValueError(f"job {i}")
+            return [i * i]
+        return job
+    bins = [[0, 3], [1, 2]]     # 0 and 3 here, 1 and 2 in a child
+    assert simulator._run_bins(failing(), bins) == [[0], [1], [4], [9]]
+    for bad, first in [((1, 3), "job 1"), ((3,), "job 3"), ((2,), "job 2"),
+                       ((0, 1), "job 0")]:
+        with pytest.raises(ValueError, match=first):
+            simulator._run_bins(failing(*bad), bins)
+    _no_child_left()
+
+
+def test_run_bins_kills_its_children_when_interrupted():
+    # an interrupt in this process's bin kills and reaps the child that is
+    # still running its bin
+    def job(i):
+        if i == 0:
+            raise KeyboardInterrupt
+        time.sleep(60.0)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        simulator._run_bins(job, [[0], [1]])
+    assert time.perf_counter() - start < 30.0
+    _no_child_left()
 
 
 def test_inflation_cutoff_is_p_times_top_frequency():
