@@ -21,11 +21,13 @@ taken from a single tangent of its half, in one pass over the broadcast
 array; alpha may be given per row of beta, so that one call serves several
 xi nodes. It assembles the profile exactly on the torus and, on the line,
 by tensor-product midpoint quadrature for the p that LINE_NODES lists
-(p = 2 and 3, at most one outer slot; at p = 2 all xi nodes go to the
-kernel in one call) and by a randomly shifted rank-1 lattice rule for
-every other p (innermost variable clipped exactly in both), at resolutions
-that are module constants, not options (LINE_XI_NODES, LINE_NODES,
-LINE_LATTICE_POINTS, LINE_LATTICE_SHIFTS). The lattice rule takes its
+(p = 2 and 3; at p = 2, with no outer slot, all xi nodes go to the kernel
+in one call, and at p = 3 each call takes one xi node, its xi and alpha as
+scalars) and by a randomly shifted rank-1 lattice rule for every other p
+(innermost variable clipped exactly in both), at resolutions that are
+module constants, not options (LINE_XI_NODES, LINE_NODES,
+LINE_LATTICE_POINTS, LINE_LATTICE_SHIFTS, and the Student t quantile
+LINE_T975 that goes with LINE_LATTICE_SHIFTS). The lattice rule takes its
 generating vector component by component (Dick, Kuo & Sloan, Acta
 Numerica 22, 2013), folds its points by the tent transform so that a
 non-periodic integrand keeps the rule's accuracy (Hickernell, 2002), and
@@ -37,12 +39,12 @@ the output window and builds the N-sweep growth tables whose log-log
 slopes are the measured blow-up exponents. Only the prefactor
 N^(-p sigma), the window weights (1 + xi^2)^s and the data norm depend on
 s, so growth_tables forms one representation sum per (p, domain, N, t)
-and shares it between all its s; growth_table is its one-s case.
+and forms every s's values from it; growth_table is its one-s case.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -53,12 +55,13 @@ from .witness import (WitnessConfig, WitnessPair, build_witness,
 from .resonance import enumerate_representations
 
 DEFAULT_HORIZON = 2.0   # upper limit for measurement times
-# the tensor rule's kernel calls take at most KERNEL_BLOCK / 2 nominal points
-KERNEL_BLOCK = 8192
 LINE_XI_NODES = 33      # midpoints of the line output window
 LINE_NODES = {2: 64, 3: 64}   # tensor nodes per dim, by p
 LINE_LATTICE_POINTS = 1021   # lattice points per shift (prime), unlisted p
 LINE_LATTICE_SHIFTS = 8      # random shifts averaged at each xi node
+# Student's t 97.5% quantile at LINE_LATTICE_SHIFTS - 1 = 7 degrees of
+# freedom, for the lattice rule's 95% half-width
+LINE_T975 = 2.364624251592783
 
 
 # -- the oscillatory time kernel --------------------------------------------
@@ -156,9 +159,9 @@ class DerivativeProfile:
 
     values are the prefactors at xi times the representation sums in sums,
     one per node, or for the lattice rule the mean of its per-shift sums
-    of shape (xi nodes, q). The sums do not depend on s or sigma, so a
-    witness of the same p, domain, N and t at another s reuses them (see
-    _rescaled).
+    of shape (xi nodes, q). The sums do not depend on s or sigma, so
+    _profile_values forms the values of a witness of the same p, domain, N
+    and t at another s from them and that witness's prefactors.
     """
 
     domain: Domain
@@ -227,7 +230,7 @@ def _profile_values(prefs, sums, p: int, N: int):
 
     sums holds one total per node (exact sum, tensor rule) or the lattice
     rule's (xi nodes, q) per-shift sums, whose mean is the total and whose
-    spread gives "err_est" and "mc_halfwidth_max" (see
+    spread gives "err_est" and "mc_halfwidth_max" (with LINE_T975; see
     flow_derivative_line); returns (values, dict of error estimates).
     """
     totals = sums if sums.ndim == 1 else sums.mean(axis=1)
@@ -243,7 +246,7 @@ def _profile_values(prefs, sums, p: int, N: int):
         (sums.real.var(axis=1, ddof=1) + sums.imag.var(axis=1, ddof=1)) / q)
     peak = float(np.abs(values).max())
     return values, {"err_est": float(err.max()) / peak if peak > 0 else 0.0,
-                    "mc_halfwidth_max": _t975(q - 1) * float(err.max())}
+                    "mc_halfwidth_max": LINE_T975 * float(err.max())}
 
 
 def _output_nodes(pair: WitnessPair):
@@ -257,19 +260,6 @@ def _output_nodes(pair: WitnessPair):
     n_xi = LINE_XI_NODES
     h_xi = (whi - wlo) / n_xi
     return wlo + (np.arange(n_xi) + 0.5) * h_xi, np.full(n_xi, h_xi)
-
-
-def _rescaled(profile: DerivativeProfile, prefs, N: int) -> DerivativeProfile:
-    """The profile of another witness of the same p, domain, N and t
-    (another s or sigma), whose prefactors at profile.xi are prefs: its
-    values and error estimates formed from profile's sums, with no
-    representation sum of its own."""
-    values, errors = _profile_values(prefs, profile.sums, profile.p, N)
-    meta = {**profile.meta, "warnings": list(profile.meta["warnings"]),
-            **errors}
-    return DerivativeProfile(profile.domain, profile.p, profile.t,
-                             profile.xi, values, profile.weights, meta,
-                             profile.sums)
 
 
 def flow_derivative_torus(pair: WitnessPair, p: int, t: float, *,
@@ -424,66 +414,45 @@ def _lattice_column(n: int, z: int, shifts):
     return np.subtract(1.0, x, out=x)
 
 
-def _t975(dof: int) -> float:
-    """The 97.5% quantile of Student's t with dof >= 1 degrees of freedom,
-    by bisection on the closed-form P(|T| < x) for integer dof
-    (Abramowitz & Stegun 26.7.3-4)."""
-    def central(x):
-        theta = math.atan(x / math.sqrt(dof))
-        c2 = math.cos(theta) ** 2
-        odd = dof % 2
-        term, acc = (math.cos(theta) if odd else 1.0), 0.0
-        for j in range(odd, dof - 1, 2):
-            acc += term
-            term *= (j + 1) / (j + 2) * c2
-        acc *= math.sin(theta)
-        return 2.0 / math.pi * (theta + acc) if odd else acc
-    lo, hi = 0.0, 1e3
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if central(mid) < 0.95 else (lo, mid)
-    return 0.5 * (lo + hi)
-
-
 def _tensor_totals(patterns, p: int, nodes: int, xi_alpha, t: float):
     """Representation sum of the clipped midpoint rule with nodes points
     per dimension at each xi node, and the number of kernel points.
 
     Each pattern's grid of outer midpoints, its cell volume and the nodes
-    inner midpoints per row are built once for every xi node. Whole xi
-    nodes go to the integrand and the kernel together, in groups of at
-    most KERNEL_BLOCK / 2 nominal points: all 33 nodes at p = 2, one at
-    p = 3, whose 4096 points already amortise a call (a two-node group's
-    arrays outgrow the allocator's reuse and page-fault on every call).
-    Each node's total is the sum over its own contiguous rows.
+    inner midpoints per row are built once for every xi node. A pattern
+    with no outer slot (p = 2) has one row per xi node, and all the nodes
+    go to the integrand and the kernel in one call. Otherwise (p = 3) each
+    call takes one xi node, its xi and alpha as scalars: its nodes^(p - 1)
+    points already amortise a call, and a call of two nodes outgrows the
+    allocator's reuse and page-faults on every call.
     """
     n_xi = len(xi_alpha)
     totals = np.zeros(n_xi, dtype=complex)
     offsets = (np.arange(nodes) + 0.5)[None, :]
-    rows = nodes ** (p - 2)      # outer midpoints per xi node
-    group = max(1, KERNEL_BLOCK // (2 * rows * nodes))
     xis, alphas = np.array(xi_alpha).T
     n_points = 0
     for rep in patterns:
         slots = _representative_slots(rep)
         outer = slots[:-2]
+        volume = math.prod((hi - lo) / nodes for lo, hi in outer)
+        if not outer:      # one row per xi node, every node in one call
+            idx, f = _pattern_integrand(slots, xis, alphas, t,
+                                        np.zeros(n_xi), np.zeros(n_xi),
+                                        offsets, volume)
+            n_points += f.size
+            for i, row in zip(idx.tolist(), f):
+                totals[i] += rep.multiplicity * complex(np.sum(row))
+            continue
         mids = [np.linspace(lo, hi, nodes, endpoint=False)
                 + (hi - lo) / (2 * nodes) for lo, hi in outer]
         S_out, P_out = _outer_sums(
-            (m.ravel() for m in np.meshgrid(*mids, indexing="ij")), rows)
-        S_out, P_out = np.tile(S_out, group), np.tile(P_out, group)
-        volume = math.prod((hi - lo) / nodes for lo, hi in outer)
-        for g in range(0, n_xi, group):
-            n_g = min(group, n_xi - g)
-            xi, alpha = (np.repeat(v[g:g + n_g], rows) for v in (xis, alphas))
-            idx, f = _pattern_integrand(slots, xi, alpha, t,
-                                        S_out[:n_g * rows],
-                                        P_out[:n_g * rows], offsets, volume)
+            (m.ravel() for m in np.meshgrid(*mids, indexing="ij")),
+            nodes ** (p - 2))
+        for i, (xi, alpha) in enumerate(xi_alpha):
+            _, f = _pattern_integrand(slots, xi, alpha, t, S_out, P_out,
+                                      offsets, volume)
             n_points += f.size
-            # where each node's rows start in idx, and the end
-            ends = np.searchsorted(idx, rows * np.arange(n_g + 1)).tolist()
-            for i, (lo, hi) in enumerate(zip(ends, ends[1:]), start=g):
-                totals[i] += rep.multiplicity * complex(np.sum(f[lo:hi]))
+            totals[i] += rep.multiplicity * complex(np.sum(f))
     return totals, n_points
 
 
@@ -555,7 +524,8 @@ def flow_derivative_line(pair: WitnessPair, p: int, t: float, *,
     (xi, pattern) estimate; "err_est", the largest standard error of the q
     shift estimates at an xi node, relative to the profile peak; and
     "mc_halfwidth_max", the largest 95% half-width, that standard error
-    times the Student t quantile with q - 1 degrees of freedom.
+    times LINE_T975, the Student t quantile with q - 1 = 7 degrees of
+    freedom.
     """
     p = _validate_eval(pair, p, t, Domain.LINE, sign)
     cfg = pair.config
@@ -641,10 +611,11 @@ def growth_tables(p: int, domain: Domain, s_list, sigma, t: float, N_list,
     profile underflows) is refused: the ratio would have no logarithm.
 
     The representation sum depends on p, domain, N and t alone, so it is
-    formed once per N, by the evaluator on the first s's witness, and each
-    other s takes it times its own prefactors (see _rescaled). At each N
-    the witness, N^(p sigma) and prefactor checks of every s run before
-    the sum is formed, and each s's table has the bits of its own run.
+    formed once per N, by the evaluator on the first s's witness, and every
+    s, the first included, forms its values from it and its own prefactors
+    by _profile_values. At each N the witness, N^(p sigma) and prefactor
+    checks of every s run before the sum is formed, and each s's table has
+    the bits of its own run.
     """
     p, N_list = checked_p(p), checked_n_list(N_list, 2)
     s_list = list(s_list)
@@ -667,10 +638,10 @@ def growth_tables(p: int, domain: Domain, s_list, sigma, t: float, N_list,
             base = flow_derivative_torus(first, p, t, sign=sign)
         else:
             base = flow_derivative_line(first, p, t, sign=sign, seed=seed)
-        for k, (s, (pair, dn, prefs), (records, logN, logR)) in enumerate(
-                zip(s_list, witnesses, runs)):
-            prof = base if k == 0 else _rescaled(base, prefs, N)
-            an = window_sobolev_mass(prof, s)
+        for s, (pair, dn, prefs), (records, logN, logR) in zip(
+                s_list, witnesses, runs):
+            values, _ = _profile_values(prefs, base.sums, p, N)
+            an = window_sobolev_mass(replace(base, values=values), s)
             ratio = an / _positive_power(dn, p, "data norm^p",
                                          f"p={p}, N={N}")
             if not 0.0 < ratio < math.inf:   # no log, so no slope

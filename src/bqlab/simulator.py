@@ -824,7 +824,11 @@ def inflation_experiment(s_list, N_list, *, p: int, delta: float,
     s = -0.6, delta = 1e-2, t_end = 1) the window coefficient u_1 at t_end
     errs by 1.27e-6 against a dt/8 run at N = 128, where dt lambda(2F) is
     near 4 pi, and by 9.7e-9 at N = 64; at odd p (3 and 5, sign -1) the
-    sup norms err by about 4e-2 at N = 64.
+    sup norms err by about 4e-2 at N = 64. At odd p and N = 128 the
+    default step's sup window norm is about 114 times too large: at p = 3
+    (s = -0.6, delta = 1e-2, sign +1) it reads 1.3598e-6 against 1.1968e-8
+    at dt/16, and about 118 times at p = 5. Those rows show the step's
+    error, not the growth the paper proves.
     The runs at one N share K, M and dt, so they are the parts of one
     lockstep run on one Stepper, each with its own observer, bits and last
     good state; each observer is a _WindowRecord. Every N is sized before

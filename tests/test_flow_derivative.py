@@ -10,8 +10,7 @@ from scipy.integrate import quad
 
 from bqlab import flow_derivative
 from bqlab.acceptance import NEAR_RESONANCE, _mp_kernel
-from bqlab.flow_derivative import (DEFAULT_HORIZON, KERNEL_BLOCK,
-                                   DerivativeProfile,
+from bqlab.flow_derivative import (DEFAULT_HORIZON, DerivativeProfile,
                                    _representative_slots,
                                    flow_derivative_line,
                                    flow_derivative_torus, growth_table,
@@ -21,6 +20,10 @@ from bqlab.flow_derivative import (DEFAULT_HORIZON, KERNEL_BLOCK,
 from bqlab.resonance import enumerate_representations
 from bqlab.spectral import Domain, dispersion
 from bqlab.witness import WitnessConfig, build_witness, frequency_set
+
+# the most betas a profile at production resolutions hands the kernel in
+# one call (test_kernel_calls_stay_within_kernel_block)
+KERNEL_BLOCK = 8192
 
 
 def _quad_kernel(alpha, beta, t):
@@ -595,25 +598,26 @@ def test_line_bitwise_against_reference(monkeypatch, p, N):
     _assert_line_bitwise(monkeypatch, p, N, 0.9)
 
 
-@pytest.mark.parametrize("p,N,t,sign,n_xi,block", [
-    (2, 1, 0.9, 1, 9, None),
-    (4, 1, 0.9, 1, 9, None),
-    (2, 16, 0.0, 1, 9, None),
-    (3, 16, 0.0, -1, 9, None),
-    (2, 16, DEFAULT_HORIZON, 1, 9, None),
-    (3, 64, DEFAULT_HORIZON, 1, 9, None),
-    (2, 64, 0.9, -1, 33, None),
-    (3, 1, 0.9, -1, 9, None),            # empty clips, one node per call
-    (2, 16, 0.7, 1, 33, 1024),           # groups of 8, 8, 8, 8 and 1 nodes
-    (3, 1, 0.7, 1, 33, 5 * 8192),        # groups of 5 nodes with empty clips
-    (3, 16, DEFAULT_HORIZON, -1, 9, 4 * 8192),   # groups of 4, 4 and 1
-], ids=lambda v: str(v))
-def test_line_bitwise_edges(monkeypatch, p, N, t, sign, n_xi, block):
-    # N = 1, t = 0 and the horizon, sign -1, xi nodes whose clip is empty,
-    # and KERNEL_BLOCK moved so that a profile's nodes are grouped other
-    # than at the default (groups of at most KERNEL_BLOCK / 2 points)
-    if block is not None:
-        monkeypatch.setattr(flow_derivative, "KERNEL_BLOCK", block)
+_EDGE_ROWS = [
+    (2, 1, 0.9, 1, 9),
+    (4, 1, 0.9, 1, 9),
+    (2, 16, 0.0, 1, 9),
+    (3, 16, 0.0, -1, 9),
+    (2, 16, DEFAULT_HORIZON, 1, 9),
+    (3, 64, DEFAULT_HORIZON, 1, 9),
+    (2, 64, 0.9, -1, 33),
+    (3, 1, 0.9, -1, 9),            # empty clips, one node per call
+]
+
+
+# the ids end in -None, as when the rows had a sixth column, so that each
+# row keeps its test name
+@pytest.mark.parametrize("p,N,t,sign,n_xi", _EDGE_ROWS,
+                         ids=["-".join(map(str, row)) + "-None"
+                              for row in _EDGE_ROWS])
+def test_line_bitwise_edges(monkeypatch, p, N, t, sign, n_xi):
+    # N = 1, t = 0 and the horizon, sign -1, and xi nodes whose clip is
+    # empty
     n_empty = _assert_line_bitwise(monkeypatch, p, N, t, sign, n_xi)
     assert (n_empty > 0) == (p == 3 and N == 1)
 
@@ -646,23 +650,29 @@ def test_line_n_points_counts_kernel_points(monkeypatch):
 def test_kernel_calls_stay_within_kernel_block(monkeypatch):
     # time_integral evaluates a call in one pass, so its temporaries grow
     # with the call: at production resolutions no profile hands it more
-    # than KERNEL_BLOCK betas (tensor p = 2, 3, lattice p = 4, torus p = 9)
+    # than KERNEL_BLOCK betas (tensor p = 2, 3, lattice p = 4, torus p = 9),
+    # and each p = 3 tensor call, one xi node, passes alpha as a scalar
     assert (flow_derivative.LINE_LATTICE_SHIFTS
             * flow_derivative.LINE_LATTICE_POINTS <= KERNEL_BLOCK)
     kernel = flow_derivative.time_integral
-    sizes = []
+    calls = []
 
     def recorded(alpha, beta, t):
-        sizes.append(np.broadcast(np.asarray(alpha), np.asarray(beta)).size)
+        calls.append((np.broadcast(np.asarray(alpha), np.asarray(beta)).size,
+                      np.ndim(alpha)))
         return kernel(alpha, beta, t)
 
     monkeypatch.setattr(flow_derivative, "time_integral", recorded)
+    alpha_dims = {}
     for p in (2, 3, 4):
         pair = build_witness(WitnessConfig(Domain.LINE, p, 16, s=-1.0))
+        start = len(calls)
         flow_derivative_line(pair, p, 1.0)
+        alpha_dims[p] = {ndim for _, ndim in calls[start:]}
     flow_derivative_torus(
         build_witness(WitnessConfig(Domain.TORUS, 9, 16, s=-1.0)), 9, 1.0)
-    assert 0 < max(sizes) <= KERNEL_BLOCK
+    assert 0 < max(size for size, _ in calls) <= KERNEL_BLOCK
+    assert alpha_dims[3] == {0}
 
 
 def test_line_lattice_deterministic_per_seed(monkeypatch):
@@ -757,14 +767,16 @@ def test_lattice_integrates_smooth_product():
     est = est.mean(axis=1) / (math.e - 1.0) ** d
     se = est.std(ddof=1) / math.sqrt(q)
     assert 0.0 < se < 1e-3
-    assert abs(est.mean() - 1.0) <= flow_derivative._t975(q - 1) * se
+    assert abs(est.mean() - 1.0) <= flow_derivative.LINE_T975 * se
 
 
 def test_student_t975_matches_scipy():
+    # the lattice rule's 95% half-width takes the quantile at q - 1 degrees
+    # of freedom
     from scipy.stats import t as student
-    for dof in range(1, 33):
-        assert flow_derivative._t975(dof) == pytest.approx(
-            student.ppf(0.975, dof), rel=1e-12)
+    assert flow_derivative.LINE_T975 == pytest.approx(
+        student.ppf(0.975, flow_derivative.LINE_LATTICE_SHIFTS - 1),
+        rel=1e-12)
 
 
 # -- window mass --------------------------------------------------------------------
@@ -871,20 +883,20 @@ def test_growth_tables_match_separate_tables(p, domain):
 @pytest.mark.parametrize("domain", [Domain.TORUS, Domain.LINE])
 @pytest.mark.parametrize("p", range(2, 10))
 def test_rescaled_profile_matches_its_own_evaluation(p, domain):
-    # another witness's profile from shared sums: values, meta (the lattice
-    # error estimates included) and sums as its own evaluation gives them
+    # another witness's values from shared sums, by _profile_values: values
+    # and error estimates (the lattice rule's) as its own evaluation gives
+    # them, from the same sums
     sign, seed = (-1) ** p, 3
     base = _evaluate(build_witness(WitnessConfig(domain, p, 16, -1.0)), 0.7,
                      sign, seed)
     pair = build_witness(WitnessConfig(domain, p, 16, -0.6, 0.1))
     own = _evaluate(pair, 0.7, sign, seed)
     prefs = flow_derivative._prefactors(pair, p, own.xi, sign)
-    shared = flow_derivative._rescaled(base, prefs, 16)
-    assert _bits(shared.values) == _bits(own.values)
-    assert _bits(shared.sums) == _bits(own.sums)
-    assert shared.meta == own.meta and list(shared.meta) == list(own.meta)
-    assert np.array_equal(shared.xi, own.xi)
-    assert np.array_equal(shared.weights, own.weights)
+    values, errors = flow_derivative._profile_values(prefs, base.sums, p, 16)
+    assert _bits(values) == _bits(own.values)
+    assert _bits(base.sums) == _bits(own.sums)
+    assert errors == {key: own.meta[key] for key in
+                      ("err_est", "mc_halfwidth_max") if key in own.meta}
     assert _bits(own.values) != _bits(base.values)
 
 
