@@ -39,7 +39,12 @@ the output window and builds the N-sweep growth tables whose log-log
 slopes are the measured blow-up exponents. Only the prefactor
 N^(-p sigma), the window weights (1 + xi^2)^s and the data norm depend on
 s, so growth_tables forms one representation sum per (p, domain, N, t)
-and forms every s's values from it; growth_table is its one-s case.
+and forms every s's values from it; growth_table is its one-s case. The
+N of one sweep share nothing, so each N's sum and values are formed once
+per N in bins over the usable CPUs, every bin but one in a forked child
+(workers.run_bins), when a bin holds at least FORK_MIN_POINTS kernel
+points: the line lattice tables (p >= 4) do, and the torus tables and
+the line tensor tables of criteria 1-3 (p = 2, 3, six N) run in process.
 """
 from __future__ import annotations
 
@@ -53,6 +58,7 @@ from .spectral import Domain, checked_p, dispersion, hs_norm, write_csv
 from .witness import (WitnessConfig, WitnessPair, build_witness,
                       checked_n_list, data_norm, frequency_set)
 from .resonance import enumerate_representations
+from .workers import run_bins, work_bins
 
 DEFAULT_HORIZON = 2.0   # upper limit for measurement times
 LINE_XI_NODES = 33      # midpoints of the line output window
@@ -62,6 +68,13 @@ LINE_LATTICE_SHIFTS = 8      # random shifts averaged at each xi node
 # Student's t 97.5% quantile at LINE_LATTICE_SHIFTS - 1 = 7 degrees of
 # freedom, for the lattice rule's 95% half-width
 LINE_T975 = 2.364624251592783
+# the least kernel points (_growth_points) that a bin of growth_tables' N
+# must hold to get a process of its own: a fork, pipe and pickle round trip
+# took 1.8-4.0 ms on a 2-core Xeon, where a kernel point took 33-140 ns in
+# the lattice rule (p = 4..9) and 32-38 ns in the p = 3 tensor rule, so
+# such a bin sums for at least about 16 ms; criterion 2's p = 3 line table
+# (4.1e5 points a bin over two) was no faster split than in process
+FORK_MIN_POINTS = 5e5
 
 
 # -- the oscillatory time kernel --------------------------------------------
@@ -596,6 +609,21 @@ def _positive_power(base: float, exponent, what: str, where: str) -> float:
     return value
 
 
+def _growth_points(p: int, domain: Domain) -> int:
+    """Kernel points of one growth-table sum, the weight of its N in
+    growth_tables' bins, from numbers alone: LINE_XI_NODES times the
+    lattice's LINE_LATTICE_POINTS x LINE_LATTICE_SHIFTS or the tensor
+    rule's LINE_NODES[p]^(p - 1) on the line, and 1 on the torus, whose
+    exact sum at its one output mode had one representation at every
+    p = 2..9 and N = 16..512 measured."""
+    if domain == Domain.TORUS:
+        return 1
+    nodes = LINE_NODES.get(p)
+    if nodes is None:
+        return LINE_XI_NODES * LINE_LATTICE_POINTS * LINE_LATTICE_SHIFTS
+    return LINE_XI_NODES * nodes ** (p - 1)
+
+
 def growth_tables(p: int, domain: Domain, s_list, sigma, t: float, N_list,
                   *, sign: int = 1, seed: int = 0) -> list:
     """Sweep N at every s of s_list, one GrowthTable per s: data norm,
@@ -616,13 +644,26 @@ def growth_tables(p: int, domain: Domain, s_list, sigma, t: float, N_list,
     by _profile_values. At each N the witness, N^(p sigma) and prefactor
     checks of every s run before the sum is formed, and each s's table has
     the bits of its own run.
+
+    The N share nothing, so each N's whole block (checks, sum, values,
+    window masses and ratios) is one job, and the jobs are formed once per
+    N in bins over the usable CPUs, weighed by _growth_points, with every
+    bin but the first in a forked child (workers.run_bins). Each job is the
+    same code on the same inputs and seed wherever it runs, so the tables
+    have the bits of one process, and a failing N raises what running the
+    N in order would raise, the first failing N's error. A sweep whose
+    lightest bin would hold fewer than FORK_MIN_POINTS kernel points (every
+    torus sweep, and a line p = 3 sweep of up to seven N) runs in this
+    process. The running slopes are fitted here, in N order.
     """
     p, N_list = checked_p(p), checked_n_list(N_list, 2)
     s_list = list(s_list)
     if not s_list:
         raise ValueError("need at least one s, got an empty list")
-    runs = [([], [], []) for _ in s_list]     # records, log N, log ratio
-    for N in N_list:
+
+    def run(j):
+        """(data norm, window mass, ratio) of every s at N_list[j]."""
+        N = N_list[j]
         witnesses = []
         for s in s_list:
             cfg = WitnessConfig(domain, p, N, s, sigma)
@@ -638,8 +679,8 @@ def growth_tables(p: int, domain: Domain, s_list, sigma, t: float, N_list,
             base = flow_derivative_torus(first, p, t, sign=sign)
         else:
             base = flow_derivative_line(first, p, t, sign=sign, seed=seed)
-        for s, (pair, dn, prefs), (records, logN, logR) in zip(
-                s_list, witnesses, runs):
+        rows = []
+        for s, (pair, dn, prefs) in zip(s_list, witnesses):
             values, _ = _profile_values(prefs, base.sums, p, N)
             an = window_sobolev_mass(replace(base, values=values), s)
             ratio = an / _positive_power(dn, p, "data norm^p",
@@ -647,6 +688,16 @@ def growth_tables(p: int, domain: Domain, s_list, sigma, t: float, N_list,
             if not 0.0 < ratio < math.inf:   # no log, so no slope
                 raise ValueError(f"growth ratio {ratio} at N={N}, t={t} is "
                                  f"not finite and positive")
+            rows.append((dn, an, ratio))
+        return rows
+
+    weights = [_growth_points(p, domain)] * len(N_list)
+    per_N = run_bins(run, work_bins(weights, FORK_MIN_POINTS))
+    tables = []
+    for k, s in enumerate(s_list):
+        records, logN, logR = [], [], []
+        for N, rows in zip(N_list, per_N):
+            dn, an, ratio = rows[k]
             logN.append(math.log(N))
             logR.append(math.log(ratio))
             if len(logN) >= 2:
@@ -654,11 +705,11 @@ def growth_tables(p: int, domain: Domain, s_list, sigma, t: float, N_list,
             else:
                 slope_run = float("nan")
             records.append(GrowthRecord(N, dn, an, ratio, slope_run))
-    return [GrowthTable(p, domain, s, pair.config.sigma, t, records,
-                        records[-1].slope_running,
-                        predicted_growth_slope(p, s))
-            for s, (pair, _, _), (records, _, _) in zip(s_list, witnesses,
-                                                        runs)]
+        cfg = WitnessConfig(domain, p, N_list[-1], s, sigma)
+        tables.append(GrowthTable(p, domain, s, cfg.sigma, t, records,
+                                  records[-1].slope_running,
+                                  predicted_growth_slope(p, s)))
+    return tables
 
 
 def growth_table(p: int, domain: Domain, s: float, sigma, t: float,

@@ -191,8 +191,8 @@ def test_reproduce_all_into_a_pipe_prints_each_line_once():
     # criterion 7's lines wait in the block-buffered stdout of a pipe; a
     # child that flushed that buffer on exit would print them twice
     code = ("import sys\n"
-            "from bqlab import cli, simulator\n"
-            "simulator._usable_cpus = lambda: 2\n"
+            "from bqlab import cli, workers\n"
+            "workers.usable_cpus = lambda: 2\n"
             "sys.exit(cli.main(['reproduce-all', '--criteria', '7,8']))\n")
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(bqlab.__file__)))

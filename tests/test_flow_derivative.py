@@ -1,6 +1,7 @@
 """Oscillatory kernel, derivative profiles, and growth tables."""
 import itertools
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from bqlab import flow_derivative
+from bqlab import flow_derivative, workers
 from bqlab.acceptance import NEAR_RESONANCE, _mp_kernel
 from bqlab.flow_derivative import (DEFAULT_HORIZON, DerivativeProfile,
                                    _representative_slots,
@@ -947,3 +948,146 @@ def test_growth_tables_refuse_first_as_one_s_would(monkeypatch):
         assert refusal([s], t, N_list)[0] == message
     with pytest.raises(ValueError, match="need at least one s"):
         growth_tables(4, Domain.TORUS, [], None, 1.0, [16, 32])
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Every bin of growth_tables' N worth a fork; the list of forks made,
+    one pid each."""
+    made, fork = [], os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+    monkeypatch.setattr(flow_derivative, "FORK_MIN_POINTS", 0.0)
+    monkeypatch.setattr(os, "fork", counting)
+    return made
+
+
+def _same_tables(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (x.p, x.domain, x.s, x.t) == (y.p, y.domain, y.s, y.t)
+        # repr shows every bit of a float, the first N's nan slope included
+        assert [repr(vars(r)) for r in x.records] == \
+            [repr(vars(r)) for r in y.records]
+        assert repr((x.slope, x.sigma)) == repr((y.slope, y.sigma))
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("p, domain, s_list, sigma, sign, seed", [
+    (4, Domain.LINE, (-1.0, -0.6), None, 1, 5),
+    (7, Domain.LINE, (-1.0, -0.5), 0.25, -1, 11),
+    (3, Domain.LINE, (-1.0, -0.75), None, -1, 0),
+    (2, Domain.TORUS, (-1.0, -0.75), 0.5, 1, 0),
+], ids=["line-4", "line-7", "line-3", "torus-2"])
+def test_growth_tables_forked_match_in_process(forks, monkeypatch, cpus, p,
+                                               domain, s_list, sigma, sign,
+                                               seed):
+    # the N split over cpus bins, all but one in a child: the tables keep
+    # the bits of the sums formed in this process
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+    N_list = [16, 32, 64]
+    forked = growth_tables(p, domain, s_list, sigma, 0.9, N_list, sign=sign,
+                           seed=seed)
+    assert len(forks) == cpus - 1
+    monkeypatch.setattr(flow_derivative, "FORK_MIN_POINTS", math.inf)
+    here = growth_tables(p, domain, s_list, sigma, 0.9, N_list, sign=sign,
+                         seed=seed)
+    assert len(forks) == cpus - 1
+    _same_tables(forked, here)
+    _no_child_left()
+
+
+def test_growth_fork_threshold_keeps_small_sweeps_in_process(monkeypatch):
+    # the weights come from numbers alone; criteria 1-3's six N at p = 2
+    # and 3 and every torus sweep stay in this process, the lattice's go
+    # over two bins
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    for p, domain, n_bins in ((2, Domain.TORUS, 1), (9, Domain.TORUS, 1),
+                              (2, Domain.LINE, 1), (3, Domain.LINE, 1),
+                              (4, Domain.LINE, 2), (9, Domain.LINE, 2)):
+        six = [flow_derivative._growth_points(p, domain)] * 6
+        bins = workers.work_bins(six, flow_derivative.FORK_MIN_POINTS)
+        assert len(bins) == n_bins, (p, domain)
+    assert flow_derivative._growth_points(3, Domain.LINE) == 33 * 64 ** 2
+    assert flow_derivative._growth_points(5, Domain.LINE) == 33 * 1021 * 8
+
+
+def test_growth_tables_one_cpu_or_no_fork_runs_in_process(forks,
+                                                          monkeypatch):
+    # a one-CPU affinity mask, or a platform without os.fork, forks
+    # nothing and gives the same bits
+    args = (4, Domain.LINE, (-1.0,), None, 1.0, [16, 32])
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    forked = growth_tables(*args, seed=2)
+    assert len(forks) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    _same_tables(growth_tables(*args, seed=2), forked)
+    assert len(forks) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.delattr(os, "fork")
+    _same_tables(growth_tables(*args, seed=2), forked)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("bad, first", [((32, 64), "N=32"),
+                                        ((16, 32), "N=16"),
+                                        ((64, 128), "N=64")],
+                         ids=["32-64", "16-32", "64-128"])
+def test_growth_tables_raise_the_first_failing_n(forks, monkeypatch, bad,
+                                                 first):
+    # N = 16 and 64 sum in this process, 32 and 128 in a child: the error
+    # is the first failing N's, as the N in order raise it, whichever bin
+    # it fell in
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    evaluate = flow_derivative.flow_derivative_line
+
+    def failing(pair, p, t, **kwargs):
+        if pair.config.N in bad:
+            raise ValueError(f"sum at N={pair.config.N}")
+        return evaluate(pair, p, t, **kwargs)
+
+    monkeypatch.setattr(flow_derivative, "flow_derivative_line", failing)
+    with pytest.raises(ValueError, match=f"^sum at {first}$"):
+        growth_tables(2, Domain.LINE, (-1.0,), None, 1.0, [16, 32, 64, 128])
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_growth_tables_witness_refusal_before_a_later_sum_error(forks,
+                                                                monkeypatch):
+    # N = 32's prefactor check refuses in the child before its sum is
+    # formed, and N = 64's sum fails in this process: the error is N = 32's
+    # refusal, not the error of the bin that ran first
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    prefactors = flow_derivative._prefactors
+    evaluate = flow_derivative.flow_derivative_line
+
+    def refusing(pair, p, xi, sign):
+        if pair.config.N == 32:
+            raise ValueError("prefactor refused at N=32")
+        return prefactors(pair, p, xi, sign)
+
+    def failing(pair, p, t, **kwargs):
+        if pair.config.N == 64:
+            raise ValueError("sum at N=64")
+        return evaluate(pair, p, t, **kwargs)
+
+    monkeypatch.setattr(flow_derivative, "_prefactors", refusing)
+    monkeypatch.setattr(flow_derivative, "flow_derivative_line", failing)
+    with pytest.raises(ValueError, match="^prefactor refused at N=32$"):
+        growth_tables(2, Domain.LINE, (-1.0, -0.75), None, 1.0,
+                      [16, 32, 64, 128])
+    assert len(forks) == 1
+    _no_child_left()

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bqlab import simulator
+from bqlab import simulator, workers
 from bqlab.errors import ResourceBudgetError, SimulationBlowup
 from bqlab.flow_derivative import flow_derivative_torus
 from bqlab.simulator import (SimConfig, SimState, Stepper, _fft_good_size,
@@ -1036,26 +1036,26 @@ def forks(monkeypatch):
 
 def test_work_bins_longest_first(monkeypatch):
     # each next-heaviest job joins the lightest bin; fewer bins while the
-    # lightest holds less than FORK_MIN_WORK, one where fork is missing
-    monkeypatch.setattr(simulator, "FORK_MIN_WORK", 3.0)
-    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
-    assert simulator._work_bins([1, 2, 3, 4, 10]) == [[4], [0, 1, 2, 3]]
-    monkeypatch.setattr(simulator, "_usable_cpus", lambda: 3)
-    assert simulator._work_bins([5, 5, 1]) == [[0, 2], [1]]
-    assert simulator._work_bins([5, 5, 3]) == [[0], [1], [2]]
-    assert simulator._work_bins([1, 1, 1]) == [[0, 1, 2]]
-    assert simulator._work_bins([10]) == [[0]]
+    # lightest holds less than the caller's least load, one where fork is
+    # missing
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
+    assert workers.work_bins([1, 2, 3, 4, 10], 3.0) == [[4], [0, 1, 2, 3]]
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
+    assert workers.work_bins([5, 5, 1], 3.0) == [[0, 2], [1]]
+    assert workers.work_bins([5, 5, 3], 3.0) == [[0], [1], [2]]
+    assert workers.work_bins([1, 1, 1], 3.0) == [[0, 1, 2]]
+    assert workers.work_bins([10], 3.0) == [[0]]
     monkeypatch.delattr(os, "fork")
-    assert simulator._work_bins([5, 5, 3]) == [[0, 1, 2]]
+    assert workers.work_bins([5, 5, 3], 3.0) == [[0, 1, 2]]
 
 
 def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3},
                         raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert simulator._usable_cpus() == 1
+    assert workers.usable_cpus() == 1
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert simulator._usable_cpus() == 8
+    assert workers.usable_cpus() == 8
 
 
 def test_inflation_forked_rows_match_in_process_rows(forks, monkeypatch):
@@ -1115,11 +1115,11 @@ def test_run_bins_raises_the_first_error_in_index_order():
             return [i * i]
         return job
     bins = [[0, 3], [1, 2]]     # 0 and 3 here, 1 and 2 in a child
-    assert simulator._run_bins(failing(), bins) == [[0], [1], [4], [9]]
+    assert workers.run_bins(failing(), bins) == [[0], [1], [4], [9]]
     for bad, first in [((1, 3), "job 1"), ((3,), "job 3"), ((2,), "job 2"),
                        ((0, 1), "job 0")]:
         with pytest.raises(ValueError, match=first):
-            simulator._run_bins(failing(*bad), bins)
+            workers.run_bins(failing(*bad), bins)
     _no_child_left()
 
 
@@ -1132,7 +1132,7 @@ def test_run_bins_kills_its_children_when_interrupted():
         time.sleep(60.0)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        simulator._run_bins(job, [[0], [1]])
+        workers.run_bins(job, [[0], [1]])
     assert time.perf_counter() - start < 30.0
     _no_child_left()
 
